@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .model import FrequencyGrid, split_source, wavenumbers
-from .greens import green_eval, green_dx
+from .greens import _green, green_eval, green_dx
 from .quadrature import cell_rule, composite_rule
 
 __all__ = [
@@ -55,9 +55,9 @@ class BoundaryData:
         object.__setattr__(self, "u_plus", up)
 
 
-def source_rule(f, omega_scale, medium, extra_breaks=(), nodes=16, base_panels=8):
-    """Quadrature rule over the support of f resolving kernels that
-    oscillate at most like exp(i c_max omega_scale y).
+def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
+    """Quadrature rule over the support of f (a source or one half of
+    it) resolving kernels that oscillate at most like exp(i rate y).
 
     Splits at the interface, at the source's own breakpoints, and at any
     extra points (e.g. the kink of |x - y|).  Grid sources integrate
@@ -67,7 +67,6 @@ def source_rule(f, omega_scale, medium, extra_breaks=(), nodes=16, base_panels=8
     if sup is None:
         return np.empty(0), np.empty(0)
     lo, hi = sup
-    rate = medium.c_max * omega_scale
     kind = getattr(f, "kind", None) or getattr(f.parent, "kind", None)
     breaks = set(f.breakpoints)
     breaks.update(t for t in extra_breaks if lo < t < hi)
@@ -86,7 +85,7 @@ def forward_field(f, medium, omega, x, nodes=16, base_panels=8):
         raise ValueError(f"omega must be positive, got {omega}")
     if abs(x) > 1.0:
         raise ValueError("evaluation point outside [-1, 1]")
-    y, w = source_rule(f, omega, medium, extra_breaks=(x,), nodes=nodes,
+    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,), nodes=nodes,
                        base_panels=base_panels)
     if len(y) == 0:
         return 0.0 + 0.0j
@@ -97,27 +96,27 @@ def forward_field_dx(f, medium, omega, x, nodes=16, base_panels=8):
     """Analytic derivative u'(x, omega), differentiating g under the integral."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
-    y, w = source_rule(f, omega, medium, extra_breaks=(x,), nodes=nodes,
+    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,), nodes=nodes,
                        base_panels=base_panels)
     if len(y) == 0:
         return 0.0 + 0.0j
     return complex(np.sum(w * green_dx(x, y, medium, omega) * f(y)))
 
 
-def _endpoint_kernel(sign, omegas, y, medium):
-    # g(sign*1, y; omega) broadcast over omegas (column) and y (row)
-    k1 = medium.c1 * omegas[:, None]
-    k2 = medium.c2 * omegas[:, None]
-    y = y[None, :]
-    if sign > 0:
-        same = 1j * (k1 - k2) / (2.0 * k1 * (k1 + k2)) * np.exp(1j * k1 * (1.0 + y)) \
-            + 1j / (2.0 * k1) * np.exp(1j * k1 * (1.0 - y))
-        other = 1j / (k1 + k2) * np.exp(1j * (-k2 * y + k1))
-        return np.where(y > 0, same, other)
-    same = 1j * (k2 - k1) / (2.0 * k2 * (k1 + k2)) * np.exp(-1j * k2 * (-1.0 + y)) \
-        + 1j / (2.0 * k2) * np.exp(1j * k2 * (1.0 + y))
-    other = 1j / (k1 + k2) * np.exp(1j * (k1 * y + k2))
-    return np.where(y > 0, other, same)
+def _endpoint_map(omegas, y, weights, medium, chunk=4096):
+    """Endpoint fields (u(-1), u(+1)) of the point sources weights_j at
+    y_j (weights may carry trailing columns, one field per column).
+
+    The kernel g(+-1, y_j; omega) comes from the layer table; it is
+    formed in blocks of ``chunk`` frequencies to bound its size.
+    """
+    u_minus = np.empty((len(omegas),) + np.shape(weights)[1:], dtype=complex)
+    u_plus = np.empty_like(u_minus)
+    for i in range(0, len(omegas), chunk):
+        blk = omegas[i:i + chunk]
+        u_minus[i:i + chunk] = _green(-1.0, y, medium, blk) @ weights
+        u_plus[i:i + chunk] = _green(1.0, y, medium, blk) @ weights
+    return u_minus, u_plus
 
 
 def boundary_sweep(f, medium, grid, nodes=16, base_panels=8, chunk=4096):
@@ -128,17 +127,9 @@ def boundary_sweep(f, medium, grid, nodes=16, base_panels=8, chunk=4096):
     bound the kernel matrix) and assembled in grid order.
     """
     om = grid.omegas
-    y, w = source_rule(f, float(om[-1]), medium, nodes=nodes, base_panels=base_panels)
-    if len(y) == 0:
-        z = np.zeros(len(om), dtype=complex)
-        return BoundaryData(grid, z, z.copy())
-    fw = w * f(y)
-    u_minus = np.empty(len(om), dtype=complex)
-    u_plus = np.empty(len(om), dtype=complex)
-    for i in range(0, len(om), chunk):
-        blk = om[i:i + chunk]
-        u_minus[i:i + chunk] = _endpoint_kernel(-1, blk, y, medium) @ fw
-        u_plus[i:i + chunk] = _endpoint_kernel(+1, blk, y, medium) @ fw
+    y, w = source_rule(f, medium.c_max * float(om[-1]), nodes=nodes,
+                       base_panels=base_panels)
+    u_minus, u_plus = _endpoint_map(om, y, w * f(y), medium, chunk)
     return BoundaryData(grid, u_minus, u_plus)
 
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SourcePair, l2_norm_sq, split_source
+from .forward import boundary_sweep, forward_field, source_rule
+from .greens import _endpoint_rows
+from .model import FrequencyGrid, SourcePair, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
 __all__ = [
@@ -49,28 +51,9 @@ def _side_source(pair, side):
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
-def _side_rule(src, xi_scale, nodes=16, base_panels=8):
-    sup = src.support
-    if sup is None:
-        return np.empty(0), np.empty(0)
-    lo, hi = sup
-    kind = getattr(src.parent, "kind", None)
-    if kind == "grid":
-        from .quadrature import cell_rule
-
-        edges = np.unique(np.concatenate([[lo, hi], list(src.breakpoints)]))
-        return cell_rule(edges, osc_rate=abs(xi_scale), nodes=max(4, nodes // 2))
-    return composite_rule(lo, hi, src.breakpoints, osc_rate=abs(xi_scale),
-                          base_panels=base_panels, nodes=nodes)
-
-
 def halfline_ft(pair, side, xi, nodes=16, base_panels=8):
     """fhat_side(xi) = int e^{-i xi y} f_side(y) dy over the side's interval."""
-    src = _side_source(pair, side)
-    y, w = _side_rule(src, xi, nodes=nodes, base_panels=base_panels)
-    if len(y) == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(w * np.exp(-1j * xi * y) * src(y)))
+    return complex(halfline_ft_many(pair, side, xi, nodes=nodes, base_panels=base_panels))
 
 
 def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
@@ -85,11 +68,10 @@ def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
     """
     xis = np.asarray(xis, dtype=complex)
     src = _side_source(pair, side)
-    out = np.zeros(xis.shape, dtype=complex)
     if src.support is None or xis.size == 0:
-        return out
-    scale = float(np.max(np.abs(xis.real))) if xis.size else 0.0
-    y, w = _side_rule(src, scale, nodes=nodes, base_panels=base_panels)
+        return np.zeros(xis.shape, dtype=complex)
+    scale = float(np.max(np.abs(xis.real)))
+    y, w = source_rule(src, scale, nodes=nodes, base_panels=base_panels)
     fv = src(y)
     if conjugate_source:
         fv = np.conj(fv)
@@ -131,26 +113,6 @@ def plancherel_residual(pair, xi_max, n_xi, nodes=16):
     return abs(norms - total / (2.0 * np.pi))
 
 
-# Endpoint amplitudes: omega * u(-+1, omega) equals i times
-#   F_minus(omega) = sum_k coeff_k e^{i const_k omega} int e^{i rate_k omega y} f_side(y) dy
-# with the explicit layered coefficients below (and mirrored for +1).
-def _endpoint_terms(medium, endpoint):
-    c1, c2 = medium.c1, medium.c2
-    if endpoint == "minus":
-        return (
-            (1.0 / (c1 + c2), "right", c1, c2),
-            ((c2 - c1) / (2.0 * c2 * (c1 + c2)), "left", -c2, c2),
-            (1.0 / (2.0 * c2), "left", c2, c2),
-        )
-    if endpoint == "plus":
-        return (
-            ((c1 - c2) / (2.0 * c1 * (c1 + c2)), "right", c1, c1),
-            (1.0 / (2.0 * c1), "right", -c1, c1),
-            (1.0 / (c1 + c2), "left", -c2, c1),
-        )
-    raise ValueError(f"endpoint must be 'minus' or 'plus', got {endpoint!r}")
-
-
 def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
                        conjugate=False):
     """F_endpoint(omega) on an array of (possibly complex) frequencies.
@@ -159,13 +121,17 @@ def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
     ``conjugate`` the kernel-conjugate partner G is evaluated (all phases
     flipped, source conjugated); F*G restricted to real omega is |F|^2.
     """
+    if endpoint not in ("minus", "plus"):
+        raise ValueError(f"endpoint must be 'minus' or 'plus', got {endpoint!r}")
     omegas = np.asarray(omegas, dtype=complex)
     sgn = -1.0 if conjugate else 1.0
     out = np.zeros(omegas.shape, dtype=complex)
-    for coeff, side, rate, const in _endpoint_terms(medium, endpoint):
+    for e, coeff, side, rate, phase in _endpoint_rows(medium):
+        if e != endpoint:
+            continue
         vals = halfline_ft_many(pair, side, -sgn * rate * omegas, nodes=nodes,
                                 base_panels=base_panels, conjugate_source=conjugate)
-        out = out + coeff * np.exp(sgn * 1j * const * omegas) * vals
+        out = out + coeff * np.exp(sgn * 1j * phase * omegas) * vals
     return out
 
 
@@ -219,9 +185,6 @@ def data_energy_analytic(f, medium, s, n_quad=16):
 def data_energy_from_sweep(f, medium, s, n_quad=16):
     """Band energy through the forward solver: Gauss-Legendre nodes in
     omega, endpoint values from boundary_sweep, integrand omega^2 |u|^2."""
-    from .forward import boundary_sweep
-    from .model import FrequencyGrid
-
     if s <= 0:
         raise ValueError("band limit s must be positive")
     om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max, nodes=n_quad)
@@ -316,20 +279,16 @@ def endpoint_amplitude_bound(f, medium, omega, nodes=16, base_panels=16):
     moduli; lhs <= rhs is exact mathematics, so both sides are resolved
     a notch finer than the solver defaults.
     """
-    from .forward import forward_field
-
     pair = split_source(f)
     lhs_minus = omega ** 2 * abs(forward_field(f, medium, omega, -1.0, nodes=nodes,
                                                base_panels=base_panels)) ** 2
     lhs_plus = omega ** 2 * abs(forward_field(f, medium, omega, 1.0, nodes=nodes,
                                               base_panels=base_panels)) ** 2
-    rhs = {}
-    for endpoint in ("minus", "plus"):
-        tot = 0.0
-        for coeff, side, rate, _ in _endpoint_terms(medium, endpoint):
-            tot += abs(coeff) * abs(halfline_ft(pair, side, -rate * omega,
-                                                nodes=nodes, base_panels=base_panels))
-        rhs[endpoint] = tot ** 2
+    rhs = {"minus": 0.0, "plus": 0.0}
+    for e, coeff, side, rate, _ in _endpoint_rows(medium):
+        rhs[e] += abs(coeff) * abs(halfline_ft(pair, side, -rate * omega,
+                                               nodes=nodes, base_panels=base_panels))
+    rhs = {e: tot ** 2 for e, tot in rhs.items()}
     return lhs_minus, rhs["minus"], lhs_plus, rhs["plus"]
 
 

@@ -5,8 +5,12 @@
     g'' + kappa(x)^2 g = -delta(x - y)
 
 with outgoing behaviour e^{+i kappa1 x} as x -> +1 and e^{-i kappa2 x}
-as x -> -1.  ``green_coeffs_via_linear_system`` rebuilds the layer
-amplitudes A, B, C, D independently by solving the 4x4 continuity
+as x -> -1.  Its layer amplitudes (the direct wave and the waves
+reflected and transmitted at the interface) are written once, in
+``_amplitudes``; the kernel, its derivative, the closed-form
+coefficients and the endpoint table of the half-line representation
+are all read from it.  ``green_coeffs_via_linear_system`` rebuilds the
+layer amplitudes A, B, C, D independently by solving the 4x4 continuity
 system (value and derivative matching at x = 0, value continuity and
 unit derivative jump at x = y), and ``interface_residuals`` measures how
 well the closed form satisfies those conditions.
@@ -42,78 +46,70 @@ def _check_args(y, omega):
         raise ValueError("source point must lie in (-1, 1)")
 
 
+def _amplitudes(ks, ko):
+    """The layer amplitude table.
+
+    For a unit source in the layer of wavenumber ks facing the layer of
+    wavenumber ko: the amplitudes of the direct, reflected and
+    transmitted waves,
+
+        i/(2 ks),   i/(2 ks) * R,   i/(2 ks) * T,
+        R = (ks - ko)/(ks + ko),    T = 2 ks/(ks + ko),
+
+    each written out as one closed form.
+    """
+    return 1j / (2.0 * ks), 1j * (ks - ko) / (2.0 * ks * (ks + ko)), 1j / (ks + ko)
+
+
+def _green(x, y, medium, omega, deriv=False):
+    """g(x, y; omega), or its x-derivative, with the axes of omega first.
+
+    In the mirrored coordinates X = sig x, Y = sig y (sig = +1 for a
+    source right of the interface, -1 left of it) every source sits at
+    Y > 0: a direct and a reflected wave on its own side (X >= 0), a
+    transmitted wave on the other.  d/dx = sig d/dX.  A source on the
+    interface, where both forms agree, is taken from the left.
+    """
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lead = np.shape(omega)
+    om = np.asarray(omega, dtype=float)[..., None] if lead else omega
+    out = np.empty(lead + (xb.size,), dtype=complex)
+    right = yb.ravel() > 0
+    for sig, cs, co, own in ((1.0, medium.c1, medium.c2, right),
+                             (-1.0, medium.c2, medium.c1, ~right)):
+        X, Y = sig * xb.ravel(), sig * yb.ravel()
+        ks, ko = cs * om, co * om
+        direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
+        near, far = own & (X >= 0), own & (X < 0)
+        if near.any():
+            Xn, Yn = X[near], Y[near]
+            wave = direct_amp * np.exp(1j * ks * np.abs(Xn - Yn))
+            if deriv:
+                wave *= np.sign(Xn - Yn)
+            wave += refl_amp * np.exp(1j * ks * (Xn + Yn))
+            out[..., near] = sig * 1j * ks * wave if deriv else wave
+        if far.any():
+            Xf, Yf = X[far], Y[far]
+            trans = trans_amp * np.exp(1j * (ks * Yf - ko * Xf))
+            out[..., far] = -sig * 1j * ko * trans if deriv else trans
+    out = out.reshape(lead + xb.shape)
+    return out[()] if out.ndim == 0 else out
+
+
 def green_eval(x, y, medium, omega):
     """Green's function g(x, y) for x in [-1, 1], y in (-1, 1) \\ {0}.
 
-    Broadcasts over x and y (y must not change sign within a call mixed
-    with x = interface crossings; arbitrary sign mixes are supported).
+    Broadcasts over x and y; sources on both sides of the interface may
+    be mixed within one call.
     """
     _check_args(y, omega)
-    k1, k2 = wavenumbers(medium, omega)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xb, yb = np.broadcast_arrays(x, y)
-    out = np.empty(xb.shape, dtype=complex)
-
-    pos = yb > 0
-    if np.any(pos):
-        xs, ys = xb[pos], yb[pos]
-        cp = 1j * (k1 - k2) / (2.0 * k1 * (k1 + k2))
-        same = xs >= 0
-        vals = np.where(
-            same,
-            cp * np.exp(1j * k1 * (xs + ys)) + 1j / (2.0 * k1) * np.exp(1j * k1 * np.abs(xs - ys)),
-            1j / (k1 + k2) * np.exp(1j * (k1 * ys - k2 * xs)),
-        )
-        out[pos] = vals
-    if np.any(~pos):
-        xs, ys = xb[~pos], yb[~pos]
-        cm = 1j * (k2 - k1) / (2.0 * k2 * (k1 + k2))
-        same = xs <= 0
-        vals = np.where(
-            same,
-            cm * np.exp(-1j * k2 * (xs + ys)) + 1j / (2.0 * k2) * np.exp(1j * k2 * np.abs(xs - ys)),
-            1j / (k1 + k2) * np.exp(1j * (-k2 * ys + k1 * xs)),
-        )
-        out[~pos] = vals
-    return out[()] if out.ndim == 0 else out
+    return _green(x, y, medium, omega)
 
 
 def green_dx(x, y, medium, omega):
     """Analytic x-derivative of g(x, y); continuous at x = 0, jumps at x = y."""
     _check_args(y, omega)
-    k1, k2 = wavenumbers(medium, omega)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xb, yb = np.broadcast_arrays(x, y)
-    out = np.empty(xb.shape, dtype=complex)
-
-    pos = yb > 0
-    if np.any(pos):
-        xs, ys = xb[pos], yb[pos]
-        cp = 1j * (k1 - k2) / (2.0 * k1 * (k1 + k2))
-        same = xs >= 0
-        sg = np.sign(xs - ys)
-        vals = np.where(
-            same,
-            1j * k1 * cp * np.exp(1j * k1 * (xs + ys))
-            - 0.5 * sg * np.exp(1j * k1 * np.abs(xs - ys)),
-            k2 / (k1 + k2) * np.exp(1j * (k1 * ys - k2 * xs)),
-        )
-        out[pos] = vals
-    if np.any(~pos):
-        xs, ys = xb[~pos], yb[~pos]
-        cm = 1j * (k2 - k1) / (2.0 * k2 * (k1 + k2))
-        same = xs <= 0
-        sg = np.sign(xs - ys)
-        vals = np.where(
-            same,
-            -1j * k2 * cm * np.exp(-1j * k2 * (xs + ys))
-            - 0.5 * sg * np.exp(1j * k2 * np.abs(xs - ys)),
-            -k1 / (k1 + k2) * np.exp(1j * (-k2 * ys + k1 * xs)),
-        )
-        out[~pos] = vals
-    return out[()] if out.ndim == 0 else out
+    return _green(x, y, medium, omega, deriv=True)
 
 
 @dataclass(frozen=True)
@@ -135,22 +131,32 @@ class GreenCoeffs:
 def green_coeffs_closed(y, medium, omega):
     """Closed-form layer amplitudes (solution of the continuity system)."""
     _check_args(y, omega)
-    k1, k2 = wavenumbers(medium, omega)
-    if y > 0:
-        refl = 1j * (k1 - k2) / (2.0 * k1 * (k1 + k2)) * np.exp(1j * k1 * y)
-        return GreenCoeffs(
-            A=refl + 1j / (2.0 * k1) * np.exp(-1j * k1 * y),
-            B=refl,
-            C=1j / (2.0 * k1) * np.exp(1j * k1 * y),
-            D=1j / (k1 + k2) * np.exp(1j * k1 * y),
-        )
-    refl = 1j * (k2 - k1) / (2.0 * k2 * (k1 + k2)) * np.exp(-1j * k2 * y)
-    return GreenCoeffs(
-        A=refl + 1j / (2.0 * k2) * np.exp(1j * k2 * y),
-        B=refl,
-        C=1j / (2.0 * k2) * np.exp(-1j * k2 * y),
-        D=1j / (k1 + k2) * np.exp(-1j * k2 * y),
-    )
+    sig, cs, co = (1.0, medium.c1, medium.c2) if y > 0 else (-1.0, medium.c2, medium.c1)
+    ks = cs * omega
+    direct_amp, refl_amp, trans_amp = _amplitudes(ks, co * omega)
+    ey, em = np.exp(1j * ks * sig * y), np.exp(-1j * ks * sig * y)
+    return GreenCoeffs(A=refl_amp * ey + direct_amp * em, B=refl_amp * ey,
+                       C=direct_amp * ey, D=trans_amp * ey)
+
+
+def _endpoint_rows(medium):
+    """The omega-independent endpoint table, from the same amplitudes.
+
+    omega * u(e, omega) = i * sum over the rows (e, coeff, side, rate,
+    phase) of endpoint e ("minus" or "plus") of
+    coeff * e^{i phase omega} * int e^{i rate omega y} f_side(y) dy,
+    where coeff is a wave amplitude of ``_amplitudes`` at unit
+    frequency divided by i.  Each side has a reflected and a direct row
+    at its own endpoint and a transmitted row at the other.
+    """
+    rows = []
+    for side, sig, cs, co, near, far in (("right", 1.0, medium.c1, medium.c2, "plus", "minus"),
+                                         ("left", -1.0, medium.c2, medium.c1, "minus", "plus")):
+        direct, refl, trans = (amp.imag for amp in _amplitudes(cs, co))
+        rows += [(near, refl, side, sig * cs, cs),
+                 (near, direct, side, -sig * cs, cs),
+                 (far, trans, side, sig * cs, co)]
+    return rows
 
 
 def green_coeffs_via_linear_system(y, medium, omega):

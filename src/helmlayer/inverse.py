@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyGrid, SourceSpec
-from .forward import BoundaryData, _endpoint_kernel
+from .forward import BoundaryData, _endpoint_map
 from .fourier import epsilon_norm, trapezoid_weights
 from .quadrature import cell_rule
 
@@ -109,8 +109,7 @@ def assemble_operator(medium, grid, n_basis, support, nodes_per_cell=6):
     # hat values at the quadrature nodes, scaled by the weights
     H = np.clip(1.0 - np.abs((y[:, None] - nodes_x[None, :]) / h), 0.0, None) * w[:, None]
     om = grid.omegas
-    A_minus = _endpoint_kernel(-1, om, y, medium) @ H
-    A_plus = _endpoint_kernel(+1, om, y, medium) @ H
+    A_minus, A_plus = _endpoint_map(om, y, H, medium)
     wr = om * np.sqrt(trapezoid_weights(om))
     row_weights = np.concatenate([wr, wr])
     matrix = np.vstack([A_minus, A_plus]) * row_weights[:, None]

@@ -48,14 +48,18 @@ def test_build_source_kinds():
     assert len(grid) == cfg.n_omega and grid.K == cfg.K
 
 
-def test_verify_default_passes_and_fault_hook_fails():
+def _break_radiation(monkeypatch):
+    monkeypatch.setattr(cli, "check_radiation", lambda f, med, om: (0.0, 1.0))
+
+
+def test_verify_default_passes_and_fault_hook_fails(monkeypatch):
     cfg = RunConfig()
     lines, failures = run_verify(cfg)
     assert failures == []
     assert len(lines) >= 8
 
-    bad = parse_config_text("debug.fault = radiation_sign\n")
-    _, failures = run_verify(bad)
+    _break_radiation(monkeypatch)
+    _, failures = run_verify(cfg)
     assert any("radiation" in name for name in failures)
 
 
@@ -65,12 +69,45 @@ def test_verify_homogeneous_config_passes():
     assert failures == []
 
 
-def test_cmd_verify_exit_codes(tmp_path, capsys):
+def test_cmd_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert cmd_verify(RunConfig(), tmp_path / "report.txt") == 0
     assert "PASS" in (tmp_path / "report.txt").read_text()
     capsys.readouterr()
-    bad = parse_config_text("debug.fault = radiation_sign\n")
-    assert cmd_verify(bad) == 3
+    _break_radiation(monkeypatch)
+    assert cmd_verify(RunConfig()) == 3
+
+
+@pytest.mark.parametrize("seed", ["13", "16"])
+def test_verify_amplitude_bound_at_equality_passes(seed, capsys):
+    # one-sided draws meet the amplitude bound with equality
+    assert main(["verify", "--seed", seed]) == 0
+
+
+def test_verify_detects_tightened_amplitude_bound(monkeypatch, capsys):
+    real = cli.endpoint_amplitude_bound
+
+    def tightened(*args, **kw):
+        lm, rm, lp, rp = real(*args, **kw)
+        return lm, rm * (1.0 - 1e-6), lp, rp * (1.0 - 1e-6)
+
+    monkeypatch.setattr(cli, "endpoint_amplitude_bound", tightened)
+    assert main(["verify"]) == 3
+    assert "endpoint amplitude bound" in capsys.readouterr().err
+
+
+_NONFINITE_KEYS = sorted(cli._FLOAT_KEYS) + ["sweep.K_list", "sweep.eps_list",
+                                             "source.amp_re", "source.amp_im"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _NONFINITE_KEYS)
+def test_config_rejects_non_finite(key, value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config_text(f"{key} = {value}\n")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = {value}\n")
+    assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "d.csv")]) == 2
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_cmd_forward_zero_source_and_determinism(tmp_path, capsys):
