@@ -2,9 +2,10 @@
 
 Configuration is a flat ``section.key = value`` text file ('#' starts a
 comment); every key has a documented default so an empty file is a valid
-configuration.  All subcommands are deterministic for a fixed config and
-seed.  Exit codes: 0 success, 2 validation error, 3 numerical-check
-failure, 4 I/O error.
+configuration.  All subcommands are deterministic for a fixed config,
+seed and BLAS thread count.  Exit codes: 0 success, 2 validation error,
+3 numerical-check failure (including output that is not finite, in which
+case no file is written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import model
 from .model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
                     split_source)
 from .greens import (_endpoint_rows, eval_from_coeffs, green_coeffs_closed,
@@ -54,7 +56,8 @@ EXIT_CHECK = 3
 EXIT_IO = 4
 
 METHODS = ("tikhonov", "tsvd", "homogeneous_ft")
-SOURCE_KINDS = ("bump", "bspline", "modulated_bump")
+# the configurable source kinds: every model kind but a grid of values
+SOURCE_KINDS = tuple(k for k in model.SOURCE_KINDS if k != "grid")
 
 
 class ConfigError(ValueError):
@@ -441,10 +444,17 @@ def cmd_verify(cfg, out_path=None):
     return EXIT_OK
 
 
+def _all_finite(*arrays):
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
 def cmd_forward(cfg, out_path):
     f = build_source(cfg)
     grid = build_grid(cfg)
     data = boundary_sweep(f, Medium(cfg.c1, cfg.c2), grid)
+    if not _all_finite(data.u_minus, data.u_plus):
+        print("FAILED: non-finite endpoint data, nothing written", file=sys.stderr)
+        return EXIT_CHECK
     write_boundary_csv(data, out_path)
     print(f"wrote {len(grid)} frequencies to {out_path} "
           f"(epsilon = {epsilon_norm(data):.6e})")
@@ -498,6 +508,9 @@ def cmd_reconstruct(cfg, data_path, out_path):
     result.l2_error = err
     norm = np.sqrt(l2_norm_sq(f_true))
     rel = err / norm if norm > 0 else float("nan")
+    if not _all_finite(result.f_est.samples):
+        print("FAILED: non-finite reconstruction, nothing written", file=sys.stderr)
+        return EXIT_CHECK
     write_reconstruction_csv(out_path, result, f_true)
     print(f"method={result.method} reg={result.reg_param:.6g} "
           f"residual={result.residual:.6e} l2_error={err:.6e} rel={rel:.6e}")

@@ -67,16 +67,25 @@ def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
     if sup is None:
         return np.empty(0), np.empty(0)
     lo, hi = sup
-    kind = getattr(f, "kind", None) or getattr(f.parent, "kind", None)
     breaks = set(f.breakpoints)
     breaks.update(t for t in extra_breaks if lo < t < hi)
     if 0.0 > lo and 0.0 < hi:
         breaks.add(0.0)
-    if kind == "grid":
+    if _is_grid(f):
         edges = np.unique(np.concatenate([[lo, hi], sorted(breaks)]))
-        return cell_rule(edges, osc_rate=rate, nodes=max(4, nodes // 2))
+        return cell_rule(edges, osc_rate=rate, nodes=_panel_nodes(f, nodes))
     return composite_rule(lo, hi, sorted(breaks), osc_rate=rate,
                           base_panels=base_panels, nodes=nodes)
+
+
+def _is_grid(f):
+    return (getattr(f, "kind", None) or getattr(f.parent, "kind", None)) == "grid"
+
+
+def _panel_nodes(f, nodes):
+    """Gauss nodes per panel of ``source_rule(f, ..., nodes=nodes)``: the
+    rule is a run of panels of this many consecutive nodes."""
+    return max(4, nodes // 2) if _is_grid(f) else nodes
 
 
 def forward_field(f, medium, omega, x, nodes=16, base_panels=8):
@@ -270,6 +279,9 @@ def read_boundary_csv(path, K=None):
     arr = np.asarray(rows, dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")
+    bad = ~np.all(np.isfinite(arr), axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite value in data row {np.argmax(bad) + 1} of {path}")
     om = arr[:, 0]
     grid = FrequencyGrid(om, K if K is not None else float(om[-1]))
     return BoundaryData(grid, arr[:, 1] + 1j * arr[:, 2], arr[:, 3] + 1j * arr[:, 4])

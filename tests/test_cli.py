@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from helmlayer.cli import (ConfigError, RunConfig, build_grid, build_source,
                            cmd_forward, cmd_reconstruct, cmd_sweep, cmd_verify,
                            main, parse_config_text, read_sweep_csv, run_sweep,
                            run_verify, serialize_config)
-from helmlayer.forward import read_boundary_csv
-from helmlayer.model import l2_norm_sq
+from helmlayer.forward import BoundaryData, read_boundary_csv
+from helmlayer.model import SourceSpec, l2_norm_sq
 
 
 def test_empty_config_gives_defaults():
@@ -282,3 +284,64 @@ def test_zero_source_norm_guard():
     cfg = parse_config_text("source.amp_re = 0\n")
     f = build_source(cfg)
     assert l2_norm_sq(f) == 0.0
+
+
+def _forward_csv(tmp_path, extra=""):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("frequency.n_omega = 32\nfrequency.K = 5\n" + extra)
+    data_path = tmp_path / "data.csv"
+    assert main(["forward", "--config", str(cfg_path), "--out", str(data_path)]) == 0
+    return cfg_path, data_path
+
+
+@pytest.mark.parametrize("method", ["tikhonov", "tsvd"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
+    cfg_path, data_path = _forward_csv(tmp_path, f"inverse.method = {method}\n")
+    lines = data_path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = value  # re_u_minus
+    lines[5] = ",".join(row)
+    data_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_boundary_csv(data_path)
+    out = tmp_path / "rec.csv"
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--data", str(data_path), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_forward_non_finite_output_writes_nothing(tmp_path, monkeypatch, capsys):
+    real_sweep = cli.boundary_sweep
+
+    def poisoned(*args, **kwargs):
+        data = real_sweep(*args, **kwargs)
+        um = data.u_minus.copy()
+        um[3] = np.nan
+        return BoundaryData(data.grid, um, data.u_plus)
+
+    monkeypatch.setattr(cli, "boundary_sweep", poisoned)
+    out = tmp_path / "d.csv"
+    assert cmd_forward(parse_config_text("frequency.n_omega = 16\nfrequency.K = 5\n"),
+                       out) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, capsys):
+    cfg_path, data_path = _forward_csv(tmp_path)
+    real = cli._reconstruct
+
+    def poisoned(*args):
+        result = real(*args)
+        samples = result.f_est.samples.copy()
+        samples[4] = np.nan
+        return replace(result, f_est=SourceSpec.from_grid(result.f_est.x_grid, samples))
+
+    monkeypatch.setattr(cli, "_reconstruct", poisoned)
+    out = tmp_path / "rec.csv"
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--data", str(data_path), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmlayer.forward import BoundaryData, boundary_sweep
+from helmlayer.forward import BoundaryData, boundary_sweep, source_rule
 from helmlayer.fourier import (HalflineFT, data_energy, data_energy_analytic,
                                data_energy_constant, data_energy_from_sweep,
                                endpoint_amplitude, endpoint_amplitude_bound,
@@ -51,6 +51,36 @@ def test_halfline_ft_conjugate_symmetry_for_real_source():
     for xi in (0.5, 3.0, 12.0):
         assert abs(halfline_ft(pair, "right", -xi)
                    - np.conj(halfline_ft(pair, "right", xi))) < 1e-13
+
+
+def _longdouble_sum(y, fw, xis, chunk=500):
+    """sum_j fw_j exp(-i xi y_j), summed in long double.
+
+    Each phase xi y_j is formed in long double and split into a double p
+    and its remainder e, so exp(-i p) (1 - i e) is the term to within
+    its own rounding (e is below 1e-13 here, and e^2 is dropped).
+    """
+    fr, fi = fw.real.astype(np.longdouble), fw.imag.astype(np.longdouble)
+    y = y.astype(np.longdouble)
+    out = np.empty(len(xis), dtype=complex)
+    for i in range(0, len(xis), chunk):
+        ph = np.multiply.outer(xis[i:i + chunk].astype(np.longdouble), y)
+        p = ph.astype(float)
+        z = np.exp(-1j * p) * (1.0 - 1j * (ph - p).astype(float))
+        c, s = z.real.astype(np.longdouble), z.imag.astype(np.longdouble)
+        out[i:i + chunk] = (c @ fr - s @ fi).astype(float) + 1j * (c @ fi + s @ fr).astype(float)
+    return out
+
+
+def test_halfline_ft_many_band_top_accuracy():
+    # the top of a tail-decay band: thousands of panels per side, where an
+    # exponential sum that loses phase accuracy shows first
+    pair = _pair(SourceSpec.bspline(-0.7, 0.6, 3))
+    xis = np.arange(900.0, 1500.0, 0.15)
+    got = halfline_ft_many(pair, "left", xis, nodes=8)
+    y, w = source_rule(pair.f2, float(np.max(xis)), nodes=8)
+    ref = _longdouble_sum(y, w * pair.f2(y), xis)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
 def test_halfline_record():

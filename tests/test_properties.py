@@ -1,13 +1,14 @@
-"""Property tests of the layered amplitudes over media, frequencies and
-sources drawn by hypothesis."""
+"""Property tests of the layered amplitudes and the half-line transforms
+over media, frequencies and sources drawn by hypothesis."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from helmlayer.forward import boundary_sweep, forward_field
+from helmlayer.forward import boundary_sweep, forward_field, source_rule
+from helmlayer.fourier import halfline_ft_many
 from helmlayer.greens import (eval_from_coeffs, green_coeffs_via_linear_system,
                               green_eval)
-from helmlayer.model import FrequencyGrid, Medium, SourceSpec
+from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
 
 speeds = st.floats(0.5, 2.0)
 omegas = st.floats(0.1, 20.0)
@@ -71,3 +72,50 @@ def test_boundary_sweep_is_linear(medium, K, alpha, beta, seed):
     lhs = sweep(alpha * v + beta * w)
     rhs = alpha * sweep(v) + beta * sweep(w)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+@st.composite
+def straddling_sources(draw):
+    a, b = draw(st.floats(-0.9, -0.05)), draw(st.floats(0.05, 0.9))
+    amp = draw(amplitudes)
+    kind = draw(st.sampled_from(["bump", "bspline", "modulated_bump",
+                                 "uniform_grid", "grid"]))
+    if kind == "bump":
+        return SourceSpec.bump(a, b, amp)
+    if kind == "bspline":
+        return SourceSpec.bspline(a, b, draw(st.integers(1, 4)), amp)
+    if kind == "modulated_bump":
+        return SourceSpec.modulated_bump(a, b, draw(st.floats(0.0, 30.0)), amp)
+    n = draw(st.integers(3, 24))
+    if kind == "uniform_grid":
+        x = np.linspace(a, b, n)
+    else:
+        inner = draw(st.lists(st.floats(a, b), min_size=n - 2, max_size=n - 2))
+        x = np.unique(np.concatenate([[a, b], inner]))
+        assume(len(x) >= 3 and np.min(np.diff(x)) > 1e-9)
+    samples = draw(st.lists(amplitudes, min_size=len(x), max_size=len(x)))
+    return SourceSpec.from_grid(x, samples)
+
+
+# enough arguments that every rule of 32 or more nodes takes the
+# factored sum rather than the plain one kept for small calls
+transform_args = st.builds(
+    lambda lo, hi, im, n: np.linspace(lo, hi, n) + 1j * im,
+    st.floats(-500.0, 500.0), st.floats(-500.0, 500.0),
+    st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), st.integers(65, 256))
+
+
+@settings(max_examples=120, deadline=None)
+@given(straddling_sources(), st.sampled_from(["right", "left"]),
+       st.sampled_from([4, 8, 16]), transform_args)
+def test_halfline_sum_matches_dense_sum(f, side, nodes, xis):
+    # the panel-factored sum against the node-by-node sum over the same rule
+    pair = split_source(f)
+    src = pair.f1 if side == "right" else pair.f2
+    y, w = source_rule(src, float(np.max(np.abs(xis.real))), nodes=nodes)
+    phases = np.exp(-1j * np.outer(xis, y))
+    fw = w * src(y)
+    got = halfline_ft_many(pair, side, xis, nodes=nodes)
+    # sum_j |fw_j e^{-i xi y_j}|, which is sum_j |fw_j| for real xi
+    scale = np.abs(phases) @ np.abs(fw)
+    assert np.all(np.abs(got - phases @ fw) <= 1e-12 * scale)
