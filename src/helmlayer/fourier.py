@@ -88,45 +88,27 @@ def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
                    chunk).reshape(xis.shape)
 
 
-# Up to this many terms the plain sum is cheaper than the factored one,
-# whose tables cost about 60 us of numpy calls to set up (measured on
-# rules of 64-1200 nodes; the two break even at 2000-2500 terms).
-_PLAIN_TERMS = 2048
-
-
 def _expsum(y, fw, xis, q, chunk):
     """sum_j fw_j exp(-i xi y_j) for every xi, over a rule made of panels
     of q consecutive nodes, factored panel by panel as the module
     docstring says.
 
     A run of consecutive panels whose offsets agree to within the
-    rounding of the nodes shares one offset table.  Panels in runs too
-    short to gain (grid cells of a width of their own) are pooled into
-    one block of one-node panels, which is the plain sum, so no rule
-    costs more exponentials than the plain sum and a grid of many
-    distinct cells is not a loop over them.  Calls with few terms take
-    the plain sum directly.
+    rounding of the nodes shares one offset table.  A panel of a width
+    of its own (a grid cell) is a run of one, at q + 1 exponentials per
+    argument where the plain sum takes q.
     """
-    if len(xis) * len(y) <= _PLAIN_TERMS:
-        return _exp_table(-1j * xis, y) @ fw
     Y, F = y.reshape(-1, q), fw.reshape(-1, q)
     mids = 0.5 * (Y[:, 0] + Y[:, -1])
     offs = Y - mids[:, None]
     width = np.round(offs[:, -1] / (8.0 * np.finfo(float).eps * np.max(np.abs(y))))
     cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
-    blocks, plain = [], np.zeros(len(width), dtype=bool)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if (hi - lo) * q > (hi - lo) + q:
-            blocks.append((mids[lo:hi], offs[lo], F[lo:hi]))
-        else:
-            plain[lo:hi] = True
-    if plain.any():
-        blocks.append((Y[plain].ravel(), np.zeros(1), F[plain].reshape(-1, 1)))
     res = np.zeros(xis.shape, dtype=complex)
     for i in range(0, len(xis), chunk):
         a = -1j * xis[i:i + chunk]
-        for m, d, f in blocks:
-            res[i:i + chunk] += np.einsum("ij,ij->i", _exp_table(a, m) @ f, _exp_table(a, d))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            res[i:i + chunk] += np.einsum("ij,ij->i", _exp_table(a, mids[lo:hi]) @ F[lo:hi],
+                                          _exp_table(a, offs[lo]))
     return res
 
 
