@@ -551,46 +551,69 @@ def _sweep_source(cfg, n, trial):
 
 
 def run_sweep(cfg):
-    """All sweep records in deterministic cell order."""
+    """All sweep records in deterministic cell order (K, eps, n, trial).
+
+    Each K assembles its operator once, and each (n, trial) source is
+    solved forward once per K; every eps cell reuses that clean data
+    (``add_noise`` returns new arrays).  When eps > 0, lambda comes from
+    the discrepancy rule, which scans the ladder in SVD coordinates (see
+    ``morozov_lambda``).  A cell's ``runtime_ms`` covers its own work:
+    the noise, the choice of lambda, the solve and the error; the shared
+    forward solve is not counted.  A source whose forward solve raised
+    records that error in each of its cells.
+    """
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
     support = (max(-0.99, cfg.sweep_support_a - pad),
                min(0.99, cfg.sweep_support_b + pad))
-    operators = {}
-    for K in cfg.sweep_K_list:
-        grid = build_grid(cfg, K=K)
-        operators[K] = assemble_operator(medium, grid, cfg.n_basis, support)
     records = []
     for iK, K in enumerate(cfg.sweep_K_list):
-        op = operators[K]
-        for ieps, eps in enumerate(cfg.sweep_eps_list):
-            for n in cfg.sweep_n_list:
-                for trial in range(cfg.sweep_trials):
-                    cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
-                    cell_seed = int(cell_seq.generate_state(1)[0])
-                    t0 = time.perf_counter()
-                    try:
-                        f = _sweep_source(cfg, n, trial)
-                        data = boundary_sweep(f, medium, op.grid)
-                        if eps > 0:
-                            data = add_noise(data, eps, cell_seed)
-                            lam = morozov_lambda(op, data, eps)
-                        else:
-                            lam = cfg.lam
-                        if cfg.method == "tsvd":
-                            result = reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
-                        else:
-                            result = reconstruct_tikhonov(op, data, lam)
-                        err = recon_error(result, f) / np.sqrt(l2_norm_sq(f))
-                        ms = 1e3 * (time.perf_counter() - t0)
-                        records.append(ExperimentRecord(K, eps, n, result.method,
-                                                        result.reg_param, err, ms,
-                                                        cell_seed))
-                    except Exception as exc:  # record, keep sweeping
-                        ms = 1e3 * (time.perf_counter() - t0)
-                        records.append(ExperimentRecord(K, eps, n, cfg.method,
-                                                        float("nan"), float("nan"),
-                                                        ms, cell_seed, str(exc)))
+        records += _sweep_band(cfg, medium, support, iK, K)
+    return records
+
+
+def _sweep_band(cfg, medium, support, iK, K):
+    """The records of one band limit K.  Its operator, SVD and clean data
+    live only for this call, so one K's worth is held at a time."""
+    op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
+    clean = {}
+    for n in cfg.sweep_n_list:
+        for trial in range(cfg.sweep_trials):
+            try:
+                f = _sweep_source(cfg, n, trial)
+                clean[n, trial] = (f, boundary_sweep(f, medium, op.grid))
+            except Exception as exc:  # recorded in each of its cells below
+                clean[n, trial] = exc
+    records = []
+    for ieps, eps in enumerate(cfg.sweep_eps_list):
+        for n in cfg.sweep_n_list:
+            for trial in range(cfg.sweep_trials):
+                cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
+                cell_seed = int(cell_seq.generate_state(1)[0])
+                t0 = time.perf_counter()
+                try:
+                    if isinstance(clean[n, trial], Exception):
+                        raise clean[n, trial]
+                    f, data = clean[n, trial]
+                    if eps > 0:
+                        data = add_noise(data, eps, cell_seed)
+                        lam = morozov_lambda(op, data, eps)
+                    else:
+                        lam = cfg.lam
+                    if cfg.method == "tsvd":
+                        result = reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
+                    else:
+                        result = reconstruct_tikhonov(op, data, lam)
+                    err = recon_error(result, f) / np.sqrt(l2_norm_sq(f))
+                    ms = 1e3 * (time.perf_counter() - t0)
+                    records.append(ExperimentRecord(K, eps, n, result.method,
+                                                    result.reg_param, err, ms,
+                                                    cell_seed))
+                except Exception as exc:  # record, keep sweeping
+                    ms = 1e3 * (time.perf_counter() - t0)
+                    records.append(ExperimentRecord(K, eps, n, cfg.method,
+                                                    float("nan"), float("nan"),
+                                                    ms, cell_seed, str(exc)))
     return records
 
 

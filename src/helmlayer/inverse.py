@@ -145,9 +145,11 @@ class ReconstructionResult:
 
 
 def _filtered_solve(op, data, filt):
+    """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
+    holds one filter value per singular value."""
     U, S, Vh = op.svd()
     d = op.weighted_data(data)
-    coeffs = (Vh.conj().T * filt(S)) @ (U.conj().T @ d)
+    coeffs = (Vh.conj().T * filt) @ (U.conj().T @ d)
     residual = float(np.linalg.norm(op.matrix @ coeffs - d))
     return coeffs, residual
 
@@ -163,7 +165,7 @@ def reconstruct_tikhonov(op, data, lam):
             f"regularized normal equations badly conditioned (estimate {cond:.2e})",
             RuntimeWarning, stacklevel=2,
         )
-    coeffs, residual = _filtered_solve(op, data, lambda s: s / (s ** 2 + lam ** 2))
+    coeffs, residual = _filtered_solve(op, data, S / (S ** 2 + lam ** 2))
     return ReconstructionResult(op.grid_source(coeffs), "tikhonov", float(lam), residual)
 
 
@@ -177,22 +179,34 @@ def reconstruct_tsvd(op, data, k):
                       RuntimeWarning, stacklevel=2)
     filt = np.zeros(len(S))
     filt[:k] = 1.0 / S[:k]
-    coeffs, residual = _filtered_solve(op, data, lambda s: filt)
+    coeffs, residual = _filtered_solve(op, data, filt)
     return ReconstructionResult(op.grid_source(coeffs), "tsvd", float(k), residual)
 
 
+def _tikhonov_residuals(op, data, ladder):
+    """Tikhonov residual ||A c_lam - d|| at every lam of ``ladder``.
+
+    With A = U diag(S) V^H, beta = U^H d and perp = ||d - U beta||^2,
+    ||A c_lam - d||^2 = sum_i |lam^2 / (S_i^2 + lam^2) beta_i|^2 + perp,
+    so one projection of the data serves the whole ladder.
+    """
+    U, S, _ = op.svd()
+    d = op.weighted_data(data)
+    beta = U.conj().T @ d
+    perp = np.linalg.norm(d - U @ beta) ** 2
+    lam2 = np.asarray(ladder, dtype=float)[:, None] ** 2
+    return np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)
+
+
 def morozov_lambda(op, data, eps_target, ladder=None, factor=1.1):
-    """Largest ladder value whose residual stays within factor * eps_target."""
+    """Largest ladder value whose residual stays within factor * eps_target,
+    or the smallest ladder value if none does."""
     _, S, _ = op.svd()
     if ladder is None:
         ladder = S[0] * np.logspace(-8.0, 0.0, 25)
     ladder = np.sort(np.asarray(ladder, dtype=float))
-    target = factor * eps_target
-    for lam in ladder[::-1]:
-        _, residual = _filtered_solve(op, data, lambda s: s / (s ** 2 + lam ** 2))
-        if residual <= target:
-            return float(lam)
-    return float(ladder[0])
+    ok = np.flatnonzero(_tikhonov_residuals(op, data, ladder) <= factor * eps_target)
+    return float(ladder[ok[-1]] if len(ok) else ladder[0])
 
 
 def reconstruct_homogeneous(data, medium, x_grid, omega_floor=1e-8):

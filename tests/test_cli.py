@@ -249,6 +249,36 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys):
     assert all(np.isnan(r.l2_error) for r in bad)
 
 
+def test_sweep_failed_source_fails_only_its_cells(monkeypatch):
+    cfg = parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
+        "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
+    )
+    clean = run_sweep(cfg)
+    real = cli.boundary_sweep
+    calls = []
+
+    def flaky(f, medium, grid, **kw):
+        calls.append(grid.K)
+        if f.order == 2:
+            raise RuntimeError("injected failure")
+        return real(f, medium, grid, **kw)
+
+    monkeypatch.setattr(cli, "boundary_sweep", flaky)
+    records = run_sweep(cfg)
+    assert len(records) == len(clean) == 2 * 2 * 3 * 2
+    # one forward solve per (n, trial) for each K, shared by every eps
+    assert calls == [4.0] * 6 + [8.0] * 6
+    for r, c in zip(records, clean):
+        assert (r.K, r.eps, r.n, r.seed) == (c.K, c.eps, c.n, c.seed)
+        if r.n == 2:
+            assert "injected failure" in r.error
+            assert np.isnan(r.l2_error) and np.isnan(r.reg_param)
+        else:
+            assert r.error == ""
+            assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
+
+
 def test_main_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", "/nonexistent/helm.cfg"]) == 4
     bad = tmp_path / "bad.cfg"

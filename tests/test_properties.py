@@ -1,13 +1,18 @@
-"""Property tests of the layered amplitudes and the half-line transforms
-over media, frequencies and sources drawn by hypothesis."""
+"""Property tests of the layered amplitudes, the half-line transforms,
+the noise model and the discrepancy rule, over media, frequencies,
+sources, noise levels and seeds drawn by hypothesis."""
+
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from helmlayer.forward import boundary_sweep, forward_field, source_rule
-from helmlayer.fourier import halfline_ft_many
+from helmlayer.forward import BoundaryData, boundary_sweep, forward_field, source_rule
+from helmlayer.fourier import epsilon_norm, halfline_ft_many
 from helmlayer.greens import (eval_from_coeffs, green_coeffs_via_linear_system,
                               green_eval)
+from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator,
+                               morozov_lambda, reconstruct_tikhonov)
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
 
 speeds = st.floats(0.5, 2.0)
@@ -117,3 +122,50 @@ def test_halfline_sum_matches_dense_sum(f, side, nodes, xis):
     # sum_j |fw_j e^{-i xi y_j}|, which is sum_j |fw_j| for real xi
     scale = np.abs(phases) @ np.abs(fw)
     assert np.all(np.abs(got - phases @ fw) <= 1e-12 * scale)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(1e-8, 1.0), st.floats(0.0, 10.0), seeds)
+def test_noise_is_calibrated_to_eps(eps, size, seed):
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid.uniform(rng.uniform(1.0, 50.0), int(rng.integers(2, 200)))
+    # data of size comparable to eps, so the subtraction below is exact to
+    # a few ulps of eps
+    um, up = size * eps * (rng.standard_normal((2, len(grid)))
+                           + 1j * rng.standard_normal((2, len(grid))))
+    data = BoundaryData(grid, um, up)
+    noisy = add_noise(data, eps, seed)
+    pert = BoundaryData(grid, noisy.u_minus - um, noisy.u_plus - up)
+    assert abs(epsilon_norm(pert) - eps) <= 1e-12 * eps
+    again = add_noise(data, eps, seed)
+    assert np.array_equal(again.u_minus, noisy.u_minus)
+    assert np.array_equal(again.u_plus, noisy.u_plus)
+
+
+@settings(max_examples=40, deadline=None)
+@given(media, st.floats(4.0, 20.0), st.integers(20, 60), st.integers(8, 40),
+       st.floats(1e-4, 1e-1), seeds)
+def test_morozov_scan_matches_explicit_scan(medium, K, n_omega, n_basis, eps, seed):
+    op = assemble_operator(medium, FrequencyGrid.uniform(K, n_omega), n_basis, (-0.9, 0.9))
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-0.85, 0.2)
+    f = SourceSpec.bump(a, a + rng.uniform(0.3, 0.6), np.exp(2j * np.pi * rng.uniform()))
+    data = add_noise(op.boundary_data(f(op.basis_x)), eps, seed)
+    _, S, _ = op.svd()
+    ladder = S[0] * np.logspace(-8.0, 0.0, 25)
+    target = 1.1 * eps
+    # the rule with one explicit Tikhonov solve per ladder value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        explicit = np.array([reconstruct_tikhonov(op, data, lam).residual for lam in ladder])
+    met = np.flatnonzero(explicit <= target)
+    want = ladder[met[-1]] if len(met) else ladder[0]
+    got = morozov_lambda(op, data, eps)
+    near = np.abs(explicit - target) <= 1e-10 * target
+    assert got == want or near.any()
+    i = int(np.flatnonzero(ladder == got)[0])
+    closed = _tikhonov_residuals(op, data, ladder)
+    assert abs(closed[i] - explicit[i]) <= 1e-10 * explicit[i]
