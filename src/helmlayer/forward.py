@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import FrequencyGrid, split_source, wavenumbers
 from .greens import _green, green_eval, green_dx
@@ -151,6 +150,8 @@ def fd_oracle(f, medium, omega, nodes):
     one-sided second-order stencils; the banded complex system is solved
     directly.  Returns (x, u).
     """
+    from scipy.linalg import solve_banded
+
     if nodes < 64:
         raise ValueError("need at least 64 intervals")
     if nodes % 2:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _panel_nodes, boundary_sweep, forward_field, source_rule
+from .forward import _panel_nodes, boundary_sweep, source_rule
 from .greens import _endpoint_rows
 from .model import FrequencyGrid, SourcePair, l2_norm_sq, split_source
 from .quadrature import composite_rule
@@ -315,16 +315,19 @@ def endpoint_amplitude_bound(f, medium, omega, nodes=16, base_panels=16):
     a notch finer than the solver defaults.
     """
     pair = split_source(f)
-    lhs_minus = omega ** 2 * abs(forward_field(f, medium, omega, -1.0, nodes=nodes,
-                                               base_panels=base_panels)) ** 2
-    lhs_plus = omega ** 2 * abs(forward_field(f, medium, omega, 1.0, nodes=nodes,
-                                              base_panels=base_panels)) ** 2
+    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega),
+                          nodes=nodes, base_panels=base_panels)
     rhs = {"minus": 0.0, "plus": 0.0}
-    for e, coeff, side, rate, _ in _endpoint_rows(medium):
-        rhs[e] += abs(coeff) * abs(halfline_ft(pair, side, -rate * omega,
-                                               nodes=nodes, base_panels=base_panels))
-    rhs = {e: tot ** 2 for e, tot in rhs.items()}
-    return lhs_minus, rhs["minus"], lhs_plus, rhs["plus"]
+    rows = _endpoint_rows(medium)
+    for side in ("right", "left"):
+        # a side's rows share |rate| = its speed, so one rule serves them
+        mine = [row for row in rows if row[2] == side]
+        fts = halfline_ft_many(pair, side, [-rate * omega for _, _, _, rate, _ in mine],
+                               nodes=nodes, base_panels=base_panels)
+        for (e, coeff, _, _, _), ft in zip(mine, fts):
+            rhs[e] += abs(coeff) * abs(ft)
+    return (omega ** 2 * abs(data.u_minus[0]) ** 2, rhs["minus"] ** 2,
+            omega ** 2 * abs(data.u_plus[0]) ** 2, rhs["plus"] ** 2)
 
 
 def data_energy_constant(sampler, medium, omega_cap, trials, seed, n_quad=8,

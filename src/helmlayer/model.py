@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 __all__ = [
     "Medium",
@@ -100,6 +99,36 @@ def _bump_profile(t):
     return out
 
 
+def _bspline_basis(t, k, x):
+    """The degree-k B-spline on the knots t[k:2k+2], at the points x.
+
+    t is the knot vector extended by k copies of t[k] - 1 and of
+    t[2k+1] + 1 on either side.  The Cox-de Boor recurrence runs in
+    the order of scipy's ``BSpline.basis_element`` evaluation, so the
+    values are the same doubles; points outside [t[k], t[2k+1]] (or not
+    finite) give 0.
+    """
+    xc = x.reshape(-1, 1)
+    ell = k + np.searchsorted(t[k + 1:2 * k + 1], xc, side="right")
+    h = np.ones_like(xc)
+    # knots a subnormal apart overflow; scipy runs on silently, and so do we
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(1, k + 1):
+            xb = t[ell + np.arange(1, j + 1)]
+            xa = t[ell + np.arange(1 - j, 1)]
+            w = np.where(xb == xa, 0.0, h / (xb - xa))
+            h = np.zeros((len(xc), j + 1))
+            h[:, :j] = w * (xb - xc)
+            h[:, 1:] += w * (xc - xa)
+        # scipy sums coefficient times entry, one coefficient 1 and the
+        # rest 0, so an entry that overflowed gives nan (then 0) or inf
+        # (then the largest double) there too
+        vals = np.sum((np.arange(k + 1) == 2 * k - ell) * h, axis=1)
+    vals = np.nan_to_num(vals).reshape(x.shape)
+    vals[~((x >= t[k]) & (x <= t[2 * k + 1]))] = 0.0
+    return vals
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """A compactly supported complex source on (-1, 1).
@@ -114,6 +143,12 @@ class SourceSpec:
 
     All kinds are scaled by the complex ``amplitude`` and evaluate to
     exactly 0 outside [a, b].
+
+    A B-spline is evaluated in numpy by the Cox-de Boor recurrence on
+    its uniform knots, with scipy's order of operations, so its values
+    are bit for bit those of ``scipy.interpolate.BSpline.basis_element``
+    (the tests check this); it is then divided by its value at the
+    midpoint.
     """
 
     kind: str
@@ -136,9 +171,10 @@ class SourceSpec:
             if self.order < 1:
                 raise ValueError("bspline order must be a positive integer")
             knots = np.linspace(self.a, self.b, self.order + 1)
-            basis = BSpline.basis_element(knots, extrapolate=False)
-            peak = float(np.nan_to_num(basis(0.5 * (self.a + self.b))))
-            object.__setattr__(self, "_basis", basis)
+            k = self.order - 1
+            knots = np.r_[(knots[0] - 1.0,) * k, knots, (knots[-1] + 1.0,) * k]
+            object.__setattr__(self, "_knots", knots)
+            peak = float(_bspline_basis(knots, k, np.array([0.5 * (self.a + self.b)]))[0])
             object.__setattr__(self, "_peak", peak if peak > 0 else 1.0)
         if self.kind == "grid":
             if self.x_grid is None or self.samples is None:
@@ -195,8 +231,7 @@ class SourceSpec:
             if self.kind == "modulated_bump":
                 vals = vals * np.exp(1j * self.mod_freq * x)
         elif self.kind == "bspline":
-            vals = (np.nan_to_num(self._basis(x)) / self._peak).astype(complex)
-            vals[(x < self.a) | (x > self.b)] = 0.0
+            vals = (_bspline_basis(self._knots, self.order - 1, x) / self._peak).astype(complex)
         else:  # grid
             vals = (np.interp(x, self.x_grid, self.samples.real)
                     + 1j * np.interp(x, self.x_grid, self.samples.imag))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,3 +379,26 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
                  "--data", str(data_path), "--out", str(out)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_requests_run_without_scipy(tmp_path):
+    # scipy is loaded only by the finite-difference oracle, so importing
+    # the package and serving forward and reconstruct requests on a
+    # B-spline source leave it unloaded
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("source.kind = bspline\nsource.order = 3\nfrequency.K = 10\n"
+                   "frequency.n_omega = 60\ninverse.n_basis = 41\n")
+    script = f"""
+import sys
+import helmlayer
+from helmlayer import cli
+assert cli.main(["forward", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "d.csv")!r}]) == 0
+assert cli.main(["reconstruct", "--config", {str(cfg)!r}, "--data", {str(tmp_path / "d.csv")!r},
+                 "--out", {str(tmp_path / "r.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

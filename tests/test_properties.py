@@ -1,19 +1,25 @@
 """Property tests of the layered amplitudes, the half-line transforms,
-the noise model and the discrepancy rule, over media, frequencies,
-sources, noise levels and seeds drawn by hypothesis."""
+the noise model, the discrepancy rule, the B-spline source and the
+config and data-file round trips, over media, frequencies, sources,
+noise levels and seeds drawn by hypothesis."""
 
+import os
+import tempfile
 import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from helmlayer.forward import BoundaryData, boundary_sweep, forward_field, source_rule
+from helmlayer.cli import RunConfig, parse_config_text, serialize_config
+from helmlayer.forward import (BoundaryData, boundary_sweep, forward_field,
+                               read_boundary_csv, source_rule, write_boundary_csv)
 from helmlayer.fourier import epsilon_norm, halfline_ft_many
 from helmlayer.greens import (eval_from_coeffs, green_coeffs_via_linear_system,
                               green_eval)
 from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator,
                                morozov_lambda, reconstruct_tikhonov)
-from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
+from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
+                             split_source)
 
 speeds = st.floats(0.5, 2.0)
 omegas = st.floats(0.1, 20.0)
@@ -169,3 +175,89 @@ def test_morozov_scan_matches_explicit_scan(medium, K, n_omega, n_basis, eps, se
     i = int(np.flatnonzero(ladder == got)[0])
     closed = _tikhonov_residuals(op, data, ladder)
     assert abs(closed[i] - explicit[i]) <= 1e-10 * explicit[i]
+
+
+def _bits(v):
+    # IEEE bit patterns, with -0 read as +0
+    return (np.asarray(v, dtype=float) + 0.0).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6),
+       st.lists(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=2, max_size=2, unique=True),
+       st.lists(st.floats(-0.2, 1.2), max_size=40))
+def test_bspline_matches_scipy_bit_for_bit(order, ends, fractions):
+    from scipy.interpolate import BSpline
+
+    a, b = sorted(ends)
+    knots = np.linspace(a, b, order + 1)
+    x = np.concatenate([a + np.array(fractions) * (b - a), knots,
+                        [0.5 * (a + b), np.nextafter(a, -2.0), np.nextafter(b, 2.0),
+                         a - 0.5, b + 0.5]])
+    basis = BSpline.basis_element(knots, extrapolate=False)
+    want = np.nan_to_num(basis(x))
+    spec = SourceSpec.bspline(a, b, order)
+    assert np.array_equal(_bits(_bspline_basis(spec._knots, order - 1, x)), _bits(want))
+    # and the source: the basis over its midpoint value, as before
+    peak = float(np.nan_to_num(basis(0.5 * (a + b))))
+    got = spec(x)
+    assert np.array_equal(_bits(got.real), _bits(want / (peak if peak > 0 else 1.0)))
+    assert not np.any(got.imag)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+inside = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+counts = st.integers(1, 10**6)
+supports = st.lists(inside, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+@st.composite
+def run_configs(draw):
+    K = draw(positive)
+    floor = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True).map(
+        lambda u: K * u)))
+    assume(floor is None or 0 < floor <= K)
+    (sa, sb), (ia, ib), (wa, wb) = draw(supports), draw(supports), draw(supports)
+    return RunConfig(
+        c1=draw(positive), c2=draw(positive), K=K, n_omega=draw(counts),
+        omega_floor=floor,
+        source_kind=draw(st.sampled_from(["bump", "bspline", "modulated_bump"])),
+        source_a=sa, source_b=sb, source_order=draw(counts),
+        source_mod_freq=draw(finite), source_amp=complex(draw(finite), draw(finite)),
+        method=draw(st.sampled_from(["tikhonov", "tsvd", "homogeneous_ft"])),
+        lam=draw(positive), tsvd_k=draw(counts), n_basis=draw(st.integers(8, 10**6)),
+        support_a=ia, support_b=ib, eps=draw(non_negative),
+        seed=draw(st.integers(0, 2**63)),
+        sweep_K_list=tuple(draw(st.lists(positive, min_size=1, max_size=6))),
+        sweep_eps_list=tuple(draw(st.lists(non_negative, min_size=1, max_size=6))),
+        sweep_n_list=tuple(draw(st.lists(counts, min_size=1, max_size=6))),
+        sweep_trials=draw(counts), sweep_support_a=wa, sweep_support_b=wb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_config_text_round_trip(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+complex_values = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(positive, min_size=1, max_size=50, unique=True), st.data())
+def test_boundary_csv_round_trip(omegas, data):
+    om = np.sort(omegas)
+    n = len(om)
+    um, up = (np.array(data.draw(st.lists(complex_values, min_size=n, max_size=n)),
+                       dtype=complex) for _ in range(2))
+    sent = BoundaryData(FrequencyGrid(om, float(om[-1])), um, up)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        write_boundary_csv(sent, path)
+        got = read_boundary_csv(path)
+    assert np.array_equal(got.grid.omegas, om)
+    assert np.array_equal(got.u_minus, um)
+    assert np.array_equal(got.u_plus, up)
