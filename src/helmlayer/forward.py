@@ -148,7 +148,8 @@ def fd_oracle(f, medium, omega, nodes):
     even so x = 0 is a grid node (the interface node uses the mean of the
     one-sided kappa^2 values).  The outgoing conditions are closed with
     one-sided second-order stencils; the banded complex system is solved
-    directly.  Returns (x, u).
+    directly.  Returns (x, u).  scipy.linalg is imported here, on the first
+    call, so that importing helmlayer does not load scipy.
     """
     from scipy.linalg import solve_banded
 

@@ -103,29 +103,27 @@ def _bspline_basis(t, k, x):
     """The degree-k B-spline on the knots t[k:2k+2], at the points x.
 
     t is the knot vector extended by k copies of t[k] - 1 and of
-    t[2k+1] + 1 on either side.  The Cox-de Boor recurrence runs in
-    the order of scipy's ``BSpline.basis_element`` evaluation, so the
-    values are the same doubles; points outside [t[k], t[2k+1]] (or not
-    finite) give 0.
+    t[2k+1] + 1 on either side, and its knots are at least the smallest
+    normal double apart, so no step overflows.  The Cox-de Boor
+    recurrence runs in the order of scipy's ``BSpline.basis_element``
+    evaluation, so the values are the same doubles; points outside
+    [t[k], t[2k+1]] (or not finite) give 0.
     """
-    xc = x.reshape(-1, 1)
+    lo, hi = t[k], t[2 * k + 1]
+    xc = np.minimum(np.maximum(x, lo), hi).ravel()
     ell = k + np.searchsorted(t[k + 1:2 * k + 1], xc, side="right")
-    h = np.ones_like(xc)
-    # knots a subnormal apart overflow; scipy runs on silently, and so do we
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(1, k + 1):
-            xb = t[ell + np.arange(1, j + 1)]
-            xa = t[ell + np.arange(1 - j, 1)]
-            w = np.where(xb == xa, 0.0, h / (xb - xa))
-            h = np.zeros((len(xc), j + 1))
-            h[:, :j] = w * (xb - xc)
-            h[:, 1:] += w * (xc - xa)
-        # scipy sums coefficient times entry, one coefficient 1 and the
-        # rest 0, so an entry that overflowed gives nan (then 0) or inf
-        # (then the largest double) there too
-        vals = np.sum((np.arange(k + 1) == 2 * k - ell) * h, axis=1)
-    vals = np.nan_to_num(vals).reshape(x.shape)
-    vals[~((x >= t[k]) & (x <= t[2 * k + 1]))] = 0.0
+    # row i holds t[ell + 1 - k + i]; level j reads t[ell + 1 .. ell + j]
+    # as the right knots and t[ell + 1 - j .. ell] as the left ones
+    tt = t[ell + np.arange(1 - k, k + 1)[:, None]]
+    right, left = tt - xc, xc - tt
+    h = np.ones((1, len(xc)))
+    for j in range(1, k + 1):
+        w = h / (tt[k:k + j] - tt[k - j:k])
+        h = np.zeros((j + 1, len(xc)))
+        h[:j] = w * right[k:k + j]
+        h[1:] += w * left[k - j:k]
+    vals = h[2 * k - ell, np.arange(len(xc))].reshape(x.shape)
+    vals[~((x >= lo) & (x <= hi))] = 0.0
     return vals
 
 
@@ -171,6 +169,9 @@ class SourceSpec:
             if self.order < 1:
                 raise ValueError("bspline order must be a positive integer")
             knots = np.linspace(self.a, self.b, self.order + 1)
+            if not np.all(np.diff(knots) >= np.finfo(float).tiny):
+                raise ValueError(f"support [{self.a}, {self.b}] is too narrow for "
+                                 f"distinct knots of a bspline of order {self.order}")
             k = self.order - 1
             knots = np.r_[(knots[0] - 1.0,) * k, knots, (knots[-1] + 1.0,) * k]
             object.__setattr__(self, "_knots", knots)
