@@ -146,7 +146,8 @@ class SourceSpec:
     its uniform knots, with scipy's order of operations, so its values
     are bit for bit those of ``scipy.interpolate.BSpline.basis_element``
     (the tests check this); it is then divided by its value at the
-    midpoint.
+    midpoint.  A support too narrow for knots at least the smallest
+    normal double apart is rejected.
     """
 
     kind: str
