@@ -12,7 +12,7 @@ from .forward import (BoundaryData, TraceReport, forward_field,
                       forward_field_dx, boundary_sweep, fd_oracle,
                       interface_traces, check_radiation, write_boundary_csv,
                       read_boundary_csv)
-from .fourier import (HalflineFT, DataEnergy, halfline_ft, halfline_ft_many,
+from .fourier import (DataEnergy, halfline_ft, halfline_ft_many,
                       plancherel_residual, endpoint_amplitude, data_energy,
                       data_energy_analytic, data_energy_from_sweep,
                       epsilon_norm, tail_decay_fit, endpoint_amplitude_bound,

@@ -28,7 +28,7 @@ from .forward import (boundary_sweep, check_radiation, fd_oracle,
                       forward_field, interface_traces, read_boundary_csv,
                       source_rule, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
-                      endpoint_amplitude_bound, fit_loglog_slope)
+                      endpoint_amplitude_bound)
 from .inverse import (add_noise, assemble_operator, morozov_lambda,
                       recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
@@ -46,7 +46,6 @@ __all__ = [
     "cmd_forward",
     "cmd_reconstruct",
     "cmd_sweep",
-    "fit_loglog_slope",
     "main",
 ]
 
@@ -132,6 +131,11 @@ class RunConfig:
             raise ConfigError("inverse support must satisfy -1 < a < b < 1")
         if self.eps < 0:
             raise ConfigError("noise.eps must be non-negative")
+        for key, vals in (("sweep.K_list", self.sweep_K_list),
+                          ("sweep.eps_list", self.sweep_eps_list),
+                          ("sweep.n_list", self.sweep_n_list)):
+            if len(vals) == 0:
+                raise ConfigError(f"{key} must not be empty")
         if any(k <= 0 for k in self.sweep_K_list):
             raise ConfigError("sweep.K_list entries must be positive")
         if any(e < 0 for e in self.sweep_eps_list):

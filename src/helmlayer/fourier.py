@@ -14,7 +14,19 @@ plus an offset d_q that all panels of one width share, so over those
 panels  sum fw e^{-i xi y} = sum_q e^{-i xi d_q} sum_p e^{-i xi m_p} F_pq:
 one exponential per (argument, panel) and per (argument, offset) and a
 matrix product, instead of one per (argument, node).  The identity is
-exact; it changes only the rounding.
+exact; it changes only the rounding.  Weight columns ride along: the
+product takes every column of fw at once, for one table.
+
+The endpoint amplitudes need, on each side, fhat at +-c omega (c the
+side's speed) and, for the kernel-conjugate partner G, the transform of
+conj f at the same arguments.  By the exact identity
+
+    fhat(-xi) = conj((conj f)^(conj xi))
+
+one table at xi = c omega with the two columns fw and conj(fw) gives all
+four for real omega; for complex omega a second table at conj xi does.
+So the six rows of the endpoint table read one table per side (two for
+complex omega) instead of building one per row.
 """
 
 from __future__ import annotations
@@ -30,7 +42,6 @@ from .model import FrequencyGrid, SourcePair, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
 __all__ = [
-    "HalflineFT",
     "DataEnergy",
     "halfline_ft",
     "halfline_ft_many",
@@ -65,70 +76,57 @@ def halfline_ft(pair, side, xi, nodes=16, base_panels=8):
 
 
 def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
-                     conjugate_source=False):
+                     paired=False):
     """Half-line transform on an array of (possibly complex) arguments.
 
     One quadrature rule resolved at max |Re xi| serves all arguments;
     evaluation is chunked, ``chunk`` arguments at a time, to bound the
-    size of the exponential tables.  With
-    ``conjugate_source`` the pointwise conjugate of the source is
-    transformed instead (used by the analytic continuation of the data
-    energy, where it replaces conjugation of the non-analytic modulus).
+    size of the exponential tables.  With ``paired`` the result gains a
+    trailing axis of two, the transforms of f_side and of conj f_side
+    from the same table; the second, conjugated, is fhat_side(-conj xi).
     """
     xis = np.asarray(xis, dtype=complex)
     src = _side_source(pair, side)
+    shape = xis.shape + ((2,) if paired else ())
     if src.support is None or xis.size == 0:
-        return np.zeros(xis.shape, dtype=complex)
+        return np.zeros(shape, dtype=complex)
     scale = float(np.max(np.abs(xis.real)))
     y, w = source_rule(src, scale, nodes=nodes, base_panels=base_panels)
-    fv = src(y)
-    if conjugate_source:
-        fv = np.conj(fv)
-    return _expsum(y, w * fv, xis.ravel(), _panel_nodes(src, nodes),
-                   chunk).reshape(xis.shape)
+    fw = w * src(y)
+    if paired:
+        fw = np.stack([fw, np.conj(fw)], axis=-1)
+    return _expsum(y, fw, xis.ravel(), _panel_nodes(src, nodes), chunk).reshape(shape)
 
 
 def _expsum(y, fw, xis, q, chunk):
-    """sum_j fw_j exp(-i xi y_j) for every xi, over a rule made of panels
-    of q consecutive nodes, factored panel by panel as the module
-    docstring says.
+    """sum_j fw_j exp(-i xi y_j) for every xi and every trailing column
+    of fw, over a rule made of panels of q consecutive nodes, factored
+    panel by panel as the module docstring says.
 
     A run of consecutive panels whose offsets agree to within the
     rounding of the nodes shares one offset table.  A panel of a width
     of its own (a grid cell) is a run of one, at q + 1 exponentials per
     argument where the plain sum takes q.
     """
-    Y, F = y.reshape(-1, q), fw.reshape(-1, q)
+    Y = y.reshape(-1, q)
+    F = fw.reshape(len(Y), -1)  # panel p holds fw[p*q:(p+1)*q, ...] row-major
     mids = 0.5 * (Y[:, 0] + Y[:, -1])
     offs = Y - mids[:, None]
     width = np.round(offs[:, -1] / (8.0 * np.finfo(float).eps * np.max(np.abs(y))))
     cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
-    res = np.zeros(xis.shape, dtype=complex)
+    res = np.zeros((len(xis), F.shape[1] // q), dtype=complex)
     for i in range(0, len(xis), chunk):
         a = -1j * xis[i:i + chunk]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            res[i:i + chunk] += np.einsum("ij,ij->i", _exp_table(a, mids[lo:hi]) @ F[lo:hi],
-                                          _exp_table(a, offs[lo]))
-    return res
+            T = (_exp_table(a, mids[lo:hi]) @ F[lo:hi]).reshape(len(a), q, -1)
+            res[i:i + chunk] += np.einsum("ijc,ij->ic", T, _exp_table(a, offs[lo]))
+    return res.reshape(xis.shape + fw.shape[1:])
 
 
 def _exp_table(a, y):
     """The table exp(a_k y_j), built in place."""
     out = np.multiply.outer(a, y)
     return np.exp(out, out=out)
-
-
-@dataclass(frozen=True)
-class HalflineFT:
-    """One evaluated half-line transform value."""
-
-    side: str
-    xi: float
-    value: complex
-
-    @classmethod
-    def compute(cls, pair, side, xi, **kw):
-        return cls(side, xi, halfline_ft(pair, side, xi, **kw))
 
 
 def plancherel_residual(pair, xi_max, n_xi, nodes=16):
@@ -148,6 +146,36 @@ def plancherel_residual(pair, xi_max, n_xi, nodes=16):
     return abs(norms - total / (2.0 * np.pi))
 
 
+def _endpoint_amplitudes(pair, medium, omegas, nodes=16, base_panels=8):
+    """F and its kernel-conjugate partner G at both endpoints, keyed
+    (endpoint, conjugate), from one paired table per side (two for
+    complex omega).
+
+    Row (e, coeff, side, rate, phase) adds coeff e^{i phase omega}
+    fhat(-rate omega) to F_e and coeff e^{-i phase omega}
+    (conj f)^(rate omega) to G_e.
+    """
+    omegas = np.asarray(omegas, dtype=complex)
+    om = omegas.ravel()
+    n, real = len(om), not np.any(om.imag)
+    out = {(e, g): np.zeros(n, dtype=complex) for e in ("minus", "plus") for g in (False, True)}
+    for side, speed in (("right", medium.c1), ("left", medium.c2)):
+        xi = speed * om
+        vals = halfline_ft_many(pair, side, xi if real else np.concatenate([xi, np.conj(xi)]),
+                                nodes=nodes, base_panels=base_panels, paired=True)
+        mirror = vals if real else vals[n:]
+        # the transforms of f (False) and of conj f (True) at +xi and -xi
+        fts = {(1.0, False): vals[:n, 0], (1.0, True): vals[:n, 1],
+               (-1.0, False): np.conj(mirror[:, 1]), (-1.0, True): np.conj(mirror[:, 0])}
+        for e, coeff, row_side, rate, phase in _endpoint_rows(medium):
+            if row_side != side:
+                continue
+            for g, sgn in ((False, 1.0), (True, -1.0)):
+                out[e, g] = out[e, g] + (coeff * np.exp(sgn * 1j * phase * om)
+                                         * fts[-sgn * np.sign(rate), g])
+    return {key: val.reshape(omegas.shape) for key, val in out.items()}
+
+
 def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
                        conjugate=False):
     """F_endpoint(omega) on an array of (possibly complex) frequencies.
@@ -158,16 +186,8 @@ def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
     """
     if endpoint not in ("minus", "plus"):
         raise ValueError(f"endpoint must be 'minus' or 'plus', got {endpoint!r}")
-    omegas = np.asarray(omegas, dtype=complex)
-    sgn = -1.0 if conjugate else 1.0
-    out = np.zeros(omegas.shape, dtype=complex)
-    for e, coeff, side, rate, phase in _endpoint_rows(medium):
-        if e != endpoint:
-            continue
-        vals = halfline_ft_many(pair, side, -sgn * rate * omegas, nodes=nodes,
-                                base_panels=base_panels, conjugate_source=conjugate)
-        out = out + coeff * np.exp(sgn * 1j * phase * omegas) * vals
-    return out
+    return _endpoint_amplitudes(pair, medium, omegas, nodes=nodes,
+                                base_panels=base_panels)[endpoint, conjugate]
 
 
 @dataclass(frozen=True)
@@ -191,8 +211,9 @@ def data_energy(f, medium, s, n_quad=16):
     s = float(np.real(s))
     pair = split_source(f)
     om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max, nodes=n_quad)
-    i1 = float(np.sum(w * np.abs(endpoint_amplitude(pair, medium, om, "minus", nodes=n_quad)) ** 2))
-    i2 = float(np.sum(w * np.abs(endpoint_amplitude(pair, medium, om, "plus", nodes=n_quad)) ** 2))
+    amps = _endpoint_amplitudes(pair, medium, om, nodes=n_quad)
+    i1 = float(np.sum(w * np.abs(amps["minus", False]) ** 2))
+    i2 = float(np.sum(w * np.abs(amps["plus", False]) ** 2))
     return DataEnergy(complex(s), complex(i1), complex(i2))
 
 
@@ -208,12 +229,8 @@ def data_energy_analytic(f, medium, s, n_quad=16):
         raise ValueError("continuation requires Re(s) > 0")
     pair = split_source(f)
     t, w = composite_rule(0.0, 1.0, osc_rate=4.0 * medium.c_max * abs(s), nodes=n_quad)
-    om = s * t
-    vals = []
-    for endpoint in ("minus", "plus"):
-        F = endpoint_amplitude(pair, medium, om, endpoint, nodes=n_quad)
-        G = endpoint_amplitude(pair, medium, om, endpoint, nodes=n_quad, conjugate=True)
-        vals.append(s * np.sum(w * F * G))
+    amps = _endpoint_amplitudes(pair, medium, s * t, nodes=n_quad)
+    vals = [s * np.sum(w * amps[e, False] * amps[e, True]) for e in ("minus", "plus")]
     return DataEnergy(s, complex(vals[0]), complex(vals[1]))
 
 
@@ -291,8 +308,8 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, d_omega=0.15, nodes=8,
         raise ValueError(f"source has spline order {f.order}, expected {n}")
     pair = split_source(f)
     om = np.arange(float(s_list[0]), float(omega_cap) + d_omega, d_omega)
-    integrand = (np.abs(endpoint_amplitude(pair, medium, om, "minus", nodes=nodes)) ** 2
-                 + np.abs(endpoint_amplitude(pair, medium, om, "plus", nodes=nodes)) ** 2)
+    amps = _endpoint_amplitudes(pair, medium, om, nodes=nodes)
+    integrand = np.abs(amps["minus", False]) ** 2 + np.abs(amps["plus", False]) ** 2
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(om))])
     total = cum[-1]
     T = total - np.interp(s_list, om, cum)

@@ -309,11 +309,6 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert outs[0] != outs[1]
 
 
-def test_fit_loglog_slope_reexport():
-    xs = np.array([1.0, 2.0, 4.0])
-    assert cli.fit_loglog_slope(xs, xs ** 2) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_zero_source_norm_guard():
     cfg = parse_config_text("source.amp_re = 0\n")
     f = build_source(cfg)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helmlayer.forward import BoundaryData, boundary_sweep, source_rule
-from helmlayer.fourier import (HalflineFT, data_energy, data_energy_analytic,
+from helmlayer.fourier import (data_energy, data_energy_analytic,
                                data_energy_constant, data_energy_from_sweep,
                                endpoint_amplitude, endpoint_amplitude_bound,
                                epsilon_norm, fit_loglog_slope, halfline_ft,
@@ -83,11 +83,11 @@ def test_halfline_ft_many_band_top_accuracy():
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
 
-def test_halfline_record():
+def test_halfline_ft_scalar_matches_many():
     pair = _pair(SourceSpec.bump(0.2, 0.8))
-    rec = HalflineFT.compute(pair, "right", 2.0)
-    assert rec.side == "right" and rec.xi == 2.0
-    assert rec.value == halfline_ft(pair, "right", 2.0)
+    value = halfline_ft(pair, "right", 2.0)
+    assert type(value) is complex
+    assert value == halfline_ft_many(pair, "right", np.array([2.0]))[0]
 
 
 def test_plancherel_zero_and_smooth():

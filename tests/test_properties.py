@@ -3,6 +3,7 @@ the noise model, the discrepancy rule, the B-spline source and the
 config and data-file round trips, over media, frequencies, sources,
 noise levels and seeds drawn by hypothesis."""
 
+import dataclasses
 import os
 import tempfile
 import warnings
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helmlayer.cli import RunConfig, parse_config_text, serialize_config
+from helmlayer.cli import ConfigError, RunConfig, parse_config_text, serialize_config
 from helmlayer.forward import (BoundaryData, boundary_sweep, forward_field,
                                read_boundary_csv, source_rule, write_boundary_csv)
-from helmlayer.fourier import epsilon_norm, halfline_ft_many
-from helmlayer.greens import (eval_from_coeffs, green_coeffs_via_linear_system,
+from helmlayer.fourier import (_endpoint_amplitudes, endpoint_amplitude,
+                               epsilon_norm, halfline_ft_many)
+from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
+                              green_coeffs_via_linear_system,
                               green_eval)
 from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator,
                                morozov_lambda, reconstruct_tikhonov)
@@ -117,18 +120,91 @@ transform_args = st.builds(
 
 @settings(max_examples=120, deadline=None)
 @given(straddling_sources(), st.sampled_from(["right", "left"]),
-       st.sampled_from([4, 8, 16]), transform_args)
-def test_halfline_sum_matches_dense_sum(f, side, nodes, xis):
-    # the panel-factored sum against the node-by-node sum over the same rule
+       st.sampled_from([4, 8, 16]), transform_args, st.booleans())
+def test_halfline_sum_matches_dense_sum(f, side, nodes, xis, paired):
+    # the panel-factored sum against the node-by-node sum over the same
+    # rule, with one weight column or, paired, the two fw and conj(fw)
     pair = split_source(f)
     src = pair.f1 if side == "right" else pair.f2
     y, w = source_rule(src, float(np.max(np.abs(xis.real))), nodes=nodes)
     phases = np.exp(-1j * np.outer(xis, y))
     fw = w * src(y)
-    got = halfline_ft_many(pair, side, xis, nodes=nodes)
+    if paired:
+        fw = np.stack([fw, np.conj(fw)], axis=-1)
+    got = halfline_ft_many(pair, side, xis, nodes=nodes, paired=paired)
+    assert got.shape == phases.shape[:1] + fw.shape[1:]
     # sum_j |fw_j e^{-i xi y_j}|, which is sum_j |fw_j| for real xi
     scale = np.abs(phases) @ np.abs(fw)
     assert np.all(np.abs(got - phases @ fw) <= 1e-12 * scale)
+
+
+def _conjugate(f):
+    """conj f, as a source of the same kind."""
+    samples = None if f.samples is None else np.conj(f.samples)
+    return dataclasses.replace(f, amplitude=np.conj(f.amplitude), mod_freq=-f.mod_freq,
+                               samples=samples)
+
+
+@st.composite
+def placed_sources(draw):
+    # across the interface, wholly on one side (the other side empty), or
+    # ending on the interface itself
+    place = draw(st.sampled_from(["straddle", "right", "left", "to_zero", "from_zero"]))
+    if place == "straddle":
+        a, b = draw(st.floats(-0.9, -0.05)), draw(st.floats(0.05, 0.9))
+    elif place in ("right", "left"):
+        a = draw(st.floats(0.05, 0.6))
+        b = a + draw(st.floats(0.1, 0.35))
+        if place == "left":
+            a, b = -b, -a
+    else:
+        w = draw(st.floats(0.1, 0.9))
+        a, b = (-w, 0.0) if place == "to_zero" else (0.0, w)
+    amp = draw(amplitudes)
+    kind = draw(st.sampled_from(["bump", "bspline", "modulated_bump", "grid"]))
+    if kind == "bump":
+        return SourceSpec.bump(a, b, amp)
+    if kind == "bspline":
+        return SourceSpec.bspline(a, b, draw(st.integers(1, 3)), amp)
+    if kind == "modulated_bump":
+        return SourceSpec.modulated_bump(a, b, draw(st.floats(-20.0, 20.0)), amp)
+    n = draw(st.integers(3, 12))
+    samples = draw(st.lists(amplitudes, min_size=n, max_size=n))
+    return SourceSpec.from_grid(np.linspace(a, b, n), samples)
+
+
+frequency_arrays = st.builds(
+    lambda lo, hi, im, n: np.linspace(lo, hi, n) + 1j * im * np.linspace(0.0, 1.0, n) ** 2,
+    st.floats(0.05, 40.0), st.floats(0.05, 40.0),
+    st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), st.integers(1, 64))
+
+
+@settings(max_examples=120, deadline=None)
+@given(media, placed_sources(), frequency_arrays, st.sampled_from([8, 16]),
+       st.sampled_from([("minus", False), ("plus", True)]))
+def test_endpoint_amplitudes_match_per_row_transforms(medium, f, om, nodes, key):
+    # the per-side tables against one half-line transform per endpoint
+    # row: F_e adds coeff e^{i phase om} fhat(-rate om), G_e adds
+    # coeff e^{-i phase om} (conj f)^(rate om); a complex om takes the
+    # second table at conj xi
+    cf = _conjugate(f)
+    x = np.linspace(-1.0, 1.0, 41)
+    assert np.array_equal(cf(x), np.conj(f(x)))
+    pair, cpair = split_source(f), split_source(cf)
+    want = {(e, g): 0j for e in ("minus", "plus") for g in (False, True)}
+    largest = dict.fromkeys(want, 0.0)
+    for e, coeff, side, rate, phase in _endpoint_rows(medium):
+        for g, src, sgn in ((False, pair, 1.0), (True, cpair, -1.0)):
+            term = (coeff * np.exp(sgn * 1j * phase * om)
+                    * halfline_ft_many(src, side, -sgn * rate * om, nodes=nodes))
+            want[e, g] = want[e, g] + term
+            largest[e, g] = max(largest[e, g], float(np.max(np.abs(term))))
+    got = _endpoint_amplitudes(pair, medium, om, nodes=nodes)
+    for k in want:
+        assert got[k].shape == om.shape
+        assert np.all(np.abs(got[k] - want[k]) <= 1e-12 * largest[k])
+    assert np.array_equal(endpoint_amplitude(pair, medium, om, key[0], nodes=nodes,
+                                             conjugate=key[1]), got[key])
 
 
 seeds = st.integers(0, 2**32 - 1)
@@ -221,13 +297,13 @@ supports = st.lists(inside, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 @st.composite
-def run_configs(draw):
+def run_config_fields(draw):
     K = draw(positive)
     floor = draw(st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True).map(
         lambda u: K * u)))
     assume(floor is None or 0 < floor <= K)
     (sa, sb), (ia, ib), (wa, wb) = draw(supports), draw(supports), draw(supports)
-    return RunConfig(
+    return dict(
         c1=draw(positive), c2=draw(positive), K=K, n_omega=draw(counts),
         omega_floor=floor,
         source_kind=draw(st.sampled_from(["bump", "bspline", "modulated_bump"])),
@@ -237,15 +313,25 @@ def run_configs(draw):
         lam=draw(positive), tsvd_k=draw(counts), n_basis=draw(st.integers(8, 10**6)),
         support_a=ia, support_b=ib, eps=draw(non_negative),
         seed=draw(st.integers(0, 2**63)),
-        sweep_K_list=tuple(draw(st.lists(positive, min_size=1, max_size=6))),
-        sweep_eps_list=tuple(draw(st.lists(non_negative, min_size=1, max_size=6))),
-        sweep_n_list=tuple(draw(st.lists(counts, min_size=1, max_size=6))),
+        sweep_K_list=tuple(draw(st.lists(positive, max_size=6))),
+        sweep_eps_list=tuple(draw(st.lists(non_negative, max_size=6))),
+        sweep_n_list=tuple(draw(st.lists(counts, max_size=6))),
         sweep_trials=draw(counts), sweep_support_a=wa, sweep_support_b=wb)
 
 
+SWEEP_LISTS = ("sweep_K_list", "sweep_eps_list", "sweep_n_list")
+
+
 @settings(max_examples=200, deadline=None)
-@given(run_configs())
-def test_config_text_round_trip(cfg):
+@given(run_config_fields())
+def test_config_text_round_trip(fields):
+    if not all(fields[key] for key in SWEEP_LISTS):
+        # serialized, an empty list would read 'sweep.eps_list = ', which
+        # no parse accepts; so the config itself is refused
+        with pytest.raises(ConfigError, match="must not be empty"):
+            RunConfig(**fields)
+        return
+    cfg = RunConfig(**fields)
     assert parse_config_text(serialize_config(cfg)) == cfg
 
 
