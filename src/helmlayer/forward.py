@@ -7,11 +7,23 @@ second-order finite-difference discretization of the same boundary value
 problem used to cross-check the quadrature path.  ``interface_traces``
 and ``check_radiation`` verify the exact interface and radiation
 identities that the multi-frequency data analysis rests on.
+
+Endpoint data over many frequencies (``boundary_sweep``, and the
+operator columns of ``inverse.assemble_operator``) come from one map,
+``_endpoint_map``.  It splits the frequencies into blocks; the calling
+thread and one helper thread per further CPU the process may run on
+each take the next block until none is left.  The split does not
+depend on the number of workers and every entry is the same arithmetic
+whichever thread computes it, so the worker count never moves a bit.
+The helper pool is made on the first call that needs it: importing the
+module starts no thread, and a forked child makes its own pool.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,28 +123,104 @@ def forward_field_dx(f, medium, omega, x, nodes=16, base_panels=8):
     return complex(np.sum(w * green_dx(x, y, medium, omega) * f(y)))
 
 
-def _endpoint_map(omegas, y, weights, medium, chunk=4096):
+def _cores():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None  # (threads, executor) of the helper pool, made on first use
+_pool_lock = threading.Lock()
+
+
+def _helpers(threads):
+    """An executor with at least ``threads`` helper threads, shared by
+    every caller in the process.  concurrent.futures is imported here so
+    that importing helmlayer starts no thread and loads no executor."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="helmlayer"))
+        return _pool[1]
+
+
+def _forget_pool():
+    # a forked child holds none of the parent's threads, so it makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _endpoint_map(omegas, y, weights, medium, chunk=32768):
     """Endpoint fields (u(-1), u(+1)) of the point sources weights_j at
     y_j (weights may carry trailing columns, one field per column).
 
-    The kernel g(+-1, y_j; omega) comes from the layer table; it is
-    formed in blocks of ``chunk`` frequencies to bound its size.
+    The frequencies are split into balanced blocks of at most ``chunk``
+    kernel entries (rows times len(y)), but never of one row.  The
+    default gives blocks of about 27 rows for the 1212 nodes of the
+    default operator and of 80 rows for a 384-node source rule.
+    Each block forms its kernel rows g(+-1, y_j; omega) from the layer
+    table and multiplies them by the weights, cast to complex once, into
+    its own rows of the result.  The calling thread and one helper thread
+    per further CPU each take the next block until none is left, so a
+    thread slowed by other load does not hold the rest back; one block,
+    or one CPU, runs in the calling thread alone.
+
+    The split depends on the frequency count, len(y) and ``chunk`` only,
+    and a block is the same computation whichever thread runs it, so the
+    result does not depend on the number of CPUs.  With single-threaded
+    BLAS it is also the one product of the whole table, bit for bit,
+    whatever the split: a product of two or more rows sums each row as
+    the full product does, while a one-row product takes the
+    matrix-vector path, which rounds differently.  A multi-threaded BLAS
+    may partition a large product its own way, as a change of its thread
+    count does.
     """
-    u_minus = np.empty((len(omegas),) + np.shape(weights)[1:], dtype=complex)
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
+    n = len(omegas)
+    weights = np.asarray(weights, dtype=complex)
+    u_minus = np.empty((n,) + weights.shape[1:], dtype=complex)
     u_plus = np.empty_like(u_minus)
-    for i in range(0, len(omegas), chunk):
-        blk = omegas[i:i + chunk]
-        u_minus[i:i + chunk] = _green(-1.0, y, medium, blk) @ weights
-        u_plus[i:i + chunk] = _green(1.0, y, medium, blk) @ weights
+    n_blocks = max(1, min(-(-n * len(y) // chunk), n // 2))
+    cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
+    todo, lock = iter(zip(cuts[:-1], cuts[1:])), threading.Lock()
+
+    def run():
+        while True:
+            with lock:
+                block = next(todo, None)
+            if block is None:
+                return
+            lo, hi = block
+            blk = omegas[lo:hi]
+            u_minus[lo:hi] = _green(-1.0, y, medium, blk) @ weights
+            u_plus[lo:hi] = _green(1.0, y, medium, blk) @ weights
+
+    workers = min(_cores(), n_blocks)
+    pool = _helpers(workers - 1) if workers > 1 else None
+    futures = [pool.submit(run) for _ in range(workers - 1)]
+    try:
+        run()
+    finally:
+        for fut in futures:
+            fut.result()
     return u_minus, u_plus
 
 
-def boundary_sweep(f, medium, grid, nodes=16, base_panels=8, chunk=4096):
+def boundary_sweep(f, medium, grid, nodes=16, base_panels=8, chunk=32768):
     """Endpoint data u(+-1, omega) for every frequency of the grid.
 
     One quadrature rule resolved at the largest frequency serves the
-    whole sweep; frequencies are independent (evaluated in blocks to
-    bound the kernel matrix) and assembled in grid order.
+    whole sweep; frequencies are independent, evaluated in blocks of at
+    most ``chunk`` kernel entries spread over the CPUs (``_endpoint_map``)
+    and assembled in grid order.
     """
     om = grid.omegas
     y, w = source_rule(f, medium.c_max * float(om[-1]), nodes=nodes,

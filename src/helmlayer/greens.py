@@ -61,6 +61,18 @@ def _amplitudes(ks, ko):
     return 1j / (2.0 * ks), 1j * (ks - ko) / (2.0 * ks * (ks + ko)), 1j / (ks + ko)
 
 
+def _span(mask):
+    """None for an empty mask, a slice for one whose true entries are
+    contiguous (the sorted nodes of a rule on one side), else the mask:
+    a slice reads and writes rows as plain strided copies."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    if idx[-1] - idx[0] + 1 == idx.size:
+        return slice(idx[0], idx[-1] + 1)
+    return mask
+
+
 def _green(x, y, medium, omega, deriv=False):
     """g(x, y; omega), or its x-derivative, with the axes of omega first.
 
@@ -80,18 +92,31 @@ def _green(x, y, medium, omega, deriv=False):
         X, Y = sig * xb.ravel(), sig * yb.ravel()
         ks, ko = cs * om, co * om
         direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
-        near, far = own & (X >= 0), own & (X < 0)
-        if near.any():
+        near, far = _span(own & (X >= 0)), _span(own & (X < 0))
+        if near is not None:
             Xn, Yn = X[near], Y[near]
-            wave = direct_amp * np.exp(1j * ks * np.abs(Xn - Yn))
+            wave = 1j * ks * np.abs(Xn - Yn)
+            np.exp(wave, out=wave)
+            wave *= direct_amp
             if deriv:
                 wave *= np.sign(Xn - Yn)
-            wave += refl_amp * np.exp(1j * ks * (Xn + Yn))
-            out[..., near] = sig * 1j * ks * wave if deriv else wave
-        if far.any():
+            refl = 1j * ks * (Xn + Yn)
+            np.exp(refl, out=refl)
+            refl *= refl_amp
+            wave += refl
+            if deriv:
+                wave *= sig * 1j * ks
+            out[..., near] = wave
+        if far is not None:
             Xf, Yf = X[far], Y[far]
-            trans = trans_amp * np.exp(1j * (ks * Yf - ko * Xf))
-            out[..., far] = -sig * 1j * ko * trans if deriv else trans
+            phase = ks * Yf
+            phase -= ko * Xf
+            trans = 1j * phase
+            np.exp(trans, out=trans)
+            trans *= trans_amp
+            if deriv:
+                trans *= -sig * 1j * ko
+            out[..., far] = trans
     out = out.reshape(lead + xb.shape)
     return out[()] if out.ndim == 0 else out
 

@@ -93,8 +93,9 @@ def assemble_operator(medium, grid, n_basis, support, nodes_per_cell=6):
 
     The hats live on n_basis interior nodes of a uniform partition of
     ``support``; integration is per cell (hat pieces are linear), with
-    panel refinement when a cell spans more than ~2 radians of phase at
-    the top frequency.
+    the cell that holds the interface split at x = 0, where the kernel
+    has a kink, and with panel refinement when a cell spans more than ~2
+    radians of phase at the top frequency.
     """
     a, b = float(support[0]), float(support[1])
     if not (-1.0 < a < b < 1.0):
@@ -105,7 +106,8 @@ def assemble_operator(medium, grid, n_basis, support, nodes_per_cell=6):
     nodes_x = edges[1:-1]
     h = edges[1] - edges[0]
     rate = medium.c_max * float(grid.omegas[-1])
-    y, w = cell_rule(edges, osc_rate=rate, nodes=nodes_per_cell)
+    cells = np.union1d(edges, [0.0]) if a < 0.0 < b else edges
+    y, w = cell_rule(cells, osc_rate=rate, nodes=nodes_per_cell)
     # hat values at the quadrature nodes, scaled by the weights
     H = np.clip(1.0 - np.abs((y[:, None] - nodes_x[None, :]) / h), 0.0, None) * w[:, None]
     om = grid.omegas

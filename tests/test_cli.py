@@ -397,3 +397,49 @@ print(sorted(m for m in sys.modules if m.startswith("scipy")))
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _run_child(script, **env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_import_starts_no_thread():
+    # the endpoint map makes its helper pool on first use, not at import
+    script = """
+import sys, threading
+import helmlayer
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+"""
+    assert _run_child(script) == "1 False"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_sweep_on_one_cpu_matches_all_cpus(tmp_path):
+    # one CPU means one worker in the endpoint map; the BLAS thread count
+    # is held at 1 on both sides, so only the worker count differs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sweep.K_list = 5,40\nsweep.eps_list = 0,1e-2\nsweep.n_list = 1,3\n"
+                   "sweep.trials = 2\n")
+    rows = {}
+    for name, pin in (("all", ""), ("one", "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})")):
+        out = tmp_path / f"{name}.csv"
+        script = f"""
+import os
+{pin}
+from helmlayer import cli, forward
+assert cli.main(["sweep", "--config", {str(cfg)!r}, "--out", {str(out)!r}]) == 0
+print(forward._cores())
+"""
+        cores = int(_run_child(script, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                               MKL_NUM_THREADS="1"))
+        assert (cores == 1) == (name == "one")
+        lines = out.read_text().splitlines()
+        col = lines[0].split(",").index("runtime_ms")
+        rows[name] = [line.split(",")[:col] + line.split(",")[col + 1:] for line in lines]
+    assert len(rows["all"]) == 1 + 2 * 2 * 2 * 2
+    assert rows["one"] == rows["all"]

@@ -1,7 +1,15 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helmlayer.forward import (boundary_sweep, check_radiation, fd_oracle,
+from helmlayer import forward
+from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation, fd_oracle,
                                forward_field, forward_field_dx,
                                interface_traces, read_boundary_csv,
                                write_boundary_csv)
@@ -217,3 +225,130 @@ def test_boundary_csv_roundtrip(tmp_path):
     assert np.array_equal(back.u_plus, data.u_plus)
     write_boundary_csv(back, tmp_path / "data2.csv")
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "data2.csv").read_bytes()
+
+
+MAP_CHUNKS = (1, 2 * 150, 7 * 150 + 3, 32768, 10 ** 9)
+
+
+def _map_inputs(n):
+    rng = np.random.default_rng(n)
+    om = np.sort(rng.uniform(0.1, 40.0, n))
+    y = np.sort(rng.uniform(-0.95, 0.95, 150))
+    return om, y, (rng.standard_normal(150) + 1j * rng.standard_normal(150),
+                   rng.standard_normal((150, 7)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 400])
+def test_endpoint_map_independent_of_workers(monkeypatch, n):
+    med = Medium(1.0, 1.5)
+    om, y, weight_sets = _map_inputs(n)
+    for weights in weight_sets:
+        for chunk in MAP_CHUNKS:
+            monkeypatch.setattr(forward, "_cores", lambda: 1)
+            ref = _endpoint_map(om, y, weights, med, chunk)
+            for workers in (2, 3):
+                monkeypatch.setattr(forward, "_cores", lambda: workers)
+                got = _endpoint_map(om, y, weights, med, chunk)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    with pytest.raises(ValueError):
+        _endpoint_map(om, y, weights, med, 0)
+
+
+def test_endpoint_map_blocks_give_the_single_product():
+    # With single-threaded BLAS every split into blocks of two or more
+    # rows, on any number of workers, gives the doubles of the one product
+    # of the whole kernel table.  (A multi-threaded BLAS may split a large
+    # product its own way, as a change of its thread count does.)
+    script = f"""
+import numpy as np
+from helmlayer import forward
+from helmlayer.greens import _green
+from helmlayer.model import Medium
+med = Medium(1.0, 1.5)
+for n in (1, 2, 3, 33, 400):
+    rng = np.random.default_rng(n)
+    om = np.sort(rng.uniform(0.1, 40.0, n))
+    y = np.sort(rng.uniform(-0.95, 0.95, 150))
+    for weights in (rng.standard_normal(150) + 1j * rng.standard_normal(150),
+                    rng.standard_normal((150, 7))):
+        ref = (_green(-1.0, y, med, om) @ weights, _green(1.0, y, med, om) @ weights)
+        for workers in (1, 2, 3):
+            forward._cores = lambda: workers
+            for chunk in {MAP_CHUNKS!r}:
+                got = forward._endpoint_map(om, y, weights, med, chunk)
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref)), (n, workers, chunk)
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def _sweeps():
+    med = Medium(1.0, 1.5)
+    grid = FrequencyGrid.uniform(40.0, 400)
+    return med, grid, [SourceSpec.bump(-0.6, 0.6), SourceSpec.bspline(0.1, 0.9, 3),
+                       SourceSpec.modulated_bump(-0.8, 0.2, 6.0, 0.5 - 1j)]
+
+
+def test_concurrent_callers_get_serial_result(monkeypatch):
+    med, grid, fs = _sweeps()
+    monkeypatch.setattr(forward, "_cores", lambda: 1)
+    serial = [boundary_sweep(f, med, grid) for f in fs]
+    # more workers than cores, and frequent thread switches
+    monkeypatch.setattr(forward, "_cores", lambda: 3)
+    got = [[None] * len(fs) for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def caller(k):
+        start.wait(timeout=30)
+        for i in range(len(fs)):
+            j = (i + k) % len(fs)  # the two callers take the sources in different orders
+            got[k][j] = boundary_sweep(fs[j], med, grid)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for results in got:
+        for d, s in zip(results, serial):
+            assert np.array_equal(d.u_minus, s.u_minus) and np.array_equal(d.u_plus, s.u_plus)
+
+
+def _sweep_in_child(queue):
+    med, grid, fs = _sweeps()
+    d = boundary_sweep(fs[0], med, grid)
+    queue.put((d.u_minus, d.u_plus))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    # the parent's helper threads do not exist in a forked child, which
+    # must not hand its blocks to them
+    monkeypatch.setattr(forward, "_cores", lambda: 2)
+    med, grid, fs = _sweeps()
+    d = boundary_sweep(fs[0], med, grid)
+    assert forward._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_sweep_in_child, args=(queue,))
+    child.start()
+    try:
+        u_minus, u_plus = queue.get(timeout=60)
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(u_minus, d.u_minus) and np.array_equal(u_plus, d.u_plus)

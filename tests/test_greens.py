@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helmlayer.greens import (eval_from_coeffs, green_coeffs_closed,
+from helmlayer.greens import (_amplitudes, _green, eval_from_coeffs, green_coeffs_closed,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
 from helmlayer.model import Medium
@@ -165,3 +165,49 @@ def test_derivative_matches_finite_difference():
     for x in (-0.6, 0.1, 0.7):
         fd = (green_eval(x + h, y, med, om) - green_eval(x - h, y, med, om)) / (2 * h)
         assert abs(green_dx(x, y, med, om) - fd) < 1e-6
+
+
+def _green_out_of_place(x, y, medium, omega, deriv=False):
+    # the kernel as written before its branch values were formed in place
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    lead = np.shape(omega)
+    om = np.asarray(omega, dtype=float)[..., None] if lead else omega
+    out = np.empty(lead + (xb.size,), dtype=complex)
+    right = yb.ravel() > 0
+    for sig, cs, co, own in ((1.0, medium.c1, medium.c2, right),
+                             (-1.0, medium.c2, medium.c1, ~right)):
+        X, Y = sig * xb.ravel(), sig * yb.ravel()
+        ks, ko = cs * om, co * om
+        direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
+        near, far = own & (X >= 0), own & (X < 0)
+        if near.any():
+            Xn, Yn = X[near], Y[near]
+            wave = direct_amp * np.exp(1j * ks * np.abs(Xn - Yn))
+            if deriv:
+                wave *= np.sign(Xn - Yn)
+            wave += refl_amp * np.exp(1j * ks * (Xn + Yn))
+            out[..., near] = sig * 1j * ks * wave if deriv else wave
+        if far.any():
+            Xf, Yf = X[far], Y[far]
+            trans = trans_amp * np.exp(1j * (ks * Yf - ko * Xf))
+            out[..., far] = -sig * 1j * ko * trans if deriv else trans
+    out = out.reshape(lead + xb.shape)
+    return out[()] if out.ndim == 0 else out
+
+
+def test_green_in_place_matches_out_of_place_bits():
+    # same elementwise arithmetic, so the same doubles, sign of zero included
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        med = Medium(rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0))
+        y = rng.uniform(-0.99, 0.99, int(rng.integers(1, 300)))
+        if rng.uniform() < 0.5:
+            y.sort()  # each side's sources then form one contiguous run
+        for x in (-1.0, 1.0, rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0, len(y))):
+            for om in (np.sort(rng.uniform(0.01, 50.0, int(rng.integers(1, 40)))),
+                       float(rng.uniform(0.01, 50.0))):
+                for deriv in (False, True):
+                    got = np.asarray(_green(x, y, med, om, deriv))
+                    ref = np.asarray(_green_out_of_place(x, y, med, om, deriv))
+                    assert got.shape == ref.shape
+                    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
