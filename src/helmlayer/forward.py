@@ -17,6 +17,14 @@ depend on the number of workers and every entry is the same arithmetic
 whichever thread computes it, so the worker count never moves a bit.
 The helper pool is made on the first call that needs it: importing the
 module starts no thread, and a forked child makes its own pool.
+
+The same pool carries other work that can run beside the caller
+(``_beside``): a stability-sweep band computes its sources' data there
+while the calling thread factors the band's operator.  A map called from
+a pool thread may find its helpers queued behind the very task that runs
+it, so the map cancels every helper that has not started when it has
+no block left, rather than waiting for it; a map called while the pool
+is busy with other work likewise runs every block itself.
 """
 
 from __future__ import annotations
@@ -157,6 +165,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _beside(fn):
+    """Start ``fn()`` beside the calling thread and return a function
+    that waits for its result.  With more than one CPU, ``fn`` runs on
+    a helper thread; with one, it runs at once, before this returns."""
+    if _cores() > 1:
+        return _helpers(1).submit(fn).result
+    result = fn()
+    return lambda: result
+
+
 def _endpoint_map(omegas, y, weights, medium, chunk=32768):
     """Endpoint fields (u(-1), u(+1)) of the point sources weights_j at
     y_j (weights may carry trailing columns, one field per column).
@@ -170,7 +188,9 @@ def _endpoint_map(omegas, y, weights, medium, chunk=32768):
     its own rows of the result.  The calling thread and one helper thread
     per further CPU each take the next block until none is left, so a
     thread slowed by other load does not hold the rest back; one block,
-    or one CPU, runs in the calling thread alone.
+    or one CPU, runs in the calling thread alone.  A helper that has not
+    started by the time the blocks run out is cancelled, not awaited, so
+    a map called from a pool thread never waits on its own pool.
 
     The split depends on the frequency count, len(y) and ``chunk`` only,
     and a block is the same computation whichever thread runs it, so the
@@ -210,7 +230,8 @@ def _endpoint_map(omegas, y, weights, medium, chunk=32768):
         run()
     finally:
         for fut in futures:
-            fut.result()
+            if not fut.cancel():
+                fut.result()
     return u_minus, u_plus
 
 

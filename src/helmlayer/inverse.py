@@ -146,12 +146,19 @@ class ReconstructionResult:
     l2_error: float | None = None
 
 
+def _project(U, d):
+    """U^H d, formed as conj(U^T conj(d)) so that U is not copied.  Each
+    product is the one of U^H d up to an exact negation, and U^T and U^H
+    take the same BLAS path, so the doubles are those of U.conj().T @ d."""
+    return (U.T @ d.conj()).conj()
+
+
 def _filtered_solve(op, data, filt):
     """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
     holds one filter value per singular value."""
     U, S, Vh = op.svd()
     d = op.weighted_data(data)
-    coeffs = (Vh.conj().T * filt) @ (U.conj().T @ d)
+    coeffs = (Vh.conj().T * filt) @ _project(U, d)
     residual = float(np.linalg.norm(op.matrix @ coeffs - d))
     return coeffs, residual
 
@@ -194,7 +201,7 @@ def _tikhonov_residuals(op, data, ladder):
     """
     U, S, _ = op.svd()
     d = op.weighted_data(data)
-    beta = U.conj().T @ d
+    beta = _project(U, d)
     perp = np.linalg.norm(d - U @ beta) ** 2
     lam2 = np.asarray(ladder, dtype=float)[:, None] ** 2
     return np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)

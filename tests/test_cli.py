@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import helmlayer.cli as cli
+from helmlayer import forward
 from helmlayer.cli import (ConfigError, RunConfig, build_grid, build_source,
                            cmd_forward, cmd_reconstruct, cmd_sweep, cmd_verify,
                            main, parse_config_text, read_sweep_csv, run_sweep,
@@ -229,7 +231,10 @@ def test_sweep_complete_and_deterministic(tmp_path, capsys):
     assert all(r.l2_error >= 0 for r in records)
 
 
-def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
+    # with two CPUs the sources' data are computed on a helper thread
+    monkeypatch.setattr(forward, "_cores", lambda: cores)
     cfg = parse_config_text(
         "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
         "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n"
@@ -253,17 +258,20 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys):
     assert all(np.isnan(r.l2_error) for r in bad)
 
 
-def test_sweep_failed_source_fails_only_its_cells(monkeypatch):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
+    monkeypatch.setattr(forward, "_cores", lambda: cores)
     cfg = parse_config_text(
         "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
         "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
     clean = run_sweep(cfg)
     real = cli.boundary_sweep
-    calls = []
+    calls, on_caller = [], set()
 
     def flaky(f, medium, grid, **kw):
         calls.append(grid.K)
+        on_caller.add(threading.current_thread() is threading.main_thread())
         if f.order == 2:
             raise RuntimeError("injected failure")
         return real(f, medium, grid, **kw)
@@ -273,6 +281,8 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch):
     assert len(records) == len(clean) == 2 * 2 * 3 * 2
     # one forward solve per (n, trial) for each K, shared by every eps
     assert calls == [4.0] * 6 + [8.0] * 6
+    # on one CPU the sources run on the calling thread, on two on a helper
+    assert on_caller == {cores == 1}
     for r, c in zip(records, clean):
         assert (r.K, r.eps, r.n, r.seed) == (c.K, c.eps, c.n, c.seed)
         if r.n == 2:
@@ -408,13 +418,20 @@ def _run_child(script, **env):
 
 
 def test_import_starts_no_thread():
-    # the endpoint map makes its helper pool on first use, not at import
+    # the endpoint map makes its helper pool on first use, not at import,
+    # and a sweep on one CPU never uses it
     script = """
 import sys, threading
 import helmlayer
-print(threading.active_count(), "concurrent.futures" in sys.modules)
+from helmlayer import cli, forward
+print(threading.active_count(), "concurrent.futures" in sys.modules, end=" ")
+forward._cores = lambda: 1
+cli.run_sweep(cli.parse_config_text("frequency.n_omega = 40\\nsweep.K_list = 4,8\\n"
+                                    "sweep.eps_list = 0,1e-2\\nsweep.n_list = 1,2\\n"
+                                    "sweep.trials = 2\\ninverse.n_basis = 31\\n"))
+print(threading.active_count(), forward._pool is None)
 """
-    assert _run_child(script) == "1 False"
+    assert _run_child(script) == "1 False 1 True"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

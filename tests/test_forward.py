@@ -352,3 +352,44 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
             child.kill()
     assert child.exitcode == 0
     assert np.array_equal(u_minus, d.u_minus) and np.array_equal(u_plus, d.u_plus)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_endpoint_map_from_pool_threads(workers):
+    # Every helper thread of a fresh pool runs a map, so each map's own
+    # helpers queue behind the maps; a map that waited for them would
+    # never return.  Run in a child, which a hung pool cannot keep alive.
+    script = f"""
+import os
+import threading
+import numpy as np
+from helmlayer import forward
+from helmlayer.model import Medium
+med = Medium(1.0, 1.5)
+rng = np.random.default_rng(4)
+om = np.sort(rng.uniform(0.1, 40.0, 400))
+y = np.sort(rng.uniform(-0.95, 0.95, 150))
+w = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+forward._cores = lambda: 1
+ref = forward._endpoint_map(om, y, w, med, 300)
+forward._cores = lambda: {workers}
+pool = forward._helpers({workers} - 1)
+start = threading.Barrier({workers} - 1)  # every pool thread holds a map before any map starts
+
+def task():
+    start.wait(timeout=30)
+    return forward._endpoint_map(om, y, w, med, 300)
+
+futures = [pool.submit(task) for _ in range({workers} - 1)]
+try:
+    got = [fut.result(timeout=60) for fut in futures]
+except Exception as exc:
+    print(type(exc).__name__, flush=True)
+    os._exit(1)
+print(all(np.array_equal(g, r) for pair in got for g, r in zip(pair, ref)))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "True"

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from helmlayer.cli import RunConfig, build_grid
 from helmlayer.forward import BoundaryData, boundary_sweep
 from helmlayer.fourier import epsilon_norm
-from helmlayer.inverse import (add_noise, assemble_operator, morozov_lambda,
+from helmlayer.inverse import (_filtered_solve, _project, _tikhonov_residuals,
+                               add_noise, assemble_operator, morozov_lambda,
                                recon_error, reconstruct_homogeneous,
                                reconstruct_tikhonov, reconstruct_tsvd)
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
@@ -253,3 +260,57 @@ def test_layered_recovery_sanity():
     rec = reconstruct_tikhonov(op, data, 1e-6)
     rel = recon_error(rec, f) / np.sqrt(l2_norm_sq(f))
     assert rel <= 5e-2
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def _check_projection_bits():
+    # the default and the sweep operators; U^H d formed as before, by
+    # copying U, is the reference
+    cfg = RunConfig()
+    pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
+    medium = Medium(cfg.c1, cfg.c2)
+    ops = [assemble_operator(medium, build_grid(cfg), cfg.n_basis,
+                             (cfg.support_a, cfg.support_b)),
+           assemble_operator(medium, build_grid(cfg, K=40.0), cfg.n_basis,
+                             (cfg.sweep_support_a - pad, cfg.sweep_support_b + pad))]
+    rng = np.random.default_rng(8)
+    for op in ops:
+        U, S, Vh = op.svd()
+        n = len(op.grid)
+        ladder = S[0] * np.logspace(-8.0, 0.0, 25)
+        for _ in range(20):
+            um, up = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) * 1e-3
+            data = BoundaryData(op.grid, um, up)
+            d = op.weighted_data(data)
+            beta = U.conj().T @ d
+            assert np.array_equal(_bits(_project(U, d)), _bits(beta))
+            filt = S / (S ** 2 + rng.uniform(1e-6, 1.0) ** 2)
+            coeffs, residual = _filtered_solve(op, data, filt)
+            ref = (Vh.conj().T * filt) @ beta
+            assert np.array_equal(_bits(coeffs), _bits(ref))
+            assert residual == float(np.linalg.norm(op.matrix @ ref - d))
+            perp = np.linalg.norm(d - U @ beta) ** 2
+            lam2 = ladder[:, None] ** 2
+            res = np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)
+            assert np.array_equal(_bits(_tikhonov_residuals(op, data, ladder)), _bits(res))
+
+
+def test_projection_without_copy_matches_conj_transpose_bits():
+    _check_projection_bits()  # under the suite's BLAS threads
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_inverse import _check_projection_bits
+_check_projection_bits()
+print("ok")
+"""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=str(here.parent / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, str(here)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
