@@ -79,7 +79,8 @@ def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
     it) resolving kernels that oscillate at most like exp(i rate y).
 
     Splits at the interface, at the source's own breakpoints, and at any
-    extra points (e.g. the kink of |x - y|).  Grid sources integrate
+    extra points (e.g. the kink of |x - y|), and narrows the panels at
+    the source's flat ends (the edges of a bump).  Grid sources integrate
     cell by cell instead of with blanket panel counts.
     """
     sup = f.support
@@ -94,7 +95,7 @@ def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
         edges = np.unique(np.concatenate([[lo, hi], sorted(breaks)]))
         return cell_rule(edges, osc_rate=rate, nodes=_panel_nodes(f, nodes))
     return composite_rule(lo, hi, sorted(breaks), osc_rate=rate,
-                          base_panels=base_panels, nodes=nodes)
+                          base_panels=base_panels, nodes=nodes, flat_ends=f.flat_ends)
 
 
 def _is_grid(f):

@@ -223,6 +223,18 @@ class SourceSpec:
             return tuple(self.x_grid[1:-1])
         return ()
 
+    @property
+    def flat_ends(self):
+        """(end, width) for each support end where the source vanishes to
+        all orders, with the widest Gauss panel that may touch it.  A
+        16-node panel 1/16 of the half-width wide resolves the bump
+        profile's edge to rounding; the 1/4 of eight uniform panels
+        leaves 1e-10."""
+        if self.kind in ("bump", "modulated_bump"):
+            width = (self.b - self.a) / 32.0
+            return ((self.a, width), (self.b, width))
+        return ()
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -283,6 +295,13 @@ class HalfSource:
         lo, hi = sup
         return tuple(t for t in self.parent.breakpoints if lo < t < hi)
 
+    @property
+    def flat_ends(self):
+        sup = self.support
+        if sup is None:
+            return ()
+        return tuple((end, width) for end, width in self.parent.flat_ends if end in sup)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         mask = (x >= 0.0) if self.side == "right" else (x < 0.0)
@@ -310,7 +329,8 @@ def l2_norm_sq(source, nodes=16, base_panels=8):
     if sup is None:
         return 0.0
     lo, hi = sup
-    y, w = composite_rule(lo, hi, source.breakpoints, 0.0, base_panels, nodes)
+    y, w = composite_rule(lo, hi, source.breakpoints, 0.0, base_panels, nodes,
+                          source.flat_ends)
     return float(np.sum(w * np.abs(source(y)) ** 2))
 
 

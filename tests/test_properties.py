@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helmlayer.cli import ConfigError, RunConfig, parse_config_text, serialize_config
 from helmlayer.forward import (BoundaryData, boundary_sweep, forward_field,
@@ -62,6 +62,10 @@ def test_green_eval_matches_linear_system(medium, omega, y, xs):
 
 @settings(max_examples=25, deadline=None)
 @given(media, sources(), st.floats(0.5, 20.0))
+# a narrow bump whose eight uniform panels left both rules 1e-10 off at
+# its edges, the sweep's (nine panels, resolved at K) and the
+# pointwise one's (eight) by different amounts
+@example(Medium(1.0, 2.0), SourceSpec.bump(0.5, 0.95), 18.0)
 def test_boundary_sweep_matches_forward_field(medium, f, K):
     grid = FrequencyGrid.uniform(K, 4)
     data = boundary_sweep(f, medium, grid)
