@@ -14,7 +14,8 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -94,14 +95,13 @@ class RunConfig:
     sweep_support_b: float = 0.9
 
     def __post_init__(self):
-        amp = complex(self.source_amp)
-        floats = [(key, getattr(self, attr)) for key, attr in _FLOAT_KEYS.items()]
-        floats += [("sweep.K_list", v) for v in self.sweep_K_list]
-        floats += [("sweep.eps_list", v) for v in self.sweep_eps_list]
-        floats += [("source.amp_re", amp.real), ("source.amp_im", amp.imag)]
-        for key, v in floats:
-            if v is not None and not np.isfinite(v):
-                raise ConfigError(f"{key} must be finite, got {v}")
+        for key, (attr, parse, _) in _CONFIG_KEYS.items():
+            if parse not in (float, _floats):
+                continue
+            value = attrgetter(attr)(self)
+            for v in value if parse is _floats else (value,):
+                if v is not None and not np.isfinite(v):
+                    raise ConfigError(f"{key} must be finite, got {v}")
         if self.c1 <= 0:
             raise ConfigError("medium.c1 must be positive")
         if self.c2 <= 0:
@@ -148,39 +148,58 @@ class RunConfig:
             raise ConfigError("sweep support must satisfy -1 < a < b < 1")
 
 
-_FLOAT_KEYS = {
-    "medium.c1": "c1",
-    "medium.c2": "c2",
-    "frequency.K": "K",
-    "frequency.omega_floor": "omega_floor",
-    "source.a": "source_a",
-    "source.b": "source_b",
-    "source.mod_freq": "source_mod_freq",
-    "inverse.lambda": "lam",
-    "inverse.support_a": "support_a",
-    "inverse.support_b": "support_b",
-    "noise.eps": "eps",
-    "sweep.support_a": "sweep_support_a",
-    "sweep.support_b": "sweep_support_b",
-}
-_INT_KEYS = {
-    "frequency.n_omega": "n_omega",
-    "source.order": "source_order",
-    "inverse.k": "tsvd_k",
-    "inverse.n_basis": "n_basis",
-    "noise.seed": "seed",
-    "sweep.trials": "sweep_trials",
-}
-_STR_KEYS = {
-    "source.kind": "source_kind",
-    "inverse.method": "method",
+def _exact(v):
+    return f"{v:.17g}"
+
+
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text):
+    return tuple(int(v) for v in text.split(","))
+
+
+def _join(fmt):
+    return lambda values: ",".join(fmt(v) for v in values)
+
+
+# Every config key, in canonical text order: section.key -> (RunConfig
+# attribute, parse, format).  source.amp_re and source.amp_im are the
+# parts of source_amp; an unset omega_floor (None) is left out of the text.
+_CONFIG_KEYS = {
+    "medium.c1": ("c1", float, _exact),
+    "medium.c2": ("c2", float, _exact),
+    "frequency.K": ("K", float, _exact),
+    "frequency.n_omega": ("n_omega", int, str),
+    "frequency.omega_floor": ("omega_floor", float, _exact),
+    "source.kind": ("source_kind", str, str),
+    "source.a": ("source_a", float, _exact),
+    "source.b": ("source_b", float, _exact),
+    "source.order": ("source_order", int, str),
+    "source.mod_freq": ("source_mod_freq", float, _exact),
+    "source.amp_re": ("source_amp.real", float, _exact),
+    "source.amp_im": ("source_amp.imag", float, _exact),
+    "inverse.method": ("method", str, str),
+    "inverse.lambda": ("lam", float, _exact),
+    "inverse.k": ("tsvd_k", int, str),
+    "inverse.n_basis": ("n_basis", int, str),
+    "inverse.support_a": ("support_a", float, _exact),
+    "inverse.support_b": ("support_b", float, _exact),
+    "sweep.K_list": ("sweep_K_list", _floats, _join(_exact)),
+    "sweep.eps_list": ("sweep_eps_list", _floats, _join(_exact)),
+    "sweep.n_list": ("sweep_n_list", _ints, _join(str)),
+    "sweep.trials": ("sweep_trials", int, str),
+    "sweep.support_a": ("sweep_support_a", float, _exact),
+    "sweep.support_b": ("sweep_support_b", float, _exact),
+    "noise.eps": ("eps", float, _exact),
+    "noise.seed": ("seed", int, str),
 }
 
 
 def parse_config_text(text, origin="<config>"):
     """Parse flat 'section.key = value' lines into a RunConfig."""
     values = {}
-    amp_re, amp_im = 1.0, 0.0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -189,31 +208,16 @@ def parse_config_text(text, origin="<config>"):
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        attr, parse, _ = _CONFIG_KEYS[key]
         try:
-            if key in _FLOAT_KEYS:
-                values[_FLOAT_KEYS[key]] = float(val)
-            elif key in _INT_KEYS:
-                values[_INT_KEYS[key]] = int(val)
-            elif key in _STR_KEYS:
-                values[_STR_KEYS[key]] = val
-            elif key == "source.amp_re":
-                amp_re = float(val)
-            elif key == "source.amp_im":
-                amp_im = float(val)
-            elif key == "sweep.K_list":
-                values["sweep_K_list"] = tuple(float(v) for v in val.split(","))
-            elif key == "sweep.eps_list":
-                values["sweep_eps_list"] = tuple(float(v) for v in val.split(","))
-            elif key == "sweep.n_list":
-                values["sweep_n_list"] = tuple(int(v) for v in val.split(","))
-            else:
-                raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+            values[attr] = parse(val)
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(f"{origin}:{lineno}: bad value for {key!r}: {val!r}") from exc
-    if amp_re != 1.0 or amp_im != 0.0:
-        values["source_amp"] = complex(amp_re, amp_im)
+    amp = complex(values.pop("source_amp.real", 1.0), values.pop("source_amp.imag", 0.0))
+    if amp != 1.0:
+        values["source_amp"] = amp
     try:
         return RunConfig(**values)
     except ConfigError:
@@ -229,43 +233,15 @@ def parse_config(path):
 
 def serialize_config(cfg):
     """Configuration as canonical flat text (parses back to an equal config)."""
-    lines = [
-        f"medium.c1 = {cfg.c1:.17g}",
-        f"medium.c2 = {cfg.c2:.17g}",
-        f"frequency.K = {cfg.K:.17g}",
-        f"frequency.n_omega = {cfg.n_omega}",
-        f"source.kind = {cfg.source_kind}",
-        f"source.a = {cfg.source_a:.17g}",
-        f"source.b = {cfg.source_b:.17g}",
-        f"source.order = {cfg.source_order}",
-        f"source.mod_freq = {cfg.source_mod_freq:.17g}",
-        f"source.amp_re = {cfg.source_amp.real:.17g}",
-        f"source.amp_im = {cfg.source_amp.imag:.17g}",
-        f"inverse.method = {cfg.method}",
-        f"inverse.lambda = {cfg.lam:.17g}",
-        f"inverse.k = {cfg.tsvd_k}",
-        f"inverse.n_basis = {cfg.n_basis}",
-        f"inverse.support_a = {cfg.support_a:.17g}",
-        f"inverse.support_b = {cfg.support_b:.17g}",
-        f"sweep.K_list = {','.join(f'{v:.17g}' for v in cfg.sweep_K_list)}",
-        f"sweep.eps_list = {','.join(f'{v:.17g}' for v in cfg.sweep_eps_list)}",
-        f"sweep.n_list = {','.join(str(v) for v in cfg.sweep_n_list)}",
-        f"sweep.trials = {cfg.sweep_trials}",
-        f"sweep.support_a = {cfg.sweep_support_a:.17g}",
-        f"sweep.support_b = {cfg.sweep_support_b:.17g}",
-        f"noise.eps = {cfg.eps:.17g}",
-        f"noise.seed = {cfg.seed}",
-    ]
-    if cfg.omega_floor is not None:
-        lines.insert(4, f"frequency.omega_floor = {cfg.omega_floor:.17g}")
+    lines = [f"{key} = {fmt(value)}" for key, (attr, _, fmt) in _CONFIG_KEYS.items()
+             if (value := attrgetter(attr)(cfg)) is not None]
     return "\n".join(lines) + "\n"
 
 
-def build_grid(cfg, K=None, n_omega=None):
+def build_grid(cfg, K=None):
     K = cfg.K if K is None else K
-    n = cfg.n_omega if n_omega is None else n_omega
-    floor = cfg.omega_floor if (K == cfg.K and cfg.omega_floor is not None) else K / n
-    return FrequencyGrid.uniform(K, n, floor)
+    floor = cfg.omega_floor if (K == cfg.K and cfg.omega_floor is not None) else K / cfg.n_omega
+    return FrequencyGrid.uniform(K, cfg.n_omega, floor)
 
 
 def build_source(cfg):
@@ -482,18 +458,22 @@ def write_reconstruction_csv(path, result, f_true=None):
             writer.writerow([f"{v:.17g}" for v in row])
 
 
+def _solve(cfg, op, data, eps):
+    """TSVD at rank min(k, n_basis), or else Tikhonov at the discrepancy
+    rule's lambda when eps > 0 and at ``cfg.lam`` otherwise."""
+    if cfg.method == "tsvd":
+        return reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
+    lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
+    return reconstruct_tikhonov(op, data, lam)
+
+
 def _reconstruct(cfg, data, medium):
     if cfg.method == "homogeneous_ft":
         x_grid = np.linspace(cfg.support_a, cfg.support_b, cfg.n_basis + 2)
         return reconstruct_homogeneous(data, medium, x_grid)
     op = assemble_operator(medium, data.grid, cfg.n_basis,
                            (cfg.support_a, cfg.support_b))
-    if cfg.method == "tikhonov":
-        lam = cfg.lam
-        if cfg.eps > 0:
-            lam = morozov_lambda(op, data, cfg.eps)
-        return reconstruct_tikhonov(op, data, lam)
-    return reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
+    return _solve(cfg, op, data, cfg.eps)
 
 
 def cmd_reconstruct(cfg, data_path, out_path):
@@ -559,13 +539,14 @@ def run_sweep(cfg):
 
     Each K assembles its operator once, and each (n, trial) source is
     solved forward once per K; every eps cell reuses that clean data
-    (``add_noise`` returns new arrays).  When eps > 0, lambda comes from
-    the discrepancy rule, which scans the ladder in SVD coordinates (see
-    ``morozov_lambda``).  A cell's ``runtime_ms`` covers its own work:
-    the noise, the choice of lambda, the solve and the error; the shared
-    forward solve is not counted.  A source whose forward solve raised
-    records that error in each of its cells.  Within each K the sources'
-    forward solves run beside the operator's SVD (see ``_sweep_band``).
+    (``add_noise`` returns new arrays).  When eps > 0, a Tikhonov cell's
+    lambda comes from the discrepancy rule, which scans the ladder in SVD
+    coordinates (see ``morozov_lambda``); a TSVD cell runs no scan.  A
+    cell's ``runtime_ms`` covers its own work: the noise, the choice of
+    lambda, the solve and the error; the shared forward solve is not
+    counted.  A source whose forward solve raised records that error in
+    each of its cells.  Within each K the sources' forward solves run
+    beside the operator's SVD (see ``_sweep_band``).
     """
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
@@ -618,15 +599,7 @@ def _sweep_band(cfg, medium, support, iK, K):
                     if isinstance(clean[n, trial], Exception):
                         raise clean[n, trial]
                     f, data, norm = clean[n, trial]
-                    if eps > 0:
-                        data = add_noise(data, eps, cell_seed)
-                        lam = morozov_lambda(op, data, eps)
-                    else:
-                        lam = cfg.lam
-                    if cfg.method == "tsvd":
-                        result = reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
-                    else:
-                        result = reconstruct_tikhonov(op, data, lam)
+                    result = _solve(cfg, op, add_noise(data, eps, cell_seed), eps)
                     err = recon_error(result, f) / norm
                     ms = 1e3 * (time.perf_counter() - t0)
                     records.append(ExperimentRecord(K, eps, n, result.method,

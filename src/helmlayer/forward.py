@@ -38,7 +38,7 @@ import numpy as np
 
 from .model import FrequencyGrid, split_source, wavenumbers
 from .greens import _green, green_eval, green_dx
-from .quadrature import cell_rule, composite_rule
+from .quadrature import composite_rule
 
 __all__ = [
     "BoundaryData",
@@ -81,21 +81,18 @@ def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
     Splits at the interface, at the source's own breakpoints, and at any
     extra points (e.g. the kink of |x - y|), and narrows the panels at
     the source's flat ends (the edges of a bump).  Grid sources integrate
-    cell by cell instead of with blanket panel counts.
+    cell by cell (one panel per cell, ``base_panels=1``) instead of with
+    blanket panel counts.
     """
     sup = f.support
     if sup is None:
         return np.empty(0), np.empty(0)
     lo, hi = sup
-    breaks = set(f.breakpoints)
-    breaks.update(t for t in extra_breaks if lo < t < hi)
-    if 0.0 > lo and 0.0 < hi:
-        breaks.add(0.0)
-    if _is_grid(f):
-        edges = np.unique(np.concatenate([[lo, hi], sorted(breaks)]))
-        return cell_rule(edges, osc_rate=rate, nodes=_panel_nodes(f, nodes))
-    return composite_rule(lo, hi, sorted(breaks), osc_rate=rate,
-                          base_panels=base_panels, nodes=nodes, flat_ends=f.flat_ends)
+    # composite_rule drops the points that do not lie inside (lo, hi)
+    breaks = {*f.breakpoints, *extra_breaks, 0.0}
+    return composite_rule(lo, hi, breaks, osc_rate=rate,
+                          base_panels=1 if _is_grid(f) else base_panels,
+                          nodes=_panel_nodes(f, nodes), flat_ends=f.flat_ends)
 
 
 def _is_grid(f):
@@ -108,28 +105,26 @@ def _panel_nodes(f, nodes):
     return max(4, nodes // 2) if _is_grid(f) else nodes
 
 
-def forward_field(f, medium, omega, x, nodes=16, base_panels=8):
-    """u(x, omega) for a single evaluation point x in [-1, 1]."""
+def _field(kernel, f, medium, omega, x):
+    """int kernel(x, y) f(y) dy for a single evaluation point x in [-1, 1]."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if abs(x) > 1.0:
         raise ValueError("evaluation point outside [-1, 1]")
-    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,), nodes=nodes,
-                       base_panels=base_panels)
+    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,))
     if len(y) == 0:
         return 0.0 + 0.0j
-    return complex(np.sum(w * green_eval(x, y, medium, omega) * f(y)))
+    return complex(np.sum(w * kernel(x, y, medium, omega) * f(y)))
 
 
-def forward_field_dx(f, medium, omega, x, nodes=16, base_panels=8):
+def forward_field(f, medium, omega, x):
+    """u(x, omega) for a single evaluation point x in [-1, 1]."""
+    return _field(green_eval, f, medium, omega, x)
+
+
+def forward_field_dx(f, medium, omega, x):
     """Analytic derivative u'(x, omega), differentiating g under the integral."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,), nodes=nodes,
-                       base_panels=base_panels)
-    if len(y) == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(w * green_dx(x, y, medium, omega) * f(y)))
+    return _field(green_dx, f, medium, omega, x)
 
 
 def _cores():
@@ -236,18 +231,16 @@ def _endpoint_map(omegas, y, weights, medium, chunk=32768):
     return u_minus, u_plus
 
 
-def boundary_sweep(f, medium, grid, nodes=16, base_panels=8, chunk=32768):
+def boundary_sweep(f, medium, grid, base_panels=8):
     """Endpoint data u(+-1, omega) for every frequency of the grid.
 
     One quadrature rule resolved at the largest frequency serves the
-    whole sweep; frequencies are independent, evaluated in blocks of at
-    most ``chunk`` kernel entries spread over the CPUs (``_endpoint_map``)
-    and assembled in grid order.
+    whole sweep; frequencies are independent, evaluated in blocks spread
+    over the CPUs (``_endpoint_map``) and assembled in grid order.
     """
     om = grid.omegas
-    y, w = source_rule(f, medium.c_max * float(om[-1]), nodes=nodes,
-                       base_panels=base_panels)
-    u_minus, u_plus = _endpoint_map(om, y, w * f(y), medium, chunk)
+    y, w = source_rule(f, medium.c_max * float(om[-1]), base_panels=base_panels)
+    u_minus, u_plus = _endpoint_map(om, y, w * f(y), medium)
     return BoundaryData(grid, u_minus, u_plus)
 
 
@@ -323,19 +316,19 @@ class TraceReport:
         return float(np.max(self.residuals))
 
 
-def interface_traces(f, medium, omega, nodes=16, base_panels=8):
+def interface_traces(f, medium, omega):
     """Quadrature traces u(0), u'(0) and their transform predictions."""
     from .fourier import halfline_ft
 
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     k1, k2 = wavenumbers(medium, omega)
-    u0 = forward_field(f, medium, omega, 0.0, nodes=nodes, base_panels=base_panels)
-    du0 = forward_field_dx(f, medium, omega, 0.0, nodes=nodes, base_panels=base_panels)
+    u0 = forward_field(f, medium, omega, 0.0)
+    du0 = forward_field_dx(f, medium, omega, 0.0)
 
     pair = split_source(f)
-    f1m = halfline_ft(pair, "right", -k1, nodes=nodes, base_panels=base_panels)
-    f2p = halfline_ft(pair, "left", k2, nodes=nodes, base_panels=base_panels)
+    f1m = halfline_ft(pair, "right", -k1)
+    f2p = halfline_ft(pair, "left", k2)
 
     u0_pred = 1j / (k1 + k2) * (f1m + f2p)
     du0_pred = (k2 * f1m - k1 * f2p) / (k1 + k2)
@@ -358,13 +351,13 @@ def interface_traces(f, medium, omega, nodes=16, base_panels=8):
     return TraceReport(u0, du0, u0_pred, du0_pred, z_meas, z_pred, res)
 
 
-def check_radiation(f, medium, omega, nodes=16, base_panels=8):
+def check_radiation(f, medium, omega):
     """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|)."""
     k1, k2 = wavenumbers(medium, omega)
-    um = forward_field(f, medium, omega, -1.0, nodes=nodes, base_panels=base_panels)
-    dum = forward_field_dx(f, medium, omega, -1.0, nodes=nodes, base_panels=base_panels)
-    up = forward_field(f, medium, omega, 1.0, nodes=nodes, base_panels=base_panels)
-    dup = forward_field_dx(f, medium, omega, 1.0, nodes=nodes, base_panels=base_panels)
+    um = forward_field(f, medium, omega, -1.0)
+    dum = forward_field_dx(f, medium, omega, -1.0)
+    up = forward_field(f, medium, omega, 1.0)
+    dup = forward_field_dx(f, medium, omega, 1.0)
     return abs(dum + 1j * k2 * um), abs(dup - 1j * k1 * up)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .forward import _panel_nodes, boundary_sweep, source_rule
 from .greens import _endpoint_rows
-from .model import FrequencyGrid, SourcePair, l2_norm_sq, split_source
+from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
 __all__ = [
@@ -70,9 +70,9 @@ def _side_source(pair, side):
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
-def halfline_ft(pair, side, xi, nodes=16, base_panels=8):
+def halfline_ft(pair, side, xi):
     """fhat_side(xi) = int e^{-i xi y} f_side(y) dy over the side's interval."""
-    return complex(halfline_ft_many(pair, side, xi, nodes=nodes, base_panels=base_panels))
+    return complex(halfline_ft_many(pair, side, xi))
 
 
 def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
@@ -146,7 +146,7 @@ def plancherel_residual(pair, xi_max, n_xi, nodes=16):
     return abs(norms - total / (2.0 * np.pi))
 
 
-def _endpoint_amplitudes(pair, medium, omegas, nodes=16, base_panels=8):
+def _endpoint_amplitudes(pair, medium, omegas, nodes=16):
     """F and its kernel-conjugate partner G at both endpoints, keyed
     (endpoint, conjugate), from one paired table per side (two for
     complex omega).
@@ -162,7 +162,7 @@ def _endpoint_amplitudes(pair, medium, omegas, nodes=16, base_panels=8):
     for side, speed in (("right", medium.c1), ("left", medium.c2)):
         xi = speed * om
         vals = halfline_ft_many(pair, side, xi if real else np.concatenate([xi, np.conj(xi)]),
-                                nodes=nodes, base_panels=base_panels, paired=True)
+                                nodes=nodes, paired=True)
         mirror = vals if real else vals[n:]
         # the transforms of f (False) and of conj f (True) at +xi and -xi
         fts = {(1.0, False): vals[:n, 0], (1.0, True): vals[:n, 1],
@@ -176,8 +176,7 @@ def _endpoint_amplitudes(pair, medium, omegas, nodes=16, base_panels=8):
     return {key: val.reshape(omegas.shape) for key, val in out.items()}
 
 
-def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
-                       conjugate=False):
+def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, conjugate=False):
     """F_endpoint(omega) on an array of (possibly complex) frequencies.
 
     For real omega, |F(omega)| = omega * |u(endpoint, omega)|.  With
@@ -186,8 +185,7 @@ def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, base_panels=8,
     """
     if endpoint not in ("minus", "plus"):
         raise ValueError(f"endpoint must be 'minus' or 'plus', got {endpoint!r}")
-    return _endpoint_amplitudes(pair, medium, omegas, nodes=nodes,
-                                base_panels=base_panels)[endpoint, conjugate]
+    return _endpoint_amplitudes(pair, medium, omegas, nodes=nodes)[endpoint, conjugate]
 
 
 @dataclass(frozen=True)
@@ -234,13 +232,13 @@ def data_energy_analytic(f, medium, s, n_quad=16):
     return DataEnergy(s, complex(vals[0]), complex(vals[1]))
 
 
-def data_energy_from_sweep(f, medium, s, n_quad=16):
+def data_energy_from_sweep(f, medium, s):
     """Band energy through the forward solver: Gauss-Legendre nodes in
     omega, endpoint values from boundary_sweep, integrand omega^2 |u|^2."""
     if s <= 0:
         raise ValueError("band limit s must be positive")
-    om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max, nodes=n_quad)
-    data = boundary_sweep(f, medium, FrequencyGrid(om, float(s)), nodes=n_quad)
+    om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max)
+    data = boundary_sweep(f, medium, FrequencyGrid(om, float(s)))
     i1 = float(np.sum(w * om ** 2 * np.abs(data.u_minus) ** 2))
     i2 = float(np.sum(w * om ** 2 * np.abs(data.u_plus) ** 2))
     return DataEnergy(complex(s), complex(i1), complex(i2))
@@ -322,25 +320,24 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, d_omega=0.15, nodes=8,
     return slope, r2
 
 
-def endpoint_amplitude_bound(f, medium, omega, nodes=16, base_panels=16):
+def endpoint_amplitude_bound(f, medium, omega):
     """Both sides of the explicit endpoint amplitude inequality.
 
     Returns (lhs_minus, rhs_minus, lhs_plus, rhs_plus) where
     lhs = omega^2 |u(-+1, omega)|^2 and rhs is the squared triangle
     bound with the layered coefficients on the half-line transform
     moduli; lhs <= rhs is exact mathematics, so both sides are resolved
-    a notch finer than the solver defaults.
+    a notch finer than the solver defaults (16 base panels, not 8).
     """
     pair = split_source(f)
-    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega),
-                          nodes=nodes, base_panels=base_panels)
+    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega), base_panels=16)
     rhs = {"minus": 0.0, "plus": 0.0}
     rows = _endpoint_rows(medium)
     for side in ("right", "left"):
         # a side's rows share |rate| = its speed, so one rule serves them
         mine = [row for row in rows if row[2] == side]
         fts = halfline_ft_many(pair, side, [-rate * omega for _, _, _, rate, _ in mine],
-                               nodes=nodes, base_panels=base_panels)
+                               base_panels=16)
         for (e, coeff, _, _, _), ft in zip(mine, fts):
             rhs[e] += abs(coeff) * abs(ft)
     return (omega ** 2 * abs(data.u_minus[0]) ** 2, rhs["minus"] ** 2,

@@ -19,7 +19,7 @@ import numpy as np
 from .model import FrequencyGrid, SourceSpec
 from .forward import BoundaryData, _endpoint_map
 from .fourier import epsilon_norm, trapezoid_weights
-from .quadrature import cell_rule
+from .quadrature import composite_rule
 
 __all__ = [
     "ForwardOperator",
@@ -88,14 +88,14 @@ class ForwardOperator:
         return SourceSpec.from_grid(x, vals)
 
 
-def assemble_operator(medium, grid, n_basis, support, nodes_per_cell=6):
+def assemble_operator(medium, grid, n_basis, support):
     """Column j is the endpoint sweep of the j-th hat function.
 
     The hats live on n_basis interior nodes of a uniform partition of
-    ``support``; integration is per cell (hat pieces are linear), with
-    the cell that holds the interface split at x = 0, where the kernel
-    has a kink, and with panel refinement when a cell spans more than ~2
-    radians of phase at the top frequency.
+    ``support``; integration is per cell (hat pieces are linear), six
+    Gauss nodes a panel, with the cell that holds the interface split at
+    x = 0, where the kernel has a kink, and with panel refinement when a
+    cell spans more than ~2 radians of phase at the top frequency.
     """
     a, b = float(support[0]), float(support[1])
     if not (-1.0 < a < b < 1.0):
@@ -106,8 +106,7 @@ def assemble_operator(medium, grid, n_basis, support, nodes_per_cell=6):
     nodes_x = edges[1:-1]
     h = edges[1] - edges[0]
     rate = medium.c_max * float(grid.omegas[-1])
-    cells = np.union1d(edges, [0.0]) if a < 0.0 < b else edges
-    y, w = cell_rule(cells, osc_rate=rate, nodes=nodes_per_cell)
+    y, w = composite_rule(a, b, [*nodes_x, 0.0], rate, base_panels=1, nodes=6)
     # hat values at the quadrature nodes, scaled by the weights
     H = np.clip(1.0 - np.abs((y[:, None] - nodes_x[None, :]) / h), 0.0, None) * w[:, None]
     om = grid.omegas
@@ -207,14 +206,14 @@ def _tikhonov_residuals(op, data, ladder):
     return np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)
 
 
-def morozov_lambda(op, data, eps_target, ladder=None, factor=1.1):
-    """Largest ladder value whose residual stays within factor * eps_target,
+def morozov_lambda(op, data, eps_target, ladder=None):
+    """Largest ladder value whose residual stays within 1.1 * eps_target,
     or the smallest ladder value if none does."""
     _, S, _ = op.svd()
     if ladder is None:
         ladder = S[0] * np.logspace(-8.0, 0.0, 25)
     ladder = np.sort(np.asarray(ladder, dtype=float))
-    ok = np.flatnonzero(_tikhonov_residuals(op, data, ladder) <= factor * eps_target)
+    ok = np.flatnonzero(_tikhonov_residuals(op, data, ladder) <= 1.1 * eps_target)
     return float(ladder[ok[-1]] if len(ok) else ladder[0])
 
 

@@ -6,6 +6,12 @@ locations (the interface x = 0, the source point of |x - y|, spline
 knots) and oscillate no faster than a known phase rate.  Splitting the
 interval at every kink and capping the phase advance per panel at about
 2 radians makes fixed-order Gauss-Legendre spectrally accurate.
+
+``composite_rule`` builds every rule in the package.  A partition into
+cells (a grid source's samples, the hat basis of the inversion operator)
+is the rule with ``base_panels=1`` and the inner cell edges as
+breakpoints: one panel per cell, more only where the phase advances by
+over 2 radians within it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_rule", "composite_rule", "cell_rule"]
+__all__ = ["gauss_rule", "composite_rule"]
 
 
 @lru_cache(maxsize=32)
@@ -65,22 +71,6 @@ def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16
     for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
         panels = max(base_panels, int(np.ceil(abs(osc_rate) * (seg_hi - seg_lo) / 2.0)))
         x, w = _segment_rule(seg_lo, seg_hi, panels, gx, gw, flat_ends)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def cell_rule(edges, osc_rate=0.0, nodes=6):
-    """Per-cell rule over a partition given by ``edges`` (one panel per
-    cell, refined only if the phase advance within a cell exceeds 2)."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-    gx, gw = gauss_rule(nodes)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels = max(1, int(np.ceil(abs(osc_rate) * (hi - lo) / 2.0)))
-        x, w = _segment_rule(lo, hi, panels, gx, gw)
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)

@@ -48,6 +48,48 @@ def test_config_roundtrip():
     assert again == cfg
 
 
+_CANONICAL_TEXT = """\
+medium.c1 = 0.80000000000000004
+medium.c2 = 1.5
+frequency.K = 25
+frequency.n_omega = 120
+frequency.omega_floor = 0.5
+source.kind = modulated_bump
+source.a = -0.59999999999999998
+source.b = 0.59999999999999998
+source.order = 2
+source.mod_freq = 8
+source.amp_re = 0.5
+source.amp_im = -1.5
+inverse.method = tsvd
+inverse.lambda = 9.9999999999999995e-07
+inverse.k = 30
+inverse.n_basis = 201
+inverse.support_a = -0.94999999999999996
+inverse.support_b = 0.94999999999999996
+sweep.K_list = 4,8.5,16
+sweep.eps_list = 0,0.01
+sweep.n_list = 1,3
+sweep.trials = 10
+sweep.support_a = 0.10000000000000001
+sweep.support_b = 0.90000000000000002
+noise.eps = 0.10000000000000001
+noise.seed = 3
+"""
+
+
+def test_serialize_config_canonical_text():
+    # key order, number formats and the omega_floor line are pinned
+    cfg = RunConfig(c1=0.8, K=25.0, n_omega=120, omega_floor=0.5,
+                    source_kind="modulated_bump", source_amp=0.5 - 1.5j,
+                    method="tsvd", tsvd_k=30, sweep_K_list=(4.0, 8.5, 16.0),
+                    sweep_eps_list=(0.0, 0.01), sweep_n_list=(1, 3), eps=0.1, seed=3)
+    assert serialize_config(cfg) == _CANONICAL_TEXT
+    assert parse_config_text(_CANONICAL_TEXT) == cfg
+    unfloored = serialize_config(replace(cfg, omega_floor=None))
+    assert unfloored == _CANONICAL_TEXT.replace("frequency.omega_floor = 0.5\n", "")
+
+
 def test_build_source_kinds():
     cfg = parse_config_text("source.kind = modulated_bump\nsource.mod_freq = 4\n")
     f = build_source(cfg)
@@ -103,8 +145,16 @@ def test_verify_detects_tightened_amplitude_bound(monkeypatch, capsys):
     assert "endpoint amplitude bound" in capsys.readouterr().err
 
 
-_NONFINITE_KEYS = sorted(cli._FLOAT_KEYS) + ["sweep.K_list", "sweep.eps_list",
-                                             "source.amp_re", "source.amp_im"]
+_NONFINITE_KEYS = [key for key, (_, parse, _) in cli._CONFIG_KEYS.items()
+                   if parse in (float, cli._floats)]
+
+
+def test_non_finite_keys_are_the_float_valued_keys():
+    assert sorted(_NONFINITE_KEYS) == sorted([
+        "medium.c1", "medium.c2", "frequency.K", "frequency.omega_floor", "source.a",
+        "source.b", "source.mod_freq", "source.amp_re", "source.amp_im", "inverse.lambda",
+        "inverse.support_a", "inverse.support_b", "noise.eps", "sweep.support_a",
+        "sweep.support_b", "sweep.K_list", "sweep.eps_list"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -291,6 +341,31 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
         else:
             assert r.error == ""
             assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
+
+
+def test_tsvd_sweep_runs_no_discrepancy_scan(monkeypatch):
+    # TSVD ignores lambda, so a noisy TSVD cell must not pay for a Morozov scan
+    cfg = parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
+        "sweep.n_list = 1,3\nsweep.trials = 1\ninverse.n_basis = 31\n"
+        "inverse.method = tsvd\ninverse.k = 12\n"
+    )
+    clean = run_sweep(cfg)
+    real, calls = cli.morozov_lambda, []
+
+    def counted(*args, **kw):
+        calls.append(args[2])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "morozov_lambda", counted)
+    records = run_sweep(cfg)
+    assert calls == []
+    assert [r.error for r in records] == [""] * 8
+    assert [(r.K, r.eps, r.n, r.method, r.reg_param, r.l2_error, r.seed) for r in records] \
+        == [(c.K, c.eps, c.n, c.method, c.reg_param, c.l2_error, c.seed) for c in clean]
+    # the Tikhonov cells with eps > 0 still take their lambda from the scan
+    run_sweep(replace(cfg, method="tikhonov"))
+    assert calls == [1e-2] * 4
 
 
 def test_main_exit_codes(tmp_path, capsys):

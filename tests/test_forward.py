@@ -212,6 +212,16 @@ def test_derivative_field_consistent():
         assert abs(forward_field_dx(f, med, om, x) - fd) < 1e-5
 
 
+def test_field_and_derivative_refuse_points_outside_the_interval():
+    f, med = SourceSpec.bump(-0.5, 0.5), Medium(1.0, 1.5)
+    for field in (forward_field, forward_field_dx):
+        for x in (-1.5, 1.5):
+            with pytest.raises(ValueError, match="outside"):
+                field(f, med, 2.0, x)
+        with pytest.raises(ValueError, match="omega"):
+            field(f, med, 0.0, 0.3)
+
+
 def test_boundary_csv_roundtrip(tmp_path):
     med = Medium(1.0, 1.5)
     f = SourceSpec.bump(-0.3, 0.6)

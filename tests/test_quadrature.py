@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from helmlayer.model import SourceSpec, split_source
-from helmlayer.quadrature import cell_rule, composite_rule, gauss_rule
+from helmlayer import inverse
+from helmlayer.forward import source_rule
+from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
+from helmlayer.quadrature import _segment_rule, composite_rule, gauss_rule
 
 
 def test_gauss_rule_basics():
@@ -69,12 +71,72 @@ def test_flat_ends_narrow_the_edge_panels_of_a_bump():
 def test_cell_rule_integrates_piecewise_linear_exactly():
     edges = np.array([0.0, 0.25, 0.4, 0.8, 1.0])
     vals = np.array([0.0, 1.0, -0.5, 2.0, 0.0])
-    y, w = cell_rule(edges, osc_rate=0.0, nodes=4)
+    y, w = composite_rule(edges[0], edges[-1], edges[1:-1], 0.0, base_panels=1, nodes=4)
     got = np.sum(w * np.interp(y, edges, vals))
     exact = np.trapezoid(vals, edges)
     assert abs(got - exact) < 1e-14
-    with pytest.raises(ValueError):
-        cell_rule(np.array([1.0, 0.5]))
+
+
+def _cell_rule(edges, osc_rate=0.0, nodes=6):
+    """The per-cell rule the package once had beside ``composite_rule``:
+    one panel per cell, refined only if the phase advance within a cell
+    exceeds 2."""
+    edges = np.asarray(edges, dtype=float)
+    gx, gw = gauss_rule(nodes)
+    xs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panels = max(1, int(np.ceil(abs(osc_rate) * (hi - lo) / 2.0)))
+        x, w = _segment_rule(lo, hi, panels, gx, gw)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def test_grid_source_rules_match_the_cell_rule_bits():
+    rng = np.random.default_rng(11)
+    sources = [SourceSpec.from_grid(np.linspace(-0.7, 0.8, 41), rng.standard_normal(41)),
+               SourceSpec.from_grid(np.sort(rng.uniform(-0.9, 0.9, 30)), rng.standard_normal(30)),
+               SourceSpec.from_grid(np.linspace(0.1, 0.6, 9), rng.standard_normal(9))]
+    for f in sources:
+        pair = split_source(f)
+        for src in (f, pair.f1, pair.f2):
+            if src.support is None:
+                continue
+            lo, hi = src.support
+            for extra in ((), (0.13,), (-0.41, 0.2, 0.55)):
+                for rate, nodes in ((0.0, 16), (13.0, 16), (240.0, 8)):
+                    breaks = set(src.breakpoints) | {t for t in extra if lo < t < hi}
+                    if lo < 0.0 < hi:
+                        breaks.add(0.0)
+                    edges = np.unique(np.concatenate([[lo, hi], sorted(breaks)]))
+                    ref = _cell_rule(edges, rate, max(4, nodes // 2))
+                    got = source_rule(src, rate, extra, nodes=nodes)
+                    assert all(np.array_equal(g.view(np.int64), r.view(np.int64))
+                               for g, r in zip(got, ref))
+
+
+def test_operator_matches_the_cell_rule_bits(monkeypatch):
+    # the nodes and weighted hats assemble_operator hands to the endpoint
+    # map, on the default support (a node at 0), on one without a node at
+    # 0, where the cell holding 0 is split there, and on one beside 0
+    medium, grid = Medium(1.0, 1.5), FrequencyGrid.uniform(20.0, 40)
+    real, seen = inverse._endpoint_map, []
+
+    def spy(om, y, weights, med):
+        seen.append((y, weights))
+        return real(om, y, weights, med)
+
+    monkeypatch.setattr(inverse, "_endpoint_map", spy)
+    for n_basis, (a, b) in ((201, (-0.95, 0.95)), (81, (-0.9, 0.93)), (41, (0.05, 0.9))):
+        inverse.assemble_operator(medium, grid, n_basis, (a, b))
+        edges = np.linspace(a, b, n_basis + 2)
+        cells = np.union1d(edges, [0.0]) if a < 0.0 < b else edges
+        y, w = _cell_rule(cells, medium.c_max * float(grid.omegas[-1]), 6)
+        hats = np.clip(1.0 - np.abs((y[:, None] - edges[None, 1:-1]) / (edges[1] - edges[0])),
+                       0.0, None) * w[:, None]
+        assert np.array_equal(seen[-1][0].view(np.int64), y.view(np.int64))
+        assert np.array_equal(seen[-1][1].view(np.int64), hats.view(np.int64))
+    assert len(seen[1][0]) == 6 * 83  # 82 cells, one of them split at 0
 
 
 def test_composite_rule_validation():
