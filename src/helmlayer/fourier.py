@@ -10,12 +10,22 @@ experiments.
 
 Every transform is one exponential sum over a composite Gauss-Legendre
 rule, a run of panels of q nodes.  A node is its panel's midpoint m_p
-plus an offset d_q that all panels of one width share, so over those
-panels  sum fw e^{-i xi y} = sum_q e^{-i xi d_q} sum_p e^{-i xi m_p} F_pq:
-one exponential per (argument, panel) and per (argument, offset) and a
-matrix product, instead of one per (argument, node).  The identity is
-exact; it changes only the rounding.  Weight columns ride along: the
-product takes every column of fw at once, for one table.
+plus an offset d_q that all panels of one width share.  The arguments
+are panels as well when they come as a 2-D array: row r holds the
+arguments X_r + x_k, its midpoint plus offsets that all rows of one
+width share.  A composite rule in omega reshaped to (panels, nodes) is
+such an array, and so is any multiple of one (c omega, s t).  Over a
+run of node panels and a run of argument rows the phase splits exactly,
+
+    sum_pq F_pq e^{-i (X_r + x_k)(m_p + d_q)}
+        = sum_q e^{-i X_r d_q} e^{-i x_k d_q} sum_p e^{-i X_r m_p} (e^{-i x_k m_p} F_pq),
+
+into four small tables (R x P, qa x P, R x q and qa x q for R rows of
+qa arguments and P panels of q nodes) and one matrix product, (R x P)
+times (P x qa q), instead of one exponential per (argument, node).  A
+1-D argument array is the case of one argument a row, x_k = 0.  The
+identity is exact; it changes only the rounding.  Weight columns ride
+along: the product takes every column of fw at once, for one table.
 
 The endpoint amplitudes need, on each side, fhat at +-c omega (c the
 side's speed) and, for the kernel-conjugate partner G, the transform of
@@ -79,11 +89,15 @@ def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
                      paired=False):
     """Half-line transform on an array of (possibly complex) arguments.
 
-    One quadrature rule resolved at max |Re xi| serves all arguments;
-    evaluation is chunked, ``chunk`` arguments at a time, to bound the
-    size of the exponential tables.  With ``paired`` the result gains a
-    trailing axis of two, the transforms of f_side and of conj f_side
-    from the same table; the second, conjugated, is fhat_side(-conj xi).
+    One quadrature rule resolved at max |Re xi| serves all arguments.
+    A 2-D ``xis`` is read as argument panels, one a row (see the module
+    docstring): any 2-D array gives the same sums, at the least cost
+    when its rows share their offsets from their midpoints.  Evaluation
+    takes whole rows, at most ``chunk`` arguments in all (one row if it
+    is longer), at a time, to bound the size of the tables.  With
+    ``paired`` the result gains a trailing axis of two, the transforms
+    of f_side and of conj f_side from the same sum; the second,
+    conjugated, is fhat_side(-conj xi).
     """
     xis = np.asarray(xis, dtype=complex)
     src = _side_source(pair, side)
@@ -95,32 +109,56 @@ def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
     fw = w * src(y)
     if paired:
         fw = np.stack([fw, np.conj(fw)], axis=-1)
-    return _expsum(y, fw, xis.ravel(), _panel_nodes(src, nodes), chunk).reshape(shape)
+    panels = xis if xis.ndim == 2 else xis.reshape(-1, 1)
+    return _expsum(y, fw, panels, _panel_nodes(src, nodes), chunk).reshape(shape)
 
 
 def _expsum(y, fw, xis, q, chunk):
-    """sum_j fw_j exp(-i xi y_j) for every xi and every trailing column
-    of fw, over a rule made of panels of q consecutive nodes, factored
-    panel by panel as the module docstring says.
+    """sum_j fw_j exp(-i xi y_j) for every xi of the 2-D array ``xis``
+    and every trailing column of fw, over a rule made of panels of q
+    consecutive nodes, factored on both sides as the module docstring
+    says: the rows of ``xis`` are the argument panels.
 
-    A run of consecutive panels whose offsets agree to within the
-    rounding of the nodes shares one offset table.  A panel of a width
-    of its own (a grid cell) is a run of one, at q + 1 exponentials per
-    argument where the plain sum takes q.
+    Consecutive panels whose offsets agree to within the rounding of
+    their points form a run and share one offset table, on either side.
+    A panel of offsets of its own (a grid cell, a row of arbitrary
+    arguments) is a run of one.
     """
-    Y = y.reshape(-1, q)
-    F = fw.reshape(len(Y), -1)  # panel p holds fw[p*q:(p+1)*q, ...] row-major
-    mids = 0.5 * (Y[:, 0] + Y[:, -1])
-    offs = Y - mids[:, None]
-    width = np.round(offs[:, -1] / (8.0 * np.finfo(float).eps * np.max(np.abs(y))))
-    cuts = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), len(width)]
-    res = np.zeros((len(xis), F.shape[1] // q), dtype=complex)
-    for i in range(0, len(xis), chunk):
-        a = -1j * xis[i:i + chunk]
+    mids, offs, cuts = _runs(y.reshape(-1, q))
+    F = fw.reshape(len(mids), q, -1)  # panel p holds fw[p*q:(p+1)*q, ...] row-major
+    xmids, xoffs, xcuts = _runs(xis)
+    qa, cols = xis.shape[1], F.shape[2]
+    step = max(1, chunk // qa)
+    res = np.zeros((len(xis), qa, cols), dtype=complex)
+    for alo, ahi in zip(xcuts[:-1], xcuts[1:]):
+        b = -1j * xoffs[alo]
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            T = (_exp_table(a, mids[lo:hi]) @ F[lo:hi]).reshape(len(a), q, -1)
-            res[i:i + chunk] += np.einsum("ijc,ij->ic", T, _exp_table(a, offs[lo]))
+            # row p holds fw_pq e^{-i x_k m_p} over (k, q, column)
+            G = (_exp_table(mids[lo:hi], b)[:, :, None, None] * F[lo:hi, None]).reshape(
+                hi - lo, -1)
+            inner = _exp_table(b, offs[lo])
+            for i in range(alo, ahi, step):
+                a = -1j * xmids[i:min(i + step, ahi)]
+                T = (_exp_table(a, mids[lo:hi]) @ G).reshape(len(a), qa, q, cols)
+                phase = _exp_table(a, offs[lo])[:, None, :] * inner
+                res[i:i + len(a)] += np.einsum("rkqc,rkq->rkc", T, phase)
     return res.reshape(xis.shape + fw.shape[1:])
+
+
+def _runs(v):
+    """Midpoints, offsets and run bounds of the panels (rows) of v.
+
+    A run is a stretch of consecutive panels whose offsets from their
+    midpoints each agree with the previous panel's to within
+    8 eps max |v|; all panels of a run share its first panel's offsets.
+    Comparing neighbours, not rounded widths, keeps a run whole when its
+    widths sit at a rounding boundary, and an all-zero v is one run.
+    """
+    mids = 0.5 * (v[:, 0] + v[:, -1])
+    offs = v - mids[:, None]
+    tol = 8.0 * np.finfo(float).eps * np.max(np.abs(v))
+    jumps = np.flatnonzero(np.max(np.abs(np.diff(offs, axis=0)), axis=1) > tol)
+    return mids, offs, [0, *(jumps + 1).tolist(), len(v)]
 
 
 def _exp_table(a, y):
@@ -129,7 +167,7 @@ def _exp_table(a, y):
     return np.exp(out, out=out)
 
 
-def plancherel_residual(pair, xi_max, n_xi, nodes=16):
+def plancherel_residual(pair, xi_max, n_xi):
     """|  ||f1||^2 + ||f2||^2  -  (1/2pi) int_{-xi_max}^{xi_max} (|fhat1|^2 + |fhat2|^2) |.
 
     The transform-side integral is a trapezoid rule on n_xi equispaced
@@ -140,39 +178,46 @@ def plancherel_residual(pair, xi_max, n_xi, nodes=16):
     xis = np.linspace(-xi_max, xi_max, n_xi)
     total = 0.0
     for side in ("right", "left"):
-        vals = halfline_ft_many(pair, side, xis, nodes=nodes)
+        vals = halfline_ft_many(pair, side, xis)
         total += float(np.trapezoid(np.abs(vals) ** 2, xis))
-    norms = l2_norm_sq(pair.f1, nodes=nodes) + l2_norm_sq(pair.f2, nodes=nodes)
+    norms = l2_norm_sq(pair.f1) + l2_norm_sq(pair.f2)
     return abs(norms - total / (2.0 * np.pi))
 
 
 def _endpoint_amplitudes(pair, medium, omegas, nodes=16):
     """F and its kernel-conjugate partner G at both endpoints, keyed
     (endpoint, conjugate), from one paired table per side (two for
-    complex omega).
+    complex omega).  A 2-D ``omegas`` reaches the sums as panels.
 
     Row (e, coeff, side, rate, phase) adds coeff e^{i phase omega}
     fhat(-rate omega) to F_e and coeff e^{-i phase omega}
     (conj f)^(rate omega) to G_e.
     """
     omegas = np.asarray(omegas, dtype=complex)
-    om = omegas.ravel()
+    om = omegas if omegas.ndim == 2 else omegas.reshape(-1, 1)
     n, real = len(om), not np.any(om.imag)
-    out = {(e, g): np.zeros(n, dtype=complex) for e in ("minus", "plus") for g in (False, True)}
+    rows = _endpoint_rows(medium)
+    # e^{+-i phase omega} for the two phases c1 and c2; for real omega
+    # the minus sign is the conjugate
+    rot = {}
+    for phase in {row[4] for row in rows}:
+        rot[phase, 1.0] = np.exp(1j * phase * om)
+        rot[phase, -1.0] = np.conj(rot[phase, 1.0]) if real else np.exp(-1j * phase * om)
+    out = {(e, g): np.zeros(om.shape, dtype=complex)
+           for e in ("minus", "plus") for g in (False, True)}
     for side, speed in (("right", medium.c1), ("left", medium.c2)):
         xi = speed * om
         vals = halfline_ft_many(pair, side, xi if real else np.concatenate([xi, np.conj(xi)]),
                                 nodes=nodes, paired=True)
         mirror = vals if real else vals[n:]
         # the transforms of f (False) and of conj f (True) at +xi and -xi
-        fts = {(1.0, False): vals[:n, 0], (1.0, True): vals[:n, 1],
-               (-1.0, False): np.conj(mirror[:, 1]), (-1.0, True): np.conj(mirror[:, 0])}
-        for e, coeff, row_side, rate, phase in _endpoint_rows(medium):
+        fts = {(1.0, False): vals[:n, ..., 0], (1.0, True): vals[:n, ..., 1],
+               (-1.0, False): np.conj(mirror[..., 1]), (-1.0, True): np.conj(mirror[..., 0])}
+        for e, coeff, row_side, rate, phase in rows:
             if row_side != side:
                 continue
             for g, sgn in ((False, 1.0), (True, -1.0)):
-                out[e, g] = out[e, g] + (coeff * np.exp(sgn * 1j * phase * om)
-                                         * fts[-sgn * np.sign(rate), g])
+                out[e, g] = out[e, g] + coeff * rot[phase, sgn] * fts[-sgn * np.sign(rate), g]
     return {key: val.reshape(omegas.shape) for key, val in out.items()}
 
 
@@ -209,9 +254,9 @@ def data_energy(f, medium, s, n_quad=16):
     s = float(np.real(s))
     pair = split_source(f)
     om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max, nodes=n_quad)
-    amps = _endpoint_amplitudes(pair, medium, om, nodes=n_quad)
-    i1 = float(np.sum(w * np.abs(amps["minus", False]) ** 2))
-    i2 = float(np.sum(w * np.abs(amps["plus", False]) ** 2))
+    amps = _endpoint_amplitudes(pair, medium, om.reshape(-1, n_quad), nodes=n_quad)
+    i1 = float(np.sum(w * np.abs(amps["minus", False].ravel()) ** 2))
+    i2 = float(np.sum(w * np.abs(amps["plus", False].ravel()) ** 2))
     return DataEnergy(complex(s), complex(i1), complex(i2))
 
 
@@ -227,8 +272,8 @@ def data_energy_analytic(f, medium, s, n_quad=16):
         raise ValueError("continuation requires Re(s) > 0")
     pair = split_source(f)
     t, w = composite_rule(0.0, 1.0, osc_rate=4.0 * medium.c_max * abs(s), nodes=n_quad)
-    amps = _endpoint_amplitudes(pair, medium, s * t, nodes=n_quad)
-    vals = [s * np.sum(w * amps[e, False] * amps[e, True]) for e in ("minus", "plus")]
+    amps = _endpoint_amplitudes(pair, medium, (s * t).reshape(-1, n_quad), nodes=n_quad)
+    vals = [s * np.sum(w * (amps[e, False] * amps[e, True]).ravel()) for e in ("minus", "plus")]
     return DataEnergy(s, complex(vals[0]), complex(vals[1]))
 
 

@@ -53,6 +53,7 @@ class ForwardOperator:
 
     def __post_init__(self):
         self._svd = None
+        self._projection = None
 
     @property
     def n_basis(self):
@@ -73,6 +74,18 @@ class ForwardOperator:
                 f"data has {len(data.grid)} frequencies, operator expects {len(self.grid)}"
             )
         return np.concatenate([data.u_minus, data.u_plus]) * self.row_weights
+
+    def _projected(self, data):
+        """Weighted data d and its SVD coordinates U^H d, kept for the
+        last ``data`` seen (``BoundaryData`` is frozen, its arrays
+        read-only), so that a discrepancy scan and the solve after it
+        project the data once."""
+        last = self._projection
+        if last is None or last[0] is not data:
+            U = self.svd()[0]
+            d = self.weighted_data(data)
+            last = self._projection = (data, d, _project(U, d))
+        return last[1], last[2]
 
     def boundary_data(self, coeffs):
         """Unweighted endpoint data predicted for a coefficient vector."""
@@ -156,8 +169,8 @@ def _filtered_solve(op, data, filt):
     """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
     holds one filter value per singular value."""
     U, S, Vh = op.svd()
-    d = op.weighted_data(data)
-    coeffs = (Vh.conj().T * filt) @ _project(U, d)
+    d, beta = op._projected(data)
+    coeffs = (Vh.conj().T * filt) @ beta
     residual = float(np.linalg.norm(op.matrix @ coeffs - d))
     return coeffs, residual
 
@@ -199,8 +212,7 @@ def _tikhonov_residuals(op, data, ladder):
     so one projection of the data serves the whole ladder.
     """
     U, S, _ = op.svd()
-    d = op.weighted_data(data)
-    beta = _project(U, d)
+    d, beta = op._projected(data)
     perp = np.linalg.norm(d - U @ beta) ** 2
     lam2 = np.asarray(ladder, dtype=float)[:, None] ** 2
     return np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)

@@ -321,7 +321,7 @@ def split_source(spec):
     return SourcePair(HalfSource(spec, "right"), HalfSource(spec, "left"))
 
 
-def l2_norm_sq(source, nodes=16, base_panels=8):
+def l2_norm_sq(source):
     """Squared L2 norm of a SourceSpec or HalfSource over its support."""
     from .quadrature import composite_rule
 
@@ -329,8 +329,7 @@ def l2_norm_sq(source, nodes=16, base_panels=8):
     if sup is None:
         return 0.0
     lo, hi = sup
-    y, w = composite_rule(lo, hi, source.breakpoints, 0.0, base_panels, nodes,
-                          source.flat_ends)
+    y, w = composite_rule(lo, hi, source.breakpoints, 0.0, 8, 16, source.flat_ends)
     return float(np.sum(w * np.abs(source(y)) ** 2))
 
 
@@ -356,11 +355,11 @@ def discrete_sobolev_norm(values, h, n):
     return float(np.sqrt(total))
 
 
-def sobolev_norm(spec, n, num_nodes=2049):
+def sobolev_norm(spec, n):
     """Discrete H^n norm of a source.
 
     Grid sources use their own (uniform) sample grid; other kinds are
-    sampled on num_nodes equispaced interior points of (-1, 1).
+    sampled on 2049 equispaced interior points of (-1, 1).
     """
     if spec.kind == "grid":
         x = spec.x_grid
@@ -368,11 +367,11 @@ def sobolev_norm(spec, n, num_nodes=2049):
         if not np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
             raise ValueError("sobolev_norm requires a uniform grid source")
         return discrete_sobolev_norm(spec.samples * spec.amplitude, float(steps[0]), n)
-    x = np.linspace(-1.0, 1.0, num_nodes + 2)[1:-1]
+    x = np.linspace(-1.0, 1.0, 2051)[1:-1]
     return discrete_sobolev_norm(spec(x), float(x[1] - x[0]), n)
 
 
-def class_membership(spec, n, M, num_nodes=2049):
+def class_membership(spec, n, M):
     """True when the discrete H^n norm is at most M.
 
     Compact support strictly inside (-1, 1) is structural for every
@@ -381,4 +380,4 @@ def class_membership(spec, n, M, num_nodes=2049):
     """
     if M <= 0:
         raise ValueError("M must be positive")
-    return sobolev_norm(spec, n, num_nodes=num_nodes) <= M
+    return sobolev_norm(spec, n) <= M

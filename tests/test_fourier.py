@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,22 @@ def test_halfline_ft_many_band_top_accuracy():
     y, w = source_rule(pair.f2, float(np.max(xis)), nodes=8)
     ref = _longdouble_sum(y, w * pair.f2(y), xis)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+
+def test_zero_arguments_raise_no_warning():
+    # every point of an all-zero argument array is the same, so its
+    # panels are one run, found without dividing by max |xi| = 0
+    pair = _pair(SourceSpec.bump(-0.4, 0.5, 1.0 - 0.5j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for side, src in (("right", pair.f1), ("left", pair.f2)):
+            y, w = source_rule(src, 0.0)
+            total = np.sum(w * src(y))
+            assert abs(halfline_ft(pair, side, 0.0) - total) <= 1e-14 * abs(total)
+            for zeros in (np.zeros(5), np.zeros((3, 4))):
+                got = halfline_ft_many(pair, side, zeros, paired=True)
+                assert got.shape == zeros.shape + (2,)
+                assert np.all(np.abs(got - [total, np.conj(total)]) <= 1e-14 * abs(total))
 
 
 def test_halfline_ft_scalar_matches_many():

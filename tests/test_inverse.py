@@ -9,8 +9,8 @@ import pytest
 from helmlayer.cli import RunConfig, build_grid
 from helmlayer.forward import BoundaryData, boundary_sweep
 from helmlayer.fourier import epsilon_norm
-from helmlayer.inverse import (_filtered_solve, _project, _tikhonov_residuals,
-                               add_noise, assemble_operator, morozov_lambda,
+from helmlayer.inverse import (ForwardOperator, _filtered_solve, _project,
+                               _tikhonov_residuals, add_noise, assemble_operator, morozov_lambda,
                                recon_error, reconstruct_homogeneous,
                                reconstruct_tikhonov, reconstruct_tsvd)
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
@@ -260,6 +260,35 @@ def test_layered_recovery_sanity():
     rec = reconstruct_tikhonov(op, data, 1e-6)
     rel = recon_error(rec, f) / np.sqrt(l2_norm_sq(f))
     assert rel <= 5e-2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_scan_and_solve_project_the_data_once(monkeypatch):
+    # the discrepancy scan and the Tikhonov solve after it read one
+    # projection of their data, and new data is projected afresh; the
+    # solve is the one an operator that projects every time gives
+    op, fresh = _operator(), _operator()
+    clean = op.boundary_data(_gridded_bump(op))
+    seen = []
+    weighted_data = ForwardOperator.weighted_data
+
+    def counted(self, data):
+        seen.append((self, data))
+        return weighted_data(self, data)
+
+    monkeypatch.setattr(ForwardOperator, "weighted_data", counted)
+    for seed in (1, 2, 2):
+        data = add_noise(clean, 1e-3, seed)
+        lam = morozov_lambda(op, data, 1e-3)
+        rec = reconstruct_tikhonov(op, data, lam)
+        assert [d for o, d in seen if o is op][-1] is data
+        fresh._projection = None
+        assert lam == morozov_lambda(fresh, data, 1e-3)
+        fresh._projection = None
+        ref = reconstruct_tikhonov(fresh, data, lam)
+        assert np.array_equal(_bits(rec.f_est.samples), _bits(ref.f_est.samples))
+        assert rec.residual == ref.residual
+    assert sum(o is op for o, _ in seen) == 3
 
 
 def _bits(a):

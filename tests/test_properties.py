@@ -24,6 +24,7 @@ from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator
                                morozov_lambda, reconstruct_tikhonov)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
                              split_source)
+from helmlayer.quadrature import composite_rule
 
 speeds = st.floats(0.5, 2.0)
 omegas = st.floats(0.1, 20.0)
@@ -140,6 +141,43 @@ def test_halfline_sum_matches_dense_sum(f, side, nodes, xis, paired):
     # sum_j |fw_j e^{-i xi y_j}|, which is sum_j |fw_j| for real xi
     scale = np.abs(phases) @ np.abs(fw)
     assert np.all(np.abs(got - phases @ fw) <= 1e-12 * scale)
+
+
+@st.composite
+def argument_panels(draw):
+    # a composite rule over [0, top], cut at up to three points so that
+    # its panels come in runs of different widths, read as (panels,
+    # nodes) and scaled by a real or complex factor, as c omega and s t
+    # are in the band energies
+    top = draw(st.floats(0.5, 40.0))
+    cuts = [top * c for c in draw(st.lists(st.floats(0.0, 1.0), max_size=3))]
+    qa = draw(st.sampled_from([1, 2, 5, 8, 16]))
+    t, _ = composite_rule(0.0, top, cuts, draw(st.floats(0.0, 2.0)),
+                          base_panels=draw(st.integers(1, 4)), nodes=qa)
+    angle = draw(st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
+    return (draw(st.floats(0.5, 2.5)) * np.exp(1j * angle) * t).reshape(-1, qa)
+
+
+@settings(max_examples=120, deadline=None)
+@given(straddling_sources(), st.sampled_from(["right", "left"]),
+       st.sampled_from([4, 8, 16]), argument_panels(), st.booleans(),
+       st.sampled_from([1, 7, 64, 4096]))
+def test_two_sided_sum_matches_dense_sum(f, side, nodes, xis, paired, chunk):
+    # the sum factored over argument panels as well as node panels
+    # against the node-by-node sum over the same rule, argument by
+    # argument; a chunk shorter than a row still takes whole rows
+    pair = split_source(f)
+    src = pair.f1 if side == "right" else pair.f2
+    y, w = source_rule(src, float(np.max(np.abs(xis.real))), nodes=nodes)
+    phases = np.exp(-1j * np.outer(xis.ravel(), y))
+    fw = w * src(y)
+    if paired:
+        fw = np.stack([fw, np.conj(fw)], axis=-1)
+    got = halfline_ft_many(pair, side, xis, nodes=nodes, chunk=chunk, paired=paired)
+    assert got.shape == xis.shape + fw.shape[1:]
+    want = (phases @ fw).reshape(got.shape)
+    scale = (np.abs(phases) @ np.abs(fw)).reshape(got.shape)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 def _conjugate(f):
