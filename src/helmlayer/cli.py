@@ -258,9 +258,9 @@ def _random_medium(rng):
     return Medium(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
 
 
-def _random_source(rng, lo=-0.9, hi=0.9):
+def _random_source(rng):
     width = rng.uniform(0.2, 0.5)
-    center = rng.uniform(lo + width / 2 + 0.02, hi - width / 2 - 0.02)
+    center = rng.uniform(-0.9 + width / 2 + 0.02, 0.9 - width / 2 - 0.02)
     amp = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     kind = rng.integers(0, 3)
     a, b = center - width / 2, center + width / 2

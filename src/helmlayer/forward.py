@@ -4,9 +4,12 @@ The primary path evaluates u(x, omega) = int_{-1}^{1} g(x, y) f(y) dy by
 composite Gauss-Legendre quadrature (so u solves u'' + kappa^2 u = -f
 with the outgoing endpoint conditions).  ``fd_oracle`` is an independent
 second-order finite-difference discretization of the same boundary value
-problem used to cross-check the quadrature path.  ``interface_traces``
-and ``check_radiation`` verify the exact interface and radiation
-identities that the multi-frequency data analysis rests on.
+problem used to cross-check the quadrature path.  Eliminating one entry
+of each one-sided boundary row leaves its system tridiagonal, solved
+without row exchanges (``test_fd_oracle_matches_dense_solve`` holds it
+to ``np.linalg.solve``).  ``interface_traces`` and ``check_radiation``
+verify the exact interface and radiation identities that the
+multi-frequency data analysis rests on.
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
 operator columns of ``inverse.assemble_operator``) come from one map,
@@ -247,15 +250,16 @@ def boundary_sweep(f, medium, grid, base_panels=8):
 def fd_oracle(f, medium, omega, nodes):
     """Second-order finite-difference solve of u'' + kappa^2 u = -f.
 
-    ``nodes`` counts intervals of the uniform grid on [-1, 1] and must be
-    even so x = 0 is a grid node (the interface node uses the mean of the
-    one-sided kappa^2 values).  The outgoing conditions are closed with
-    one-sided second-order stencils; the banded complex system is solved
-    directly.  Returns (x, u).  scipy.linalg is imported here, on the first
-    call, so that importing helmlayer does not load scipy.
+    ``nodes`` = n counts intervals of the uniform grid on [-1, 1] and must
+    be even so x = 0 is a node (where kappa^2 is the mean of its one-sided
+    values).  Row 0 < j < n is (u[j-1] - 2 u[j] + u[j+1]) / h^2 + kappa^2
+    u[j] = -f(x[j]); the outgoing rows are (-3 u[0] + 4 u[1] - u[2]) / (2h)
+    + i k2 u[0] = 0 and (u[n-2] - 4 u[n-1] + 3 u[n]) / (2h) - i k1 u[n] = 0.
+    Each boundary row's third entry is eliminated with its neighbour, whose
+    entry there is 1/h^2, and the tridiagonal rest is solved by forward
+    elimination and back substitution without row exchanges
+    (``test_fd_oracle_matches_dense_solve``).  Returns (x, u).
     """
-    from scipy.linalg import solve_banded
-
     if nodes < 64:
         raise ValueError("need at least 64 intervals")
     if nodes % 2:
@@ -263,32 +267,28 @@ def fd_oracle(f, medium, omega, nodes):
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     k1, k2 = wavenumbers(medium, omega)
-    x = np.linspace(-1.0, 1.0, nodes + 1)
-    h = 2.0 / nodes
+    n, h = nodes, 2.0 / nodes
+    x = np.linspace(-1.0, 1.0, n + 1)
     ksq = np.where(x > 0, k1 ** 2, k2 ** 2).astype(complex)
-    ksq[nodes // 2] = 0.5 * (k1 ** 2 + k2 ** 2)
-
-    n_pts = nodes + 1
-    ab = np.zeros((5, n_pts), dtype=complex)  # two bands each side
-    rhs = np.zeros(n_pts, dtype=complex)
-    idx = np.arange(1, nodes)
-    ab[2, idx] = ksq[idx] - 2.0 / h ** 2
-    ab[1, idx + 1] = 1.0 / h ** 2
-    ab[3, idx - 1] = 1.0 / h ** 2
-    rhs[idx] = -f(x[idx])
-    # u'(-1) + i k2 u(-1) = 0
-    ab[2, 0] = -3.0 / (2.0 * h) + 1j * k2
-    ab[1, 1] = 4.0 / (2.0 * h)
-    ab[0, 2] = -1.0 / (2.0 * h)
-    # u'(1) - i k1 u(1) = 0
-    ab[2, n_pts - 1] = 3.0 / (2.0 * h) - 1j * k1
-    ab[3, n_pts - 2] = -4.0 / (2.0 * h)
-    ab[4, n_pts - 3] = 1.0 / (2.0 * h)
+    ksq[n // 2] = 0.5 * (k1 ** 2 + k2 ** 2)
+    # row j: lower[j] u[j-1] + diag[j] u[j] + upper[j] u[j+1] = rhs[j]
+    lower, upper = [1.0 / h ** 2] * (n + 1), [1.0 / h ** 2] * (n + 1)
+    diag = (ksq - 2.0 / h ** 2).tolist()
+    rhs = [0j] + np.asarray(-f(x[1:-1]), dtype=complex).tolist() + [0j]
+    c = -0.5 * h  # row 0 - c * row 1 drops u[2]; row n + c * row n-1 drops u[n-2]
+    diag[0], upper[0], rhs[0] = 1j * k2 - 1.0 / h, 2.0 / h - c * diag[1], -c * rhs[1]
+    lower[n], diag[n], rhs[n] = c * diag[n - 1] - 2.0 / h, 1.0 / h - 1j * k1, c * rhs[n - 1]
     try:
-        u = solve_banded((2, 2), ab, rhs)
-    except np.linalg.LinAlgError as exc:
+        for j in range(1, n + 1):
+            m = lower[j] / diag[j - 1]
+            diag[j] -= m * upper[j - 1]
+            rhs[j] -= m * rhs[j - 1]
+        rhs[n] /= diag[n]
+        for j in range(n - 1, -1, -1):
+            rhs[j] = (rhs[j] - upper[j] * rhs[j + 1]) / diag[j]
+    except ZeroDivisionError as exc:
         raise RuntimeError(f"singular finite-difference system at omega={omega}, nodes={nodes}") from exc
-    return x, u
+    return x, np.array(rhs)
 
 
 @dataclass(frozen=True)

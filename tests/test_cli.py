@@ -461,27 +461,28 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
-def test_requests_run_without_scipy(tmp_path):
-    # scipy is loaded only by the finite-difference oracle, so importing
-    # the package and serving forward and reconstruct requests on a
-    # B-spline source leave it unloaded
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # helmlayer needs numpy alone: importing the package, verify on the
+    # default config, forward and reconstruct on a B-spline source and a
+    # small sweep leave scipy unloaded
     cfg = tmp_path / "run.cfg"
     cfg.write_text("source.kind = bspline\nsource.order = 3\nfrequency.K = 10\n"
                    "frequency.n_omega = 60\ninverse.n_basis = 41\n")
+    sweep_cfg = tmp_path / "sweep.cfg"
+    sweep_cfg.write_text("frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
+                         "sweep.n_list = 1,2\nsweep.trials = 2\ninverse.n_basis = 31\n")
     script = f"""
 import sys
 import helmlayer
 from helmlayer import cli
+assert cli.main(["verify"]) == 0
 assert cli.main(["forward", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "d.csv")!r}]) == 0
 assert cli.main(["reconstruct", "--config", {str(cfg)!r}, "--data", {str(tmp_path / "d.csv")!r},
                  "--out", {str(tmp_path / "r.csv")!r}]) == 0
+assert cli.main(["sweep", "--config", {str(sweep_cfg)!r}, "--out", {str(tmp_path / "s.csv")!r}]) == 0
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert _run_child(script) == "[]"
 
 
 def _run_child(script, **env):

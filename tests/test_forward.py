@@ -75,6 +75,51 @@ def test_fd_oracle_validation():
         fd_oracle(f, med, 2.0, 129)
 
 
+def _fd_dense(f, med, om, n):
+    # the full five-diagonal system of fd_oracle's docstring, boundary rows
+    # un-eliminated, solved densely with partial pivoting
+    k1, k2 = wavenumbers(med, om)
+    h = 2.0 / n
+    x = np.linspace(-1.0, 1.0, n + 1)
+    ksq = np.where(x > 0, k1 ** 2, k2 ** 2).astype(complex)
+    ksq[n // 2] = 0.5 * (k1 ** 2 + k2 ** 2)
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    b = np.zeros(n + 1, dtype=complex)
+    for j in range(1, n):
+        a[j, j - 1:j + 2] = 1.0 / h ** 2, ksq[j] - 2.0 / h ** 2, 1.0 / h ** 2
+    b[1:-1] = -f(x[1:-1])
+    a[0, :3] = -3.0 / (2 * h) + 1j * k2, 4.0 / (2 * h), -1.0 / (2 * h)
+    a[n, n - 2:] = 1.0 / (2 * h), -4.0 / (2 * h), 3.0 / (2 * h) - 1j * k1
+    return np.linalg.solve(a, b)
+
+
+def test_fd_oracle_matches_dense_solve():
+    rng = np.random.default_rng(2024)
+    for n in (64, 96, 128, 256, 512):
+        for i in range(4):
+            med = Medium(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+            om = rng.uniform(0.5, 12.0)
+            a = rng.uniform(-0.9, 0.3)
+            b = a + rng.uniform(0.2, 0.6)
+            amp = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            # a grid source reaches the boundary rows' right-hand sides
+            samples = rng.normal(size=41) + 1j * rng.normal(size=41)
+            f = (SourceSpec.bump(a, b, amp), SourceSpec.bspline(a, b, 2, amp),
+                 SourceSpec.modulated_bump(a, b, rng.uniform(0.0, 10.0), amp),
+                 SourceSpec.from_grid(np.linspace(-0.999, 0.999, 41), samples))[i]
+            x, u = fd_oracle(f, med, om, n)
+            ref = _fd_dense(f, med, om, n)
+            assert np.array_equal(x, np.linspace(-1.0, 1.0, n + 1))
+            assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_fd_oracle_singular_system_raises(monkeypatch):
+    # kappa = 0 leaves u'' = -f with u'(-1) = u'(1) = 0, a singular system
+    monkeypatch.setattr(forward, "wavenumbers", lambda medium, omega: (0.0, 0.0))
+    with pytest.raises(RuntimeError, match="singular"):
+        fd_oracle(SourceSpec.bump(-0.4, 0.5), Medium(1.0, 1.5), 2.0, 64)
+
+
 def test_boundary_sweep_matches_pointwise_and_scales():
     med = Medium(1.0, 1.5)
     f = SourceSpec.bump(-0.3, 0.6, amplitude=0.5 + 0.25j)
