@@ -563,10 +563,12 @@ def _sweep_band(cfg, medium, support, iK, K):
     live only for this call, so one K's worth is held at a time.
 
     Once the operator is assembled, the sources' clean data and norms are
-    computed on a helper thread (``forward._beside``; at once on one CPU)
-    while the calling thread factors the operator; the cells then run in
-    order on the calling thread.  The SVD stays on the calling thread:
-    run on the helper instead, it raised a sweep's peak memory by 4%.
+    computed on a thread made for them (``forward._beside``; at once on
+    one CPU) while the calling thread factors the operator; their
+    endpoint maps run inline there, so this stage takes two threads.
+    The thread is joined before the cells run in order on the calling
+    thread.  The SVD stays on the calling thread: run on the
+    helper instead, it raised a sweep's peak memory by 4%.
     """
     op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
 

@@ -18,16 +18,14 @@ thread and one helper thread per further CPU the process may run on
 each take the next block until none is left.  The split does not
 depend on the number of workers and every entry is the same arithmetic
 whichever thread computes it, so the worker count never moves a bit.
-The helper pool is made on the first call that needs it: importing the
-module starts no thread, and a forked child makes its own pool.
+Each call makes its helper threads and joins them before it returns:
+importing the module starts no thread, no thread outlives the call
+that made it, and a forked child starts clean.
 
-The same pool carries other work that can run beside the caller
-(``_beside``): a stability-sweep band computes its sources' data there
-while the calling thread factors the band's operator.  A map called from
-a pool thread may find its helpers queued behind the very task that runs
-it, so the map cancels every helper that has not started when it has
-no block left, rather than waiting for it; a map called while the pool
-is busy with other work likewise runs every block itself.
+``_beside`` runs other work on one thread made for it: a stability-sweep
+band computes its sources' data there while the calling thread factors
+the band's operator.  Helpers are spawned from the main thread only; a
+map called off it (the sources' own maps) runs every block itself.
 """
 
 from __future__ import annotations
@@ -77,15 +75,15 @@ class BoundaryData:
         object.__setattr__(self, "u_plus", up)
 
 
-def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
+def source_rule(f, rate, extra_breaks=(), nodes=16):
     """Quadrature rule over the support of f (a source or one half of
     it) resolving kernels that oscillate at most like exp(i rate y).
 
     Splits at the interface, at the source's own breakpoints, and at any
     extra points (e.g. the kink of |x - y|), and narrows the panels at
     the source's flat ends (the edges of a bump).  Grid sources integrate
-    cell by cell (one panel per cell, ``base_panels=1``) instead of with
-    blanket panel counts.
+    cell by cell (one panel per cell, ``base_panels=1``); other sources
+    start from 8 panels per interval.
     """
     sup = f.support
     if sup is None:
@@ -94,7 +92,7 @@ def source_rule(f, rate, extra_breaks=(), nodes=16, base_panels=8):
     # composite_rule drops the points that do not lie inside (lo, hi)
     breaks = {*f.breakpoints, *extra_breaks, 0.0}
     return composite_rule(lo, hi, breaks, osc_rate=rate,
-                          base_panels=1 if _is_grid(f) else base_panels,
+                          base_panels=1 if _is_grid(f) else 8,
                           nodes=_panel_nodes(f, nodes), flat_ends=f.flat_ends)
 
 
@@ -137,39 +135,25 @@ def _cores():
     return os.cpu_count() or 1
 
 
-_pool = None  # (threads, executor) of the helper pool, made on first use
-_pool_lock = threading.Lock()
-
-
-def _helpers(threads):
-    """An executor with at least ``threads`` helper threads, shared by
-    every caller in the process.  concurrent.futures is imported here so
-    that importing helmlayer starts no thread and loads no executor."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="helmlayer"))
-        return _pool[1]
-
-
-def _forget_pool():
-    # a forked child holds none of the parent's threads, so it makes its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _beside(fn):
     """Start ``fn()`` beside the calling thread and return a function
-    that waits for its result.  With more than one CPU, ``fn`` runs on
-    a helper thread; with one, it runs at once, before this returns."""
+    that waits for its result.  With more than one CPU, ``fn`` runs on a
+    thread made for it, which the waiter joins before it returns the
+    result or raises ``fn``'s exception; with one CPU, ``fn`` runs at
+    once, before this returns.  concurrent.futures is imported here and
+    in ``_endpoint_map`` so that importing helmlayer starts no thread
+    and loads no executor."""
     if _cores() > 1:
-        return _helpers(1).submit(fn).result
+        from concurrent.futures import ThreadPoolExecutor
+
+        executor = ThreadPoolExecutor(1, thread_name_prefix="helmlayer")
+        future = executor.submit(fn)
+
+        def wait():
+            executor.shutdown()
+            return future.result()
+
+        return wait
     result = fn()
     return lambda: result
 
@@ -185,11 +169,12 @@ def _endpoint_map(omegas, y, weights, medium, chunk=32768):
     Each block forms its kernel rows g(+-1, y_j; omega) from the layer
     table and multiplies them by the weights, cast to complex once, into
     its own rows of the result.  The calling thread and one helper thread
-    per further CPU each take the next block until none is left, so a
-    thread slowed by other load does not hold the rest back; one block,
-    or one CPU, runs in the calling thread alone.  A helper that has not
-    started by the time the blocks run out is cancelled, not awaited, so
-    a map called from a pool thread never waits on its own pool.
+    per further CPU, made for this call and joined before it returns,
+    each take the next block until none is left, so a thread slowed by
+    other load does not hold the rest back.  One block or one CPU runs
+    in the calling thread alone, and so does a map called off the main
+    thread (a sweep band's sources, say): only the main thread spawns
+    helpers, so helmlayer never runs more threads of its own than CPUs.
 
     The split depends on the frequency count, len(y) and ``chunk`` only,
     and a block is the same computation whichever thread runs it, so the
@@ -223,18 +208,20 @@ def _endpoint_map(omegas, y, weights, medium, chunk=32768):
             u_plus[lo:hi] = _green(1.0, y, medium, blk) @ weights
 
     workers = min(_cores(), n_blocks)
-    pool = _helpers(workers - 1) if workers > 1 else None
-    futures = [pool.submit(run) for _ in range(workers - 1)]
-    try:
+    if workers == 1 or threading.current_thread() is not threading.main_thread():
         run()
-    finally:
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="helmlayer") as helpers:
+            futures = [helpers.submit(run) for _ in range(workers - 1)]
+            run()
         for fut in futures:
-            if not fut.cancel():
-                fut.result()
+            fut.result()  # a helper's exception reaches the caller
     return u_minus, u_plus
 
 
-def boundary_sweep(f, medium, grid, base_panels=8):
+def boundary_sweep(f, medium, grid):
     """Endpoint data u(+-1, omega) for every frequency of the grid.
 
     One quadrature rule resolved at the largest frequency serves the
@@ -242,7 +229,7 @@ def boundary_sweep(f, medium, grid, base_panels=8):
     over the CPUs (``_endpoint_map``) and assembled in grid order.
     """
     om = grid.omegas
-    y, w = source_rule(f, medium.c_max * float(om[-1]), base_panels=base_panels)
+    y, w = source_rule(f, medium.c_max * float(om[-1]))
     u_minus, u_plus = _endpoint_map(om, y, w * f(y), medium)
     return BoundaryData(grid, u_minus, u_plus)
 

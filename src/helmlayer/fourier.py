@@ -85,7 +85,7 @@ def halfline_ft(pair, side, xi):
     return complex(halfline_ft_many(pair, side, xi))
 
 
-def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
+def halfline_ft_many(pair, side, xis, nodes=16, chunk=4096,
                      paired=False):
     """Half-line transform on an array of (possibly complex) arguments.
 
@@ -105,7 +105,7 @@ def halfline_ft_many(pair, side, xis, nodes=16, base_panels=8, chunk=4096,
     if src.support is None or xis.size == 0:
         return np.zeros(shape, dtype=complex)
     scale = float(np.max(np.abs(xis.real)))
-    y, w = source_rule(src, scale, nodes=nodes, base_panels=base_panels)
+    y, w = source_rule(src, scale, nodes=nodes)
     fw = w * src(y)
     if paired:
         fw = np.stack([fw, np.conj(fw)], axis=-1)
@@ -371,18 +371,16 @@ def endpoint_amplitude_bound(f, medium, omega):
     Returns (lhs_minus, rhs_minus, lhs_plus, rhs_plus) where
     lhs = omega^2 |u(-+1, omega)|^2 and rhs is the squared triangle
     bound with the layered coefficients on the half-line transform
-    moduli; lhs <= rhs is exact mathematics, so both sides are resolved
-    a notch finer than the solver defaults (16 base panels, not 8).
+    moduli; lhs <= rhs is exact mathematics.
     """
     pair = split_source(f)
-    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega), base_panels=16)
+    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega))
     rhs = {"minus": 0.0, "plus": 0.0}
     rows = _endpoint_rows(medium)
     for side in ("right", "left"):
         # a side's rows share |rate| = its speed, so one rule serves them
         mine = [row for row in rows if row[2] == side]
-        fts = halfline_ft_many(pair, side, [-rate * omega for _, _, _, rate, _ in mine],
-                               base_panels=16)
+        fts = halfline_ft_many(pair, side, [-rate * omega for _, _, _, rate, _ in mine])
         for (e, coeff, _, _, _), ft in zip(mine, fts):
             rhs[e] += abs(coeff) * abs(ft)
     return (omega ** 2 * abs(data.u_minus[0]) ** 2, rhs["minus"] ** 2,

@@ -494,8 +494,8 @@ def _run_child(script, **env):
 
 
 def test_import_starts_no_thread():
-    # the endpoint map makes its helper pool on first use, not at import,
-    # and a sweep on one CPU never uses it
+    # importing helmlayer starts no thread and loads no executor, and a
+    # sweep on one CPU makes no thread
     script = """
 import sys, threading
 import helmlayer
@@ -505,9 +505,9 @@ forward._cores = lambda: 1
 cli.run_sweep(cli.parse_config_text("frequency.n_omega = 40\\nsweep.K_list = 4,8\\n"
                                     "sweep.eps_list = 0,1e-2\\nsweep.n_list = 1,2\\n"
                                     "sweep.trials = 2\\ninverse.n_basis = 31\\n"))
-print(threading.active_count(), forward._pool is None)
+print(threading.active_count())
 """
-    assert _run_child(script) == "1 False 1 True"
+    assert _run_child(script) == "1 False 1"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helmlayer import forward
+from helmlayer import cli, forward
 from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation, fd_oracle,
                                forward_field, forward_field_dx,
                                interface_traces, read_boundary_csv,
@@ -309,6 +309,21 @@ def test_endpoint_map_independent_of_workers(monkeypatch, n):
         _endpoint_map(om, y, weights, med, 0)
 
 
+def test_no_thread_outlives_its_work(monkeypatch):
+    # helper threads are made per call and joined before it returns or
+    # raises, and a helper's exception reaches the caller
+    monkeypatch.setattr(forward, "_cores", lambda: 2)
+    before = threading.active_count()
+    cli.run_sweep(cli.parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
+        "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n"))
+    assert threading.active_count() == before
+    om, y, (weights, _) = _map_inputs(400)
+    with pytest.raises(ValueError):
+        _endpoint_map(om, y, weights[:-1], Medium(1.0, 1.5), 300)
+    assert threading.active_count() == before
+
+
 def test_endpoint_map_blocks_give_the_single_product():
     # With single-threaded BLAS every split into blocks of two or more
     # rows, on any number of workers, gives the doubles of the one product
@@ -353,7 +368,8 @@ def test_concurrent_callers_get_serial_result(monkeypatch):
     med, grid, fs = _sweeps()
     monkeypatch.setattr(forward, "_cores", lambda: 1)
     serial = [boundary_sweep(f, med, grid) for f in fs]
-    # more workers than cores, and frequent thread switches
+    # more workers than cores, and frequent thread switches; caller 0
+    # runs on the main thread, so its maps make helpers beside caller 1
     monkeypatch.setattr(forward, "_cores", lambda: 3)
     got = [[None] * len(fs) for _ in range(2)]
     start = threading.Barrier(2)
@@ -367,14 +383,13 @@ def test_concurrent_callers_get_serial_result(monkeypatch):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=caller, args=(k,)) for k in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
+        other = threading.Thread(target=caller, args=(1,))
+        other.start()
+        caller(0)
+        other.join(timeout=120)
     finally:
         sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
+    assert not other.is_alive()
     for results in got:
         for d, s in zip(results, serial):
             assert np.array_equal(d.u_minus, s.u_minus) and np.array_equal(d.u_plus, s.u_plus)
@@ -388,13 +403,12 @@ def _sweep_in_child(queue):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method")
-def test_forked_child_makes_its_own_pool(monkeypatch):
-    # the parent's helper threads do not exist in a forked child, which
-    # must not hand its blocks to them
+def test_forked_child_makes_its_own_helpers(monkeypatch):
+    # a forked child holds none of the parent's threads; its maps make
+    # their own helpers and give the parent's result
     monkeypatch.setattr(forward, "_cores", lambda: 2)
     med, grid, fs = _sweeps()
     d = boundary_sweep(fs[0], med, grid)
-    assert forward._pool is not None
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_sweep_in_child, args=(queue,))
@@ -411,12 +425,14 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_endpoint_map_from_pool_threads(workers):
-    # Every helper thread of a fresh pool runs a map, so each map's own
-    # helpers queue behind the maps; a map that waited for them would
-    # never return.  Run in a child, which a hung pool cannot keep alive.
+    # Every thread of an executor runs a map at once; each map runs off
+    # the main thread, so it takes all its blocks itself and must give
+    # the 1-worker result.  Run in a child, which a hung map cannot keep
+    # alive.
     script = f"""
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from helmlayer import forward
 from helmlayer.model import Medium
@@ -428,8 +444,8 @@ w = rng.standard_normal(150) + 1j * rng.standard_normal(150)
 forward._cores = lambda: 1
 ref = forward._endpoint_map(om, y, w, med, 300)
 forward._cores = lambda: {workers}
-pool = forward._helpers({workers} - 1)
-start = threading.Barrier({workers} - 1)  # every pool thread holds a map before any map starts
+pool = ThreadPoolExecutor({workers} - 1)
+start = threading.Barrier({workers} - 1)  # every executor thread holds a map before any map starts
 
 def task():
     start.wait(timeout=30)
