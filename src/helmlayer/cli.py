@@ -20,14 +20,13 @@ from operator import attrgetter
 import numpy as np
 
 from . import model
-from .model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
-                    split_source)
-from .greens import (_endpoint_rows, eval_from_coeffs, green_coeffs_closed,
+from .model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
+from .greens import (eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, green_eval,
                      interface_residuals)
 from .forward import (_beside, boundary_sweep, check_radiation, fd_oracle,
                       forward_field, interface_traces, read_boundary_csv,
-                      source_rule, write_boundary_csv)
+                      write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
                       endpoint_amplitude_bound)
 from .inverse import (add_noise, assemble_operator, morozov_lambda,
@@ -272,7 +271,12 @@ def _random_source(rng):
 
 
 def run_verify(cfg):
-    """Deterministic identity battery.  Returns (report lines, failures)."""
+    """Deterministic identity battery.  Returns (report lines, failures).
+
+    The battery reads only ``cfg.seed``: every check draws its own media,
+    sources and frequencies from it, so configs that differ elsewhere
+    (in medium, say) give the same report.
+    """
     seed = np.random.SeedSequence(cfg.seed)
     checks = []
 
@@ -311,7 +315,8 @@ def run_verify(cfg):
         x, y = rng.uniform(-0.95, 0.95, size=2)
         if min(abs(x), abs(y), abs(x - y)) < 1e-3:
             continue
-        worst = max(worst, abs(green_eval(x, y, med, om) - green_eval(y, x, med, om)))
+        g_xy, g_yx = green_eval([x, y], [y, x], med, om)
+        worst = max(worst, abs(g_xy - g_yx))
         count += 1
     record("greens reciprocity (1000 pairs)", worst, 1e-12)
 
@@ -375,14 +380,8 @@ def run_verify(cfg):
         med = _random_medium(rng)
         om = rng.uniform(0.2, 20.0)
         f = _random_source(rng)
-        pair, l1 = split_source(f), {}
-        for half in (pair.f1, pair.f2):
-            y, w = source_rule(half, 0.0)
-            l1[half.side] = float(np.sum(w * np.abs(half(y))))
-        lm, rm, lp, rp = endpoint_amplitude_bound(f, med, om)
-        for e, lhs, rhs in (("minus", lm, rm), ("plus", lp, rp)):
-            scale = sum(abs(c) * l1[side] for end, c, side, _, _ in _endpoint_rows(med)
-                        if end == e)
+        lm, rm, lp, rp, sm, sp = endpoint_amplitude_bound(f, med, om)
+        for lhs, rhs, scale in ((lm, rm, sm), (lp, rp, sp)):
             worst = max(worst, (np.sqrt(lhs) - np.sqrt(rhs)) / scale)
     record("endpoint amplitude bound violation", worst, 1e-12)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyGrid, split_source, wavenumbers
-from .greens import _green, green_eval, green_dx
+from .greens import _check_omega, _green, green_eval, green_dx
 from .quadrature import composite_rule
 
 __all__ = [
@@ -106,26 +106,35 @@ def _panel_nodes(f, nodes):
     return max(4, nodes // 2) if _is_grid(f) else nodes
 
 
-def _field(kernel, f, medium, omega, x):
-    """int kernel(x, y) f(y) dy for a single evaluation point x in [-1, 1]."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if abs(x) > 1.0:
+def _field(f, medium, omega, xs, kernels):
+    """int kernel(x, y) f(y) dy at every point x of ``xs`` (in [-1, 1]),
+    one array per kernel, all from one rule and one evaluation of f.
+
+    The rule splits at every point inside the support (the kinks of
+    |x - y|), so it is the rule of a single point whenever at most one
+    point lies inside, as for the two endpoints or the interface alone.
+    Each kernel is one call over the whole point set.
+    """
+    _check_omega(omega)
+    xs = np.asarray(xs, dtype=float)
+    if not (np.abs(xs) <= 1.0).all():
         raise ValueError("evaluation point outside [-1, 1]")
-    y, w = source_rule(f, medium.c_max * omega, extra_breaks=(x,))
+    y, w = source_rule(f, medium.c_max * omega, extra_breaks=xs)
     if len(y) == 0:
-        return 0.0 + 0.0j
-    return complex(np.sum(w * kernel(x, y, medium, omega) * f(y)))
+        return [np.zeros(len(xs), dtype=complex) for _ in kernels]
+    fy = f(y)
+    return [np.sum(w * kernel(xs[:, None], y, medium, omega) * fy, axis=-1)
+            for kernel in kernels]
 
 
 def forward_field(f, medium, omega, x):
     """u(x, omega) for a single evaluation point x in [-1, 1]."""
-    return _field(green_eval, f, medium, omega, x)
+    return complex(_field(f, medium, omega, [x], (green_eval,))[0][0])
 
 
 def forward_field_dx(f, medium, omega, x):
     """Analytic derivative u'(x, omega), differentiating g under the integral."""
-    return _field(green_dx, f, medium, omega, x)
+    return complex(_field(f, medium, omega, [x], (green_dx,))[0][0])
 
 
 def _cores():
@@ -251,8 +260,7 @@ def fd_oracle(f, medium, omega, nodes):
         raise ValueError("need at least 64 intervals")
     if nodes % 2:
         raise ValueError("interval count must be even so x = 0 is a node")
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    _check_omega(omega)
     k1, k2 = wavenumbers(medium, omega)
     n, h = nodes, 2.0 / nodes
     x = np.linspace(-1.0, 1.0, n + 1)
@@ -304,14 +312,13 @@ class TraceReport:
 
 
 def interface_traces(f, medium, omega):
-    """Quadrature traces u(0), u'(0) and their transform predictions."""
+    """Quadrature traces u(0), u'(0), from one rule, and their transform
+    predictions."""
     from .fourier import halfline_ft
 
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
+    (u0,), (du0,) = (v.tolist() for v in _field(f, medium, omega, [0.0],
+                                                  (green_eval, green_dx)))
     k1, k2 = wavenumbers(medium, omega)
-    u0 = forward_field(f, medium, omega, 0.0)
-    du0 = forward_field_dx(f, medium, omega, 0.0)
 
     pair = split_source(f)
     f1m = halfline_ft(pair, "right", -k1)
@@ -339,12 +346,11 @@ def interface_traces(f, medium, omega):
 
 
 def check_radiation(f, medium, omega):
-    """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|)."""
+    """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|),
+    both endpoints from one rule."""
+    (um, up), (dum, dup) = (v.tolist() for v in _field(f, medium, omega, [-1.0, 1.0],
+                                                        (green_eval, green_dx)))
     k1, k2 = wavenumbers(medium, omega)
-    um = forward_field(f, medium, omega, -1.0)
-    dum = forward_field_dx(f, medium, omega, -1.0)
-    up = forward_field(f, medium, omega, 1.0)
-    dup = forward_field_dx(f, medium, omega, 1.0)
     return abs(dum + 1j * k2 * um), abs(dup - 1j * k1 * up)
 
 

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _panel_nodes, boundary_sweep, source_rule
-from .greens import _endpoint_rows
+from .forward import _endpoint_map, _panel_nodes, boundary_sweep, source_rule
+from .greens import _check_omega, _endpoint_rows
 from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
@@ -366,25 +366,43 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, d_omega=0.15, nodes=8,
 
 
 def endpoint_amplitude_bound(f, medium, omega):
-    """Both sides of the explicit endpoint amplitude inequality.
+    """Both sides of the explicit endpoint amplitude inequality, and its
+    scale.
 
-    Returns (lhs_minus, rhs_minus, lhs_plus, rhs_plus) where
-    lhs = omega^2 |u(-+1, omega)|^2 and rhs is the squared triangle
-    bound with the layered coefficients on the half-line transform
-    moduli; lhs <= rhs is exact mathematics.
+    Returns (lhs_minus, rhs_minus, lhs_plus, rhs_plus, scale_minus,
+    scale_plus) where lhs = omega^2 |u(-+1, omega)|^2 and rhs is the
+    squared triangle bound with the layered coefficients on the
+    half-line transform moduli; lhs <= rhs is exact mathematics.  The
+    scale is sqrt(rhs) with each |fhat_side| replaced by the
+    ||f_side||_L1 that bounds it.
+
+    One rule over f serves all three.  lhs is its endpoint map, the
+    arithmetic of a one-frequency ``boundary_sweep``: the Green's-kernel
+    quadrature, not the transforms it is checked against.  The rule
+    splits at the interface, so each side's nodes are the rule of that
+    half, over which its transforms and its L1 norm are summed.
     """
-    pair = split_source(f)
-    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega))
-    rhs = {"minus": 0.0, "plus": 0.0}
+    _check_omega(omega)
+    y, w = source_rule(f, medium.c_max * omega)
+    fw = w * f(y)
+    u_minus, u_plus = _endpoint_map(np.array([omega], dtype=float), y, fw, medium)
+    cut = int(np.searchsorted(y, 0.0))
+    rhs, scale = {"minus": 0.0, "plus": 0.0}, {"minus": 0.0, "plus": 0.0}
     rows = _endpoint_rows(medium)
-    for side in ("right", "left"):
-        # a side's rows share |rate| = its speed, so one rule serves them
+    for side, half in (("right", slice(cut, None)), ("left", slice(None, cut))):
         mine = [row for row in rows if row[2] == side]
-        fts = halfline_ft_many(pair, side, [-rate * omega for _, _, _, rate, _ in mine])
+        xis = np.array([[-rate * omega] for _, _, _, rate, _ in mine], dtype=complex)
+        yh, fwh = y[half], fw[half]
+        # the sum halfline_ft_many forms over the half's own rule
+        fts = (_expsum(yh, fwh, xis, _panel_nodes(f, 16), 4096).ravel() if len(yh)
+               else np.zeros(len(mine)))
+        l1 = float(np.sum(np.abs(fwh)))
         for (e, coeff, _, _, _), ft in zip(mine, fts):
             rhs[e] += abs(coeff) * abs(ft)
-    return (omega ** 2 * abs(data.u_minus[0]) ** 2, rhs["minus"] ** 2,
-            omega ** 2 * abs(data.u_plus[0]) ** 2, rhs["plus"] ** 2)
+            scale[e] += abs(coeff) * l1
+    return (omega ** 2 * abs(u_minus[0]) ** 2, rhs["minus"] ** 2,
+            omega ** 2 * abs(u_plus[0]) ** 2, rhs["plus"] ** 2,
+            scale["minus"], scale["plus"])
 
 
 def data_energy_constant(sampler, medium, omega_cap, trials, seed, n_quad=8,

@@ -36,14 +36,29 @@ __all__ = [
 ]
 
 
+def _check_omega(omega):
+    """Reject an omega, or an array of them, that is not positive and finite."""
+    om = np.asarray(omega, dtype=float)
+    if not ((om > 0.0) & (om < np.inf)).all():
+        raise ValueError(f"omega must be positive and finite, got {omega}")
+
+
 def _check_args(y, omega):
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    y = np.asarray(y, dtype=float)
-    if np.any(y == 0.0):
+    """Reject a bad omega (scalar or array) and a source point off
+    (-1, 1) \\ {0} or not finite."""
+    _check_omega(omega)
+    ay = np.abs(np.asarray(y, dtype=float))
+    if (ay == 0.0).any():
         raise ValueError("source point y = 0 sits on the interface")
-    if np.any(np.abs(y) >= 1.0):
+    if not (ay < 1.0).all():
         raise ValueError("source point must lie in (-1, 1)")
+
+
+def _check_eval(x, y, omega):
+    """``_check_args``, and reject an evaluation point off [-1, 1]."""
+    _check_args(y, omega)
+    if not (np.abs(np.asarray(x, dtype=float)) <= 1.0).all():
+        raise ValueError("evaluation point outside [-1, 1]")
 
 
 def _amplitudes(ks, ko):
@@ -65,7 +80,7 @@ def _span(mask):
     """None for an empty mask, a slice for one whose true entries are
     contiguous (the sorted nodes of a rule on one side), else the mask:
     a slice reads and writes rows as plain strided copies."""
-    idx = np.flatnonzero(mask)
+    idx = mask.nonzero()[0]
     if idx.size == 0:
         return None
     if idx[-1] - idx[0] + 1 == idx.size:
@@ -83,13 +98,16 @@ def _green(x, y, medium, omega, deriv=False):
     interface, where both forms agree, is taken from the left.
     """
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xr, yr = xb.ravel(), yb.ravel()
     lead = np.shape(omega)
     om = np.asarray(omega, dtype=float)[..., None] if lead else omega
-    out = np.empty(lead + (xb.size,), dtype=complex)
-    right = yb.ravel() > 0
+    out = np.empty(lead + (xr.size,), dtype=complex)
+    right = yr > 0
     for sig, cs, co, own in ((1.0, medium.c1, medium.c2, right),
                              (-1.0, medium.c2, medium.c1, ~right)):
-        X, Y = sig * xb.ravel(), sig * yb.ravel()
+        if not own.any():
+            continue
+        X, Y = sig * xr, sig * yr
         ks, ko = cs * om, co * om
         direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
         near, far = _span(own & (X >= 0)), _span(own & (X < 0))
@@ -127,13 +145,13 @@ def green_eval(x, y, medium, omega):
     Broadcasts over x and y; sources on both sides of the interface may
     be mixed within one call.
     """
-    _check_args(y, omega)
+    _check_eval(x, y, omega)
     return _green(x, y, medium, omega)
 
 
 def green_dx(x, y, medium, omega):
     """Analytic x-derivative of g(x, y); continuous at x = 0, jumps at x = y."""
-    _check_args(y, omega)
+    _check_eval(x, y, omega)
     return _green(x, y, medium, omega, deriv=True)
 
 
@@ -221,7 +239,7 @@ def green_coeffs_via_linear_system(y, medium, omega):
 
 def eval_from_coeffs(coeffs, x, y, medium, omega):
     """Piecewise evaluation of g from layer amplitudes."""
-    _check_args(y, omega)
+    _check_eval(x, y, omega)
     k1, k2 = wavenumbers(medium, omega)
     x = np.asarray(x, dtype=float)
     if y > 0:

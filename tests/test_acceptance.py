@@ -156,7 +156,7 @@ def test_criterion_5_amplitude_bounds():
         med = _random_medium(rng)
         om = rng.uniform(0.2, 20.0)
         f = _random_source(rng)
-        lm, rm, lp, rp = endpoint_amplitude_bound(f, med, om)
+        lm, rm, lp, rp, _, _ = endpoint_amplitude_bound(f, med, om)
         worst = max(worst, (lm - rm) / max(rm, 1e-300), (lp - rp) / max(rp, 1e-300))
     ok = worst <= 1e-12
     _report(5, ok, f"largest relative violation {worst:.2e} over 500 trials "

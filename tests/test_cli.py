@@ -114,9 +114,13 @@ def test_verify_default_passes_and_fault_hook_fails(monkeypatch):
 
 
 def test_verify_homogeneous_config_passes():
+    # the battery draws its own media from cfg.seed, so a config that
+    # differs only in medium reruns the default battery line for line
     cfg = parse_config_text("medium.c1 = 1.0\nmedium.c2 = 1.0\n")
-    _, failures = run_verify(cfg)
+    lines, failures = run_verify(cfg)
     assert failures == []
+    assert (cfg.c1, cfg.c2) != (RunConfig().c1, RunConfig().c2)
+    assert lines == run_verify(RunConfig())[0]
 
 
 def test_cmd_verify_exit_codes(tmp_path, capsys, monkeypatch):
@@ -137,8 +141,8 @@ def test_verify_detects_tightened_amplitude_bound(monkeypatch, capsys):
     real = cli.endpoint_amplitude_bound
 
     def tightened(*args, **kw):
-        lm, rm, lp, rp = real(*args, **kw)
-        return lm, rm * (1.0 - 1e-6), lp, rp * (1.0 - 1e-6)
+        lm, rm, lp, rp, sm, sp = real(*args, **kw)
+        return lm, rm * (1.0 - 1e-6), lp, rp * (1.0 - 1e-6), sm, sp
 
     monkeypatch.setattr(cli, "endpoint_amplitude_bound", tightened)
     assert main(["verify"]) == 3

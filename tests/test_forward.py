@@ -13,7 +13,8 @@ from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation, f
                                forward_field, forward_field_dx,
                                interface_traces, read_boundary_csv,
                                write_boundary_csv)
-from helmlayer.fourier import fit_loglog_slope, halfline_ft, halfline_ft_many
+from helmlayer.fourier import (endpoint_amplitude_bound, fit_loglog_slope, halfline_ft,
+                               halfline_ft_many)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, split_source,
                              wavenumbers)
 
@@ -265,6 +266,13 @@ def test_field_and_derivative_refuse_points_outside_the_interval():
                 field(f, med, 2.0, x)
         with pytest.raises(ValueError, match="omega"):
             field(f, med, 0.0, 0.3)
+
+
+@pytest.mark.parametrize("check", [endpoint_amplitude_bound, check_radiation, interface_traces])
+@pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
+def test_single_frequency_checks_refuse_bad_omega(check, omega):
+    with pytest.raises(ValueError, match="omega must be positive and finite"):
+        check(SourceSpec.bump(-0.5, 0.5), Medium(1.0, 1.5), omega)
 
 
 def test_boundary_csv_roundtrip(tmp_path):

@@ -47,6 +47,21 @@ def test_green_rejects_bad_arguments():
         green_eval(0.5, 0.0, med, 1.0)
     with pytest.raises(ValueError):
         green_eval(0.5, 1.0, med, 1.0)
+    for omega in (-1.0, np.nan, np.inf, [1.0, 0.0], [2.0, np.nan], np.array([3.0, np.inf])):
+        with pytest.raises(ValueError, match="omega"):
+            green_eval(0.5, 0.25, med, omega)
+        with pytest.raises(ValueError, match="omega"):
+            green_dx(0.5, 0.25, med, omega)
+    for y in (np.nan, np.inf, [0.25, np.nan]):
+        with pytest.raises(ValueError, match="source point"):
+            green_eval(0.5, y, med, 1.0)
+    for x in (5.0, -1.5, np.nan, [0.5, 1.25]):
+        with pytest.raises(ValueError, match="evaluation point"):
+            green_eval(x, 0.3, med, 1.0)
+        with pytest.raises(ValueError, match="evaluation point"):
+            green_dx(x, 0.3, med, 1.0)
+    # an array of good frequencies passes, one row per frequency
+    assert green_eval([-1.0, 1.0], 0.3, med, np.array([1.0, 2.0, 3.0])).shape == (3, 2)
 
 
 def test_coeff_example_and_homogeneous_reflection():

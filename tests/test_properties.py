@@ -1,7 +1,8 @@
 """Property tests of the layered amplitudes, the half-line transforms,
-the noise model, the discrepancy rule, the B-spline source and the
-config and data-file round trips, over media, frequencies, sources,
-noise levels and seeds drawn by hypothesis."""
+the batched field and amplitude-bound routes, the noise model, the
+discrepancy rule, the B-spline source and the config and data-file
+round trips, over media, frequencies, sources, noise levels and seeds
+drawn by hypothesis."""
 
 import dataclasses
 import os
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helmlayer.cli import ConfigError, RunConfig, parse_config_text, serialize_config
-from helmlayer.forward import (BoundaryData, boundary_sweep, forward_field,
+from helmlayer.forward import (BoundaryData, boundary_sweep, check_radiation,
+                               forward_field, forward_field_dx, interface_traces,
                                read_boundary_csv, source_rule, write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, endpoint_amplitude,
-                               epsilon_norm, halfline_ft_many)
+                               endpoint_amplitude_bound, epsilon_norm,
+                               halfline_ft_many)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system,
                               green_eval)
@@ -413,3 +416,61 @@ def test_boundary_csv_round_trip(omegas, data):
     assert np.array_equal(got.grid.omegas, om)
     assert np.array_equal(got.u_minus, um)
     assert np.array_equal(got.u_plus, up)
+
+
+@settings(max_examples=60, deadline=None)
+@given(media, sources(), st.floats(0.2, 10.0))
+def test_batched_fields_match_per_point_fields(medium, f, omega):
+    # check_radiation and interface_traces take both kernels over their
+    # point set from one rule; the rule and the sums are those of the
+    # per-point route, so every bit agrees
+    k1, k2 = medium.c1 * omega, medium.c2 * omega
+    um, up = (forward_field(f, medium, omega, x) for x in (-1.0, 1.0))
+    dum, dup = (forward_field_dx(f, medium, omega, x) for x in (-1.0, 1.0))
+    assert check_radiation(f, medium, omega) == (abs(dum + 1j * k2 * um),
+                                                 abs(dup - 1j * k1 * up))
+    rep = interface_traces(f, medium, omega)
+    assert rep.u0 == forward_field(f, medium, omega, 0.0)
+    assert rep.du0 == forward_field_dx(f, medium, omega, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(media, sources(), st.floats(0.2, 20.0))
+def test_amplitude_bound_terms_match_their_own_routes(medium, f, omega):
+    lm, rm, lp, rp, sm, sp = endpoint_amplitude_bound(f, medium, omega)
+    # lhs is a one-frequency boundary_sweep, bit for bit
+    data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega))
+    assert lm == omega ** 2 * abs(data.u_minus[0]) ** 2
+    assert lp == omega ** 2 * abs(data.u_plus[0]) ** 2
+    # rhs and the scale against each half's own rules: the transforms at
+    # the side's rate, the L1 norms at rate 0
+    pair = split_source(f)
+    rhs, scale = {"minus": 0.0, "plus": 0.0}, {"minus": 0.0, "plus": 0.0}
+    for half in (pair.f1, pair.f2):
+        y, w = source_rule(half, 0.0)
+        l1 = float(np.sum(w * np.abs(half(y))))
+        for e, coeff, side, rate, _ in _endpoint_rows(medium):
+            if side == half.side:
+                rhs[e] += abs(coeff) * abs(halfline_ft_many(pair, side, [-rate * omega])[0])
+                scale[e] += abs(coeff) * l1
+    assert sm == pytest.approx(scale["minus"], rel=1e-13)
+    assert sp == pytest.approx(scale["plus"], rel=1e-13)
+    assert np.sqrt(rm) == pytest.approx(rhs["minus"], rel=1e-13, abs=1e-13 * sm)
+    assert np.sqrt(rp) == pytest.approx(rhs["plus"], rel=1e-13, abs=1e-13 * sp)
+
+
+@pytest.mark.parametrize("f", [SourceSpec.bump(-0.4, 0.3, 1.5j), SourceSpec.bump(0.2, 0.7),
+                               SourceSpec.bspline(-0.6, -0.1, 2)])
+def test_bound_and_radiation_build_one_rule(f, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return composite_rule(*args, **kwargs)
+
+    monkeypatch.setattr("helmlayer.forward.composite_rule", counting)
+    medium = Medium(1.3, 0.7)
+    endpoint_amplitude_bound(f, medium, 7.5)
+    assert len(calls) == 1
+    check_radiation(f, medium, 7.5)
+    assert len(calls) == 2
