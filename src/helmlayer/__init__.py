@@ -13,8 +13,7 @@ from .forward import (BoundaryData, TraceReport, forward_field,
                       interface_traces, check_radiation, write_boundary_csv,
                       read_boundary_csv)
 from .fourier import (DataEnergy, halfline_ft, halfline_ft_many,
-                      plancherel_residual, endpoint_amplitude, data_energy,
-                      data_energy_analytic, data_energy_from_sweep,
+                      plancherel_residual, data_energy, data_energy_from_sweep,
                       epsilon_norm, tail_decay_fit, endpoint_amplitude_bound,
                       data_energy_constant, fit_loglog, fit_loglog_slope)
 from .inverse import (ForwardOperator, ReconstructionResult, assemble_operator,

@@ -3,10 +3,9 @@
 The endpoint data of the layered problem is, frequency by frequency, an
 explicit linear combination of half-line Fourier transforms of the split
 source (convention fhat(xi) = int e^{-i xi y} f(y) dy).  This module
-provides those transforms, the band-energy functionals built from them,
-their analytic continuation in the band limit, the discrete data norm
-used as the noise level, and the tail-decay and energy-constant
-experiments.
+provides those transforms, the band energy built from them (one
+function, analytic in the band limit), the discrete data norm used as
+the noise level, and the tail-decay and energy-constant experiments.
 
 Every transform is one exponential sum over a composite Gauss-Legendre
 rule, a run of panels of q nodes.  A node is its panel's midpoint m_p
@@ -56,9 +55,7 @@ __all__ = [
     "halfline_ft",
     "halfline_ft_many",
     "plancherel_residual",
-    "endpoint_amplitude",
     "data_energy",
-    "data_energy_analytic",
     "data_energy_from_sweep",
     "trapezoid_weights",
     "epsilon_norm",
@@ -221,18 +218,6 @@ def _endpoint_amplitudes(pair, medium, omegas, nodes=16):
     return {key: val.reshape(omegas.shape) for key, val in out.items()}
 
 
-def endpoint_amplitude(pair, medium, omegas, endpoint, nodes=16, conjugate=False):
-    """F_endpoint(omega) on an array of (possibly complex) frequencies.
-
-    For real omega, |F(omega)| = omega * |u(endpoint, omega)|.  With
-    ``conjugate`` the kernel-conjugate partner G is evaluated (all phases
-    flipped, source conjugated); F*G restricted to real omega is |F|^2.
-    """
-    if endpoint not in ("minus", "plus"):
-        raise ValueError(f"endpoint must be 'minus' or 'plus', got {endpoint!r}")
-    return _endpoint_amplitudes(pair, medium, omegas, nodes=nodes)[endpoint, conjugate]
-
-
 @dataclass(frozen=True)
 class DataEnergy:
     """Band energies I1 (left endpoint), I2 (right endpoint), I = I1 + I2."""
@@ -248,42 +233,41 @@ class DataEnergy:
 
 def data_energy(f, medium, s, n_quad=16):
     """Band energy int_0^s omega^2 |u(-+1, omega)|^2 d omega from the
-    explicit endpoint representations, for real s > 0."""
-    if not np.isreal(s) or s <= 0:
-        raise ValueError("band limit s must be a positive real; use data_energy_analytic otherwise")
-    s = float(np.real(s))
-    pair = split_source(f)
-    om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max, nodes=n_quad)
-    amps = _endpoint_amplitudes(pair, medium, om.reshape(-1, n_quad), nodes=n_quad)
-    i1 = float(np.sum(w * np.abs(amps["minus", False].ravel()) ** 2))
-    i2 = float(np.sum(w * np.abs(amps["plus", False].ravel()) ** 2))
-    return DataEnergy(complex(s), complex(i1), complex(i2))
+    explicit endpoint representations, continued analytically to
+    complex s with Re s > 0.
 
-
-def data_energy_analytic(f, medium, s, n_quad=16):
-    """Analytic continuation of the band energy to complex s, Re s > 0.
-
-    Substituting omega = s t maps the band to t in (0, 1); the modulus
-    squared |F|^2 is continued as the product F(st) G(st) with G the
-    kernel-conjugate amplitude, which coincides with |F|^2 for real s.
+    Substituting omega = s t maps the band to t in (0, 1); |F|^2 is
+    continued as the product F(st) G(st) with G the kernel-conjugate
+    amplitude.  At real omega G is conj F, so for real s the energies
+    are real and their real parts are returned.
     """
     s = complex(s)
-    if s.real <= 0:
-        raise ValueError("continuation requires Re(s) > 0")
+    if not (np.isfinite(s) and s.real > 0):
+        raise ValueError(f"band limit s must be finite with Re(s) > 0, got {s}")
     pair = split_source(f)
     t, w = composite_rule(0.0, 1.0, osc_rate=4.0 * medium.c_max * abs(s), nodes=n_quad)
     amps = _endpoint_amplitudes(pair, medium, (s * t).reshape(-1, n_quad), nodes=n_quad)
     vals = [s * np.sum(w * (amps[e, False] * amps[e, True]).ravel()) for e in ("minus", "plus")]
+    if not s.imag:
+        vals = [v.real for v in vals]
     return DataEnergy(s, complex(vals[0]), complex(vals[1]))
+
+
+def _positive(value, name):
+    """``value`` as a float, or a ValueError naming ``name`` when it is
+    not positive and finite."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def data_energy_from_sweep(f, medium, s):
     """Band energy through the forward solver: Gauss-Legendre nodes in
     omega, endpoint values from boundary_sweep, integrand omega^2 |u|^2."""
-    if s <= 0:
-        raise ValueError("band limit s must be positive")
+    s = _positive(s, "band limit s")
     om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max)
-    data = boundary_sweep(f, medium, FrequencyGrid(om, float(s)))
+    data = boundary_sweep(f, medium, FrequencyGrid(om, s))
     i1 = float(np.sum(w * om ** 2 * np.abs(data.u_minus) ** 2))
     i2 = float(np.sum(w * om ** 2 * np.abs(data.u_plus) ** 2))
     return DataEnergy(complex(s), complex(i1), complex(i2))
@@ -332,30 +316,30 @@ def fit_loglog_slope(xs, ys):
     return fit_loglog(xs, ys)[0]
 
 
-def tail_decay_fit(f, medium, n, s_list, omega_cap, d_omega=0.15, nodes=8,
-                   csv_path=None):
+def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
     """Fit the decay exponent of the high-frequency tail
     T(s) = int_s^cap omega^2 (|u(-1)|^2 + |u(1)|^2) d omega.
 
     For a spline source of order n the exponent approaches -(2n - 1).
-    The integrand is sampled densely in omega through the endpoint
-    amplitude representation and T is accumulated by partial trapezoid
-    sums.  Returns (slope, r2) of log T against log s.
+    One Gauss rule over [s_1, cap], split at every s_k, integrates the
+    endpoint amplitude representation; T(s_k) is the sum of the
+    segments from s_k on.  Returns (slope, r2) of log T against log s.
     """
     s_list = np.asarray(s_list, dtype=float)
-    if len(s_list) < 3 or not np.all(np.diff(s_list) > 0) or s_list[0] <= 0:
-        raise ValueError("s_list must be >= 3 strictly increasing positive values")
+    if (len(s_list) < 3 or not np.all(np.isfinite(s_list)) or not np.all(np.diff(s_list) > 0)
+            or s_list[0] <= 0):
+        raise ValueError("s_list must be >= 3 strictly increasing positive finite values")
+    omega_cap = _positive(omega_cap, "omega_cap")
     if omega_cap < 2.0 * s_list[-1]:
         raise ValueError("omega_cap must be well above max(s_list)")
     if f.kind == "bspline" and f.order != n:
         raise ValueError(f"source has spline order {f.order}, expected {n}")
     pair = split_source(f)
-    om = np.arange(float(s_list[0]), float(omega_cap) + d_omega, d_omega)
-    amps = _endpoint_amplitudes(pair, medium, om, nodes=nodes)
+    om, w = composite_rule(s_list[0], omega_cap, s_list[1:], 4.0 * medium.c_max, nodes=8)
+    amps = _endpoint_amplitudes(pair, medium, om.reshape(-1, 8), nodes=8)
     integrand = np.abs(amps["minus", False]) ** 2 + np.abs(amps["plus", False]) ** 2
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(om))])
-    total = cum[-1]
-    T = total - np.interp(s_list, om, cum)
+    segments = np.add.reduceat(w * integrand.ravel(), np.searchsorted(om, s_list))
+    T = np.cumsum(segments[::-1])[::-1]
     bad = (T <= 0) | ~np.isfinite(T)
     if np.any(bad):
         raise ValueError(f"tail integral degenerate (underflow) at s = {s_list[bad].tolist()}")
@@ -405,17 +389,19 @@ def endpoint_amplitude_bound(f, medium, omega):
             scale["minus"], scale["plus"])
 
 
-def data_energy_constant(sampler, medium, omega_cap, trials, seed, n_quad=8,
-                         csv_path=None):
+def data_energy_constant(sampler, medium, omega_cap, trials, seed, csv_path=None):
     """Empirical constant of the source-energy bound: the largest ratio
     ||f||^2 / int_0^cap omega^2 (|u(-1)|^2 + |u(1)|^2) d omega over
     sampled sources.  Returns (constant, per-trial ratios)."""
+    omega_cap = _positive(omega_cap, "omega_cap")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
         f = sampler(rng)
         num = l2_norm_sq(f)
-        den = float(np.real(data_energy(f, medium, omega_cap, n_quad=n_quad).I))
+        den = data_energy(f, medium, omega_cap, n_quad=8).I.real
         if den <= 1e-280 * max(num, 1.0):
             raise ZeroDivisionError("data energy underflow: near-zero source draw")
         ratios.append(num / den)

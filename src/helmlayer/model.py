@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import composite_rule
+
 __all__ = [
     "Medium",
     "FrequencyGrid",
@@ -323,8 +325,6 @@ def split_source(spec):
 
 def l2_norm_sq(source):
     """Squared L2 norm of a SourceSpec or HalfSource over its support."""
-    from .quadrature import composite_rule
-
     sup = source.support
     if sup is None:
         return 0.0

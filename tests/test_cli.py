@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helmlayer
 import helmlayer.cli as cli
 from helmlayer import forward
 from helmlayer.cli import (ConfigError, RunConfig, build_grid, build_source,
@@ -495,6 +497,18 @@ def _run_child(script, **env):
                           env=dict(os.environ, PYTHONPATH=src, **env), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def test_keyword_knob_count_is_pinned():
+    # keyword parameters with defaults on the module-level functions of
+    # the seven modules: a new knob has to raise this pin
+    modules = [getattr(helmlayer, m) for m in
+               ("model", "quadrature", "greens", "forward", "fourier", "inverse", "cli")]
+    count = sum(p.default is not p.empty
+                for m in modules for f in vars(m).values()
+                if inspect.isfunction(f) and f.__module__ == m.__name__
+                for p in inspect.signature(f).parameters.values())
+    assert count == 25
 
 
 def test_import_starts_no_thread():

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from helmlayer.forward import BoundaryData, boundary_sweep, source_rule
-from helmlayer.fourier import (data_energy, data_energy_analytic,
-                               data_energy_constant, data_energy_from_sweep,
-                               endpoint_amplitude, endpoint_amplitude_bound,
+from helmlayer.fourier import (data_energy, data_energy_constant,
+                               data_energy_from_sweep, endpoint_amplitude_bound,
                                epsilon_norm, fit_loglog_slope, halfline_ft,
                                halfline_ft_many, plancherel_residual,
                                tail_decay_fit, write_ratio_csv, write_tail_csv)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
                              split_source)
+from helmlayer.quadrature import composite_rule
 
 
 def _pair(spec):
@@ -149,19 +149,37 @@ def test_data_energy_route_agreement():
         assert abs(e1 - e2) / e1 < 1e-8
 
 
-def test_data_energy_analytic_restricts_and_conjugates():
+def test_data_energy_continuation_conjugates():
     med = Medium(1.0, 1.5)
     f = SourceSpec.modulated_bump(-0.4, 0.5, 3.0, amplitude=0.8 + 0.4j)
-    s = 6.0
-    direct = data_energy(f, med, s)
-    cont = data_energy_analytic(f, med, complex(s))
-    assert abs(cont.I - direct.I) / abs(direct.I) < 1e-10
     z = 4.0 + 1.5j
-    a = data_energy_analytic(f, med, z)
-    b = data_energy_analytic(f, med, np.conj(z))
+    a = data_energy(f, med, z)
+    b = data_energy(f, med, np.conj(z))
     assert abs(a.I - np.conj(b.I)) < 1e-10 * abs(a.I)
-    with pytest.raises(ValueError):
-        data_energy_analytic(f, med, -1.0 + 0.5j)
+    for s in (-1.0 + 0.5j, 0.5j, 0.0):
+        with pytest.raises(ValueError, match="Re"):
+            data_energy(f, med, s)
+
+
+_BAD = [0.0, -2.0, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("call, name", [
+    *[(lambda f, med, v=v: data_energy(f, med, v), "band limit s")
+      for v in _BAD + [complex(np.nan, 1.0)]],
+    *[(lambda f, med, v=v: data_energy_from_sweep(f, med, v), "band limit s")
+      for v in _BAD],
+    *[(lambda f, med, v=v: data_energy_constant(lambda rng: f, med, v, 1, seed=0),
+       "omega_cap") for v in _BAD],
+    (lambda f, med: data_energy_constant(lambda rng: f, med, 50.0, 0, seed=0), "trials"),
+    *[(lambda f, med, v=v: tail_decay_fit(f, med, 0, [5.0, 10.0, 20.0], v), "omega_cap")
+      for v in _BAD],
+    *[(lambda f, med, v=v: tail_decay_fit(f, med, 0, [5.0, 10.0, v], 200.0), "s_list")
+      for v in (np.inf, np.nan)],
+])
+def test_bad_band_limits_raise_named_value_errors(call, name):
+    with pytest.raises(ValueError, match=name):
+        call(SourceSpec.bump(-0.4, 0.6), Medium(1.0, 1.5))
 
 
 def test_data_energy_analytic_sector_envelope():
@@ -178,8 +196,8 @@ def test_data_energy_analytic_sector_envelope():
         th = rng.uniform(-np.pi / 4 + 0.05, np.pi / 4 - 0.05)
         s = r * np.exp(1j * th)
         env = abs(s) * np.exp(4 * med.c_max * abs(s.imag)) * l2_norm_sq(f)
-        ratios_coarse.append(abs(data_energy_analytic(f, med, s, n_quad=8).I) / env)
-        ratios_fine.append(abs(data_energy_analytic(f, med, s, n_quad=16).I) / env)
+        ratios_coarse.append(abs(data_energy(f, med, s, n_quad=8).I) / env)
+        ratios_fine.append(abs(data_energy(f, med, s, n_quad=16).I) / env)
     c_coarse, c_fine = max(ratios_coarse), max(ratios_fine)
     assert np.isfinite(c_coarse)
     assert abs(c_coarse - c_fine) / c_fine < 0.05
@@ -223,27 +241,26 @@ def test_tail_decay_orders_and_oracle(tmp_path):
     assert slopes[2] < slopes[1]
     assert (tmp_path / "tail1.csv").read_text().splitlines()[0] == "s,T,logs,logT"
 
-    # independent oracle: forward-solver route for the tail at one s
-    f = SourceSpec.bspline(0.15, 0.85, 1)
-    s, cap = 10.0, 300.0
-    om = np.linspace(s, cap, 8001)
-    data = boundary_sweep(f, med, FrequencyGrid(om, cap))
-    integrand = om ** 2 * (np.abs(data.u_minus) ** 2 + np.abs(data.u_plus) ** 2)
-    T_oracle = np.trapezoid(integrand, om)
-    pair = split_source(f)
-    grid = np.arange(s, cap + 0.05, 0.05)
-    vals = (np.abs(endpoint_amplitude(pair, med, grid, "minus", nodes=8)) ** 2
-            + np.abs(endpoint_amplitude(pair, med, grid, "plus", nodes=8)) ** 2)
-    T_repr = np.trapezoid(vals, grid)
-    assert abs(T_repr - T_oracle) / T_oracle < 5e-3
+    # independent oracle: the forward solver's endpoint values on the
+    # same Gauss rule in omega, summed from each s_k on (at a cap of 150
+    # the two sweeps take about a second; at 600, about twenty)
+    cap = 150.0
+    om, w = composite_rule(s_list[0], cap, s_list[1:], 4.0 * med.c_max, nodes=8)
+    for n in (1, 2):
+        f = SourceSpec.bspline(0.15, 0.85, n)
+        tail_decay_fit(f, med, n, s_list, cap, csv_path=tmp_path / "oracle.csv")
+        T = np.loadtxt(tmp_path / "oracle.csv", delimiter=",", skiprows=1)[:, 1]
+        data = boundary_sweep(f, med, FrequencyGrid(om, cap))
+        terms = w * om ** 2 * (np.abs(data.u_minus) ** 2 + np.abs(data.u_plus) ** 2)
+        oracle = np.array([np.sum(terms[om > s]) for s in s_list])
+        assert np.max(np.abs(T - oracle) / oracle) <= 1e-10
 
 
 def test_tail_decay_smooth_source_beats_any_order():
     # super-algebraic decay: the local slope keeps steepening with s
     med = Medium(1.0, 1.5)
     f = SourceSpec.bump(0.15, 0.85)
-    slope, _ = tail_decay_fit(f, med, 0, np.geomspace(100.0, 300.0, 6), 1500.0,
-                              d_omega=0.2)
+    slope, _ = tail_decay_fit(f, med, 0, np.geomspace(100.0, 300.0, 6), 1500.0)
     assert slope < -7.0
 
 

@@ -17,7 +17,7 @@ from helmlayer.cli import ConfigError, RunConfig, parse_config_text, serialize_c
 from helmlayer.forward import (BoundaryData, boundary_sweep, check_radiation,
                                forward_field, forward_field_dx, interface_traces,
                                read_boundary_csv, source_rule, write_boundary_csv)
-from helmlayer.fourier import (_endpoint_amplitudes, endpoint_amplitude,
+from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
                                endpoint_amplitude_bound, epsilon_norm,
                                halfline_ft_many)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
@@ -225,9 +225,8 @@ frequency_arrays = st.builds(
 
 
 @settings(max_examples=120, deadline=None)
-@given(media, placed_sources(), frequency_arrays, st.sampled_from([8, 16]),
-       st.sampled_from([("minus", False), ("plus", True)]))
-def test_endpoint_amplitudes_match_per_row_transforms(medium, f, om, nodes, key):
+@given(media, placed_sources(), frequency_arrays, st.sampled_from([8, 16]))
+def test_endpoint_amplitudes_match_per_row_transforms(medium, f, om, nodes):
     # the per-side tables against one half-line transform per endpoint
     # row: F_e adds coeff e^{i phase om} fhat(-rate om), G_e adds
     # coeff e^{-i phase om} (conj f)^(rate om); a complex om takes the
@@ -248,8 +247,24 @@ def test_endpoint_amplitudes_match_per_row_transforms(medium, f, om, nodes, key)
     for k in want:
         assert got[k].shape == om.shape
         assert np.all(np.abs(got[k] - want[k]) <= 1e-12 * largest[k])
-    assert np.array_equal(endpoint_amplitude(pair, medium, om, key[0], nodes=nodes,
-                                             conjugate=key[1]), got[key])
+
+
+@settings(max_examples=60, deadline=None)
+@given(media, placed_sources(), st.floats(0.05, 40.0), st.floats(0.05, 40.0),
+       st.sampled_from([1, 8, 16]), st.integers(1, 4))
+def test_real_frequency_partner_is_the_conjugate(medium, f, lo, hi, q, rows):
+    # data_energy integrates F G for |F|^2 at every s: at real omega the
+    # kernel-conjugate partner G is conj F bit for bit, at both
+    # endpoints, for 1-D and panelled omega alike
+    om = np.linspace(lo, hi, q * rows)
+    pair = split_source(f)
+    for omegas in (om, om.reshape(rows, q)):
+        amps = _endpoint_amplitudes(pair, medium, omegas)
+        for e in ("minus", "plus"):
+            assert np.array_equal(amps[e, True], np.conj(amps[e, False]))
+    energy = data_energy(f, medium, hi)
+    assert energy.I1.imag == 0.0 and energy.I2.imag == 0.0
+    assert energy.I1.real >= 0.0 and energy.I2.real >= 0.0
 
 
 seeds = st.integers(0, 2**32 - 1)
