@@ -11,10 +11,9 @@ case no file is written), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -24,9 +23,9 @@ from .model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
 from .greens import (eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, green_eval,
                      interface_residuals)
-from .forward import (_beside, boundary_sweep, check_radiation, fd_oracle,
-                      forward_field, interface_traces, read_boundary_csv,
-                      write_boundary_csv)
+from .forward import (_beside, _exact, _read_csv, _write_csv, boundary_sweep,
+                      check_radiation, fd_oracle, forward_field,
+                      interface_traces, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
                       endpoint_amplitude_bound)
 from .inverse import (add_noise, assemble_operator, morozov_lambda,
@@ -145,10 +144,6 @@ class RunConfig:
             raise ConfigError("sweep.trials must be at least 1")
         if not (-1.0 < self.sweep_support_a < self.sweep_support_b < 1.0):
             raise ConfigError("sweep support must satisfy -1 < a < b < 1")
-
-
-def _exact(v):
-    return f"{v:.17g}"
 
 
 def _floats(text):
@@ -443,18 +438,11 @@ def cmd_forward(cfg, out_path):
 RECON_HEADER = ["x", "re_f_est", "im_f_est", "re_f_true", "im_f_true"]
 
 
-def write_reconstruction_csv(path, result, f_true=None):
+def write_reconstruction_csv(path, result, f_true):
     x = result.f_est.x_grid
     est = result.f_est(x)
-    truth = f_true(x) if f_true is not None else None
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECON_HEADER if truth is not None else RECON_HEADER[:3])
-        for i, xi in enumerate(x):
-            row = [xi, est[i].real, est[i].imag]
-            if truth is not None:
-                row += [truth[i].real, truth[i].imag]
-            writer.writerow([f"{v:.17g}" for v in row])
+    truth = f_true(x)
+    _write_csv(path, RECON_HEADER, zip(x, est.real, est.imag, truth.real, truth.imag))
 
 
 def _solve(cfg, op, data, eps):
@@ -615,31 +603,13 @@ def _sweep_band(cfg, medium, support, iK, K):
 
 
 def write_sweep_csv(path, records):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        for r in records:
-            writer.writerow([
-                f"{r.K:.17g}", f"{r.eps:.17g}", str(r.n), r.method,
-                f"{r.reg_param:.17g}", f"{r.l2_error:.17g}",
-                f"{r.runtime_ms:.3f}", str(r.seed), r.error,
-            ])
+    _write_csv(path, SWEEP_HEADER, (astuple(r) for r in records))
 
 
 def read_sweep_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != SWEEP_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}")
-        out = []
-        for row in reader:
-            if not row:
-                continue
-            out.append(ExperimentRecord(float(row[0]), float(row[1]), int(row[2]),
-                                        row[3], float(row[4]), float(row[5]),
-                                        float(row[6]), int(row[7]), row[8]))
-    return out
+    return [ExperimentRecord(float(K), float(eps), int(n), method, float(reg), float(err),
+                             float(ms), int(seed), error)
+            for K, eps, n, method, reg, err, ms, seed, error in _read_csv(path, SWEEP_HEADER)]
 
 
 def cmd_sweep(cfg, out_path):

@@ -357,24 +357,53 @@ def check_radiation(f, medium, omega):
 CSV_HEADER = ["omega", "re_u_minus", "im_u_minus", "re_u_plus", "im_u_plus"]
 
 
+def _exact(v):
+    """17 significant digits: the float reads back bit for bit."""
+    return f"{v:.17g}"
+
+
+def _write_csv(path, header, rows):
+    """Write ``header``, then each row: a float as ``_exact`` gives it and
+    any other cell as ``str`` gives it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_exact(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def _read_csv(path, header):
+    """The rows after ``header``, as lists of strings; blank lines are
+    skipped.  A missing or wrong header, a row whose width is not the
+    header's, or a line that is not CSV raises a ``ValueError`` that names
+    the file and the row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = [row for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num} of {path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path} has no header row, expected {header!r}")
+    if rows[0] != header:
+        raise ValueError(f"header row of {path} is {rows[0]!r}, expected {header!r}")
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != len(header):
+            raise ValueError(f"data row {i} of {path} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+    return rows[1:]
+
+
 def write_boundary_csv(data, path):
     """Endpoint data as CSV, full double precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for om, um, up in zip(data.grid.omegas, data.u_minus, data.u_plus):
-            writer.writerow([f"{v:.17g}" for v in (om, um.real, um.imag, up.real, up.imag)])
+    _write_csv(path, CSV_HEADER, zip(data.grid.omegas, data.u_minus.real, data.u_minus.imag,
+                                     data.u_plus.real, data.u_plus.imag))
 
 
 def read_boundary_csv(path, K=None):
     """Read endpoint data written by ``write_boundary_csv``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r} in {path}")
-        rows = [[float(v) for v in row] for row in reader if row]
-    arr = np.asarray(rows, dtype=float)
+    arr = np.asarray([[float(v) for v in row] for row in _read_csv(path, CSV_HEADER)],
+                     dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")
     bad = ~np.all(np.isfinite(arr), axis=1)

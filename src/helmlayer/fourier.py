@@ -40,12 +40,12 @@ complex omega) instead of building one per row.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _endpoint_map, _panel_nodes, boundary_sweep, source_rule
+from .forward import (_endpoint_map, _panel_nodes, _write_csv, boundary_sweep,
+                      source_rule)
 from .greens import _check_omega, _endpoint_rows
 from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
@@ -411,16 +411,9 @@ def data_energy_constant(sampler, medium, omega_cap, trials, seed, csv_path=None
 
 
 def write_tail_csv(path, s_vals, T_vals):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "T", "logs", "logT"])
-        for s, t in zip(s_vals, T_vals):
-            writer.writerow([f"{v:.17g}" for v in (s, t, np.log(s), np.log(t))])
+    _write_csv(path, ["s", "T", "logs", "logT"],
+               ((s, t, np.log(s), np.log(t)) for s, t in zip(s_vals, T_vals)))
 
 
 def write_ratio_csv(path, ratios):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "ratio"])
-        for i, r in enumerate(ratios):
-            writer.writerow([str(i), f"{r:.17g}"])
+    _write_csv(path, ["trial", "ratio"], enumerate(ratios))

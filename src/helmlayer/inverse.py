@@ -33,6 +33,10 @@ __all__ = [
     "morozov_lambda",
 ]
 
+# the 1/omega amplification guard: reconstruct_homogeneous refuses a grid
+# whose first frequency lies below this
+OMEGA_FLOOR = 1e-8
+
 
 @dataclass
 class ForwardOperator:
@@ -229,7 +233,7 @@ def morozov_lambda(op, data, eps_target, ladder=None):
     return float(ladder[ok[-1]] if len(ok) else ladder[0])
 
 
-def reconstruct_homogeneous(data, medium, x_grid, omega_floor=1e-8):
+def reconstruct_homogeneous(data, medium, x_grid):
     """Direct Fourier inversion, valid only for c1 = c2 = c.
 
     The endpoint data determine the transform of the source at +-c*omega
@@ -239,9 +243,9 @@ def reconstruct_homogeneous(data, medium, x_grid, omega_floor=1e-8):
     if medium.c1 != medium.c2:
         raise ValueError("direct Fourier inversion requires a homogeneous medium (c1 = c2)")
     om = data.grid.omegas
-    if om[0] < omega_floor:
+    if om[0] < OMEGA_FLOOR:
         raise ValueError(
-            f"grid contains omega = {om[0]} below the floor {omega_floor} "
+            f"grid contains omega = {om[0]} below the floor {OMEGA_FLOOR} "
             "(1/omega amplification guard)"
         )
     c = medium.c1

@@ -432,6 +432,41 @@ def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mangle, where", [
+    (lambda lines: [], "has no header row"),
+    (lambda lines: ["omega,re_u_minus"] + lines[1:], "header row of"),
+    (lambda lines: lines[:4] + [",".join(lines[4].split(",")[:3])] + lines[5:],
+     "data row 4 of"),
+    (lambda lines: lines[:4] + [lines[4] + ",0"] + lines[5:], "data row 4 of"),
+    (lambda lines: lines[:4] + ["9" * 200_000] + lines[5:], "line 5 of"),
+], ids=["empty", "wrong_header", "short_row", "long_row", "huge_field"])
+def test_reconstruct_rejects_malformed_data(mangle, where, tmp_path, capsys):
+    # an empty file, a wrong header, a short or long row and a field over
+    # the csv module's size limit each exit 2, naming the file and the row
+    cfg_path, data_path = _forward_csv(tmp_path)
+    lines = mangle(data_path.read_text().splitlines())
+    data_path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=where):
+        read_boundary_csv(data_path)
+    out = tmp_path / "rec.csv"
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--data", str(data_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and str(data_path) in err
+    assert not out.exists()
+
+
+def test_reconstruct_skips_blank_lines(tmp_path):
+    cfg_path, data_path = _forward_csv(tmp_path)
+    text = data_path.read_text()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n" + text.replace("\n", "\n\n"))
+    for path in (data_path, spaced):
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--data", str(path), "--out", str(tmp_path / f"rec_{path.name}")]) == 0
+    assert (tmp_path / "rec_data.csv").read_bytes() == (tmp_path / "rec_spaced.csv").read_bytes()
+
+
 def test_forward_non_finite_output_writes_nothing(tmp_path, monkeypatch, capsys):
     real_sweep = cli.boundary_sweep
 
@@ -508,7 +543,7 @@ def test_keyword_knob_count_is_pinned():
                 for m in modules for f in vars(m).values()
                 if inspect.isfunction(f) and f.__module__ == m.__name__
                 for p in inspect.signature(f).parameters.values())
-    assert count == 25
+    assert count == 23
 
 
 def test_import_starts_no_thread():

@@ -212,8 +212,10 @@ def test_homogeneous_reconstruction():
 
     with pytest.raises(ValueError):
         reconstruct_homogeneous(data, Medium(1.0, 1.5), x_grid)
-    with pytest.raises(ValueError):
-        reconstruct_homogeneous(data, med, x_grid, omega_floor=1.0)
+    # a first frequency below 1e-8 trips the 1/omega amplification guard
+    low = FrequencyGrid.uniform(K, 400, omega_floor=1e-9)
+    with pytest.raises(ValueError, match="below the floor"):
+        reconstruct_homogeneous(BoundaryData(low, zero.u_minus, zero.u_plus), med, x_grid)
 
 
 def test_recon_error_properties():

@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helmlayer.cli import ConfigError, RunConfig, parse_config_text, serialize_config
-from helmlayer.forward import (BoundaryData, boundary_sweep, check_radiation,
+from helmlayer.cli import (METHODS, ConfigError, ExperimentRecord, RunConfig,
+                           parse_config_text, read_sweep_csv, serialize_config,
+                           write_sweep_csv)
+from helmlayer.forward import (BoundaryData, _read_csv, boundary_sweep, check_radiation,
                                forward_field, forward_field_dx, interface_traces,
                                read_boundary_csv, source_rule, write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
                                endpoint_amplitude_bound, epsilon_norm,
-                               halfline_ft_many)
+                               halfline_ft_many, write_ratio_csv, write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system,
                               green_eval)
@@ -431,6 +433,55 @@ def test_boundary_csv_round_trip(omegas, data):
     assert np.array_equal(got.grid.omegas, om)
     assert np.array_equal(got.u_minus, um)
     assert np.array_equal(got.u_plus, up)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+# every float but a NaN with a sign or payload the writer does not keep:
+# -0.0, subnormals, infinities and the NaN of a failed sweep cell
+cell_floats = st.floats(allow_nan=False) | st.just(float("nan"))
+# commas, quotes, CR and LF all need the CSV quoting
+cell_text = st.text(st.sampled_from(',"\r\n x') | st.characters(blacklist_categories=("Cs",)),
+                    max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(cell_floats, cell_floats, st.integers(), st.sampled_from(METHODS),
+                          cell_floats, cell_floats, cell_floats, st.integers(0, 2**64 - 1),
+                          cell_text), max_size=8))
+def test_sweep_csv_round_trip(rows):
+    sent = [ExperimentRecord(*row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        write_sweep_csv(path, sent)
+        got = read_sweep_csv(path)
+    assert len(got) == len(sent)
+    for r, g in zip(sent, got):
+        assert (_bits([r.K, r.eps, r.reg_param, r.l2_error, r.runtime_ms])
+                == _bits([g.K, g.eps, g.reg_param, g.l2_error, g.runtime_ms]))
+        assert (r.n, r.method, r.seed, r.error) == (g.n, g.method, g.seed, g.error)
+
+
+tail_values = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(tail_values, tail_values), max_size=8),
+       st.lists(cell_floats, max_size=8))
+def test_tail_and_ratio_csv_round_trip(pairs, ratios):
+    s_vals, T_vals = np.array(pairs, dtype=float).reshape(-1, 2).T
+    with tempfile.TemporaryDirectory() as tmp:
+        tail, ratio = os.path.join(tmp, "tail.csv"), os.path.join(tmp, "ratio.csv")
+        write_tail_csv(tail, s_vals, T_vals)
+        write_ratio_csv(ratio, ratios)
+        tail_rows = _read_csv(tail, ["s", "T", "logs", "logT"])
+        ratio_rows = _read_csv(ratio, ["trial", "ratio"])
+    got = np.array([[float(v) for v in row] for row in tail_rows]).reshape(-1, 4)
+    assert _bits(got.T) == _bits([s_vals, T_vals, np.log(s_vals), np.log(T_vals)])
+    assert [int(i) for i, _ in ratio_rows] == list(range(len(ratios)))
+    assert _bits([float(r) for _, r in ratio_rows]) == _bits(ratios)
 
 
 @settings(max_examples=60, deadline=None)
