@@ -607,9 +607,8 @@ def write_sweep_csv(path, records):
 
 
 def read_sweep_csv(path):
-    return [ExperimentRecord(float(K), float(eps), int(n), method, float(reg), float(err),
-                             float(ms), int(seed), error)
-            for K, eps, n, method, reg, err, ms, seed, error in _read_csv(path, SWEEP_HEADER)]
+    types = (float, float, int, str, float, float, float, int, str)
+    return [ExperimentRecord(*row) for row in _read_csv(path, SWEEP_HEADER, types)]
 
 
 def cmd_sweep(cfg, out_path):

@@ -372,11 +372,12 @@ def _write_csv(path, header, rows):
                          for row in rows)
 
 
-def _read_csv(path, header):
-    """The rows after ``header``, as lists of strings; blank lines are
-    skipped.  A missing or wrong header, a row whose width is not the
-    header's, or a line that is not CSV raises a ``ValueError`` that names
-    the file and the row."""
+def _read_csv(path, header, types):
+    """The rows after ``header``, as lists of cells, each read by its
+    column's entry of ``types`` (``float``, ``int``, ``str``); blank lines
+    are skipped.  A missing or wrong header, a row whose width is not the
+    header's, a cell that its type cannot read, or a line that is not CSV
+    raises a ``ValueError`` that names the file and the row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -387,11 +388,16 @@ def _read_csv(path, header):
         raise ValueError(f"{path} has no header row, expected {header!r}")
     if rows[0] != header:
         raise ValueError(f"header row of {path} is {rows[0]!r}, expected {header!r}")
+    out = []
     for i, row in enumerate(rows[1:], 1):
         if len(row) != len(header):
             raise ValueError(f"data row {i} of {path} has {len(row)} fields, "
                              f"the header has {len(header)}")
-    return rows[1:]
+        try:
+            out.append([read(cell) for read, cell in zip(types, row)])
+        except ValueError as exc:  # exc quotes the cell
+            raise ValueError(f"{exc} in data row {i} of {path}") from None
+    return out
 
 
 def write_boundary_csv(data, path):
@@ -402,8 +408,7 @@ def write_boundary_csv(data, path):
 
 def read_boundary_csv(path, K=None):
     """Read endpoint data written by ``write_boundary_csv``."""
-    arr = np.asarray([[float(v) for v in row] for row in _read_csv(path, CSV_HEADER)],
-                     dtype=float)
+    arr = np.asarray(_read_csv(path, CSV_HEADER, [float] * len(CSV_HEADER)), dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")
     bad = ~np.all(np.isfinite(arr), axis=1)

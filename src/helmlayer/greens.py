@@ -5,15 +5,16 @@
     g'' + kappa(x)^2 g = -delta(x - y)
 
 with outgoing behaviour e^{+i kappa1 x} as x -> +1 and e^{-i kappa2 x}
-as x -> -1.  Its layer amplitudes (the direct wave and the waves
-reflected and transmitted at the interface) are written once, in
-``_amplitudes``; the kernel, its derivative, the closed-form
-coefficients and the endpoint table of the half-line representation
-are all read from it.  ``green_coeffs_via_linear_system`` rebuilds the
-layer amplitudes A, B, C, D independently by solving the 4x4 continuity
-system (value and derivative matching at x = 0, value continuity and
-unit derivative jump at x = y), and ``interface_residuals`` measures how
-well the closed form satisfies those conditions.
+as x -> -1.  A source left of the interface is the mirror image of one
+right of it, so every routine here, the oracles included, works for both
+signs of y in one frame: ``_frame``'s X = sig x, Y = sig y, where the
+source sits at Y > 0.  The layer amplitudes (direct, reflected and
+transmitted waves) are written once, in ``_amplitudes``, for the kernel,
+its derivative, the closed-form coefficients and the endpoint table.  The
+oracles stay independent of them: ``green_coeffs_via_linear_system``
+solves the 4x4 continuity system, ``eval_from_coeffs`` evaluates its
+amplitudes piecewise, and ``interface_residuals`` measures how well the
+closed form meets the continuity and jump conditions.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .model import wavenumbers
 
 __all__ = [
     "GreenCoeffs",
@@ -61,6 +60,14 @@ def _check_eval(x, y, omega):
         raise ValueError("evaluation point outside [-1, 1]")
 
 
+def _frame(y, medium):
+    """``(sig, cs, co)`` of a source at y: sig = +1 right of the interface,
+    -1 left of it (on it, where both forms agree, from the left), and the
+    speed factors of its own layer and of the other.  In X = sig x,
+    Y = sig y the source sits at Y > 0; d/dx = sig d/dX."""
+    return (1.0, medium.c1, medium.c2) if y > 0 else (-1.0, medium.c2, medium.c1)
+
+
 def _amplitudes(ks, ko):
     """The layer amplitude table.
 
@@ -89,24 +96,19 @@ def _span(mask):
 
 
 def _green(x, y, medium, omega, deriv=False):
-    """g(x, y; omega), or its x-derivative, with the axes of omega first.
-
-    In the mirrored coordinates X = sig x, Y = sig y (sig = +1 for a
-    source right of the interface, -1 left of it) every source sits at
-    Y > 0: a direct and a reflected wave on its own side (X >= 0), a
-    transmitted wave on the other.  d/dx = sig d/dX.  A source on the
-    interface, where both forms agree, is taken from the left.
-    """
+    """g(x, y; omega), or its x-derivative, with the axes of omega first:
+    in each source's ``_frame``, a direct and a reflected wave on its own
+    side (X >= 0) and a transmitted wave on the other."""
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xr, yr = xb.ravel(), yb.ravel()
     lead = np.shape(omega)
     om = np.asarray(omega, dtype=float)[..., None] if lead else omega
     out = np.empty(lead + (xr.size,), dtype=complex)
     right = yr > 0
-    for sig, cs, co, own in ((1.0, medium.c1, medium.c2, right),
-                             (-1.0, medium.c2, medium.c1, ~right)):
+    for own, sig in ((right, 1.0), (~right, -1.0)):
         if not own.any():
             continue
+        sig, cs, co = _frame(sig, medium)  # a source at y = sig has the group's frame
         X, Y = sig * xr, sig * yr
         ks, ko = cs * om, co * om
         direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
@@ -157,13 +159,10 @@ def green_dx(x, y, medium, omega):
 
 @dataclass(frozen=True)
 class GreenCoeffs:
-    """Layer amplitudes for a fixed source point and frequency.
-
-    For y > 0: g = A e^{i k1 x} (x > y), B e^{i k1 x} + C e^{-i k1 x}
-    (0 < x < y), D e^{-i k2 x} (x < 0).  For y < 0, mirrored:
-    A e^{-i k2 x} (x < y), B e^{-i k2 x} + C e^{i k2 x} (y < x < 0),
-    D e^{i k1 x} (x > 0).
-    """
+    """Layer amplitudes for a fixed source point and frequency: in the
+    source's ``_frame``, with ks = cs omega and ko = co omega,
+    g = A e^{i ks X} (X > Y), B e^{i ks X} + C e^{-i ks X} (0 < X < Y)
+    and D e^{-i ko X} (X < 0)."""
 
     A: complex
     B: complex
@@ -174,7 +173,7 @@ class GreenCoeffs:
 def green_coeffs_closed(y, medium, omega):
     """Closed-form layer amplitudes (solution of the continuity system)."""
     _check_args(y, omega)
-    sig, cs, co = (1.0, medium.c1, medium.c2) if y > 0 else (-1.0, medium.c2, medium.c1)
+    sig, cs, co = _frame(y, medium)
     ks = cs * omega
     direct_amp, refl_amp, trans_amp = _amplitudes(ks, co * omega)
     ey, em = np.exp(1j * ks * sig * y), np.exp(-1j * ks * sig * y)
@@ -193,8 +192,8 @@ def _endpoint_rows(medium):
     at its own endpoint and a transmitted row at the other.
     """
     rows = []
-    for side, sig, cs, co, near, far in (("right", 1.0, medium.c1, medium.c2, "plus", "minus"),
-                                         ("left", -1.0, medium.c2, medium.c1, "minus", "plus")):
+    for side, sig, near, far in (("right", 1.0, "plus", "minus"), ("left", -1.0, "minus", "plus")):
+        sig, cs, co = _frame(sig, medium)
         direct, refl, trans = (amp.imag for amp in _amplitudes(cs, co))
         rows += [(near, refl, side, sig * cs, cs),
                  (near, direct, side, -sig * cs, cs),
@@ -206,52 +205,34 @@ def green_coeffs_via_linear_system(y, medium, omega):
     """Layer amplitudes from a dense solve of the 4x4 continuity system.
 
     Independent of the closed form: assembles value/derivative matching
-    at the interface and at the source point (derivative jump -1) and
-    eliminates.
+    at the interface and at the source point (derivative jump -1) in the
+    source's ``_frame`` and eliminates.
     """
     _check_args(y, omega)
-    k1, k2 = wavenumbers(medium, omega)
-    if abs(k1 + k2) < 1e-14:
+    sig, cs, co = _frame(y, medium)
+    ks, ko, Y = cs * omega, co * omega, sig * y
+    if abs(ks + ko) < 1e-14:
         raise np.linalg.LinAlgError("degenerate medium: |kappa1 + kappa2| below 1e-14")
-    M = np.zeros((4, 4), dtype=complex)
-    rhs = np.zeros(4, dtype=complex)
-    if y > 0:
-        ep, em = np.exp(1j * k1 * y), np.exp(-1j * k1 * y)
-        # continuity at x = y
-        M[0] = [ep, -ep, -em, 0.0]
-        # derivative jump at x = y: g'(y+) - g'(y-) = -1
-        M[1] = [1j * k1 * ep, -1j * k1 * ep, 1j * k1 * em, 0.0]
-        rhs[1] = -1.0
-        # continuity at x = 0
-        M[2] = [0.0, 1.0, 1.0, -1.0]
-        # derivative continuity at x = 0
-        M[3] = [0.0, 1j * k1, -1j * k1, 1j * k2]
-    else:
-        ep, em = np.exp(-1j * k2 * y), np.exp(1j * k2 * y)
-        M[0] = [ep, -ep, -em, 0.0]
-        M[1] = [1j * k2 * ep, -1j * k2 * ep, 1j * k2 * em, 0.0]
-        rhs[1] = -1.0
-        M[2] = [0.0, 1.0, 1.0, -1.0]
-        M[3] = [0.0, -1j * k2, 1j * k2, -1j * k1]
-    sol = np.linalg.solve(M, rhs)
-    return GreenCoeffs(*sol)
+    ep, em = np.exp(1j * ks * Y), np.exp(-1j * ks * Y)
+    M = np.array([
+        [ep, -ep, -em, 0.0],  # continuity at X = Y
+        [1j * ks * ep, -1j * ks * ep, 1j * ks * em, 0.0],  # G'(Y+) - G'(Y-) = -1
+        [0.0, 1.0, 1.0, -1.0],  # continuity at X = 0
+        [0.0, 1j * ks, -1j * ks, 1j * ko],  # derivative continuity at X = 0
+    ], dtype=complex)
+    return GreenCoeffs(*np.linalg.solve(M, np.array([0.0, -1.0, 0.0, 0.0], dtype=complex)))
 
 
 def eval_from_coeffs(coeffs, x, y, medium, omega):
     """Piecewise evaluation of g from layer amplitudes."""
     _check_eval(x, y, omega)
-    k1, k2 = wavenumbers(medium, omega)
-    x = np.asarray(x, dtype=float)
-    if y > 0:
-        outer = coeffs.A * np.exp(1j * k1 * x)
-        inner = coeffs.B * np.exp(1j * k1 * x) + coeffs.C * np.exp(-1j * k1 * x)
-        trans = coeffs.D * np.exp(-1j * k2 * x)
-        out = np.where(x > y, outer, np.where(x >= 0, inner, trans))
-    else:
-        outer = coeffs.A * np.exp(-1j * k2 * x)
-        inner = coeffs.B * np.exp(-1j * k2 * x) + coeffs.C * np.exp(1j * k2 * x)
-        trans = coeffs.D * np.exp(1j * k1 * x)
-        out = np.where(x < y, outer, np.where(x <= 0, inner, trans))
+    sig, cs, co = _frame(y, medium)
+    ks, ko, Y = cs * omega, co * omega, sig * y
+    X = sig * np.asarray(x, dtype=float)
+    outer = coeffs.A * np.exp(1j * ks * X)
+    inner = coeffs.B * np.exp(1j * ks * X) + coeffs.C * np.exp(-1j * ks * X)
+    trans = coeffs.D * np.exp(-1j * ko * X)
+    out = np.where(X > Y, outer, np.where(X >= 0, inner, trans))
     return out[()] if out.ndim == 0 else out
 
 
@@ -270,26 +251,17 @@ class InterfaceResiduals:
 
 
 def interface_residuals(y, medium, omega):
-    """One-sided limits of the closed form against the defining conditions."""
+    """One-sided limits of the closed form against the defining conditions,
+    in the source's ``_frame``."""
     _check_args(y, omega)
-    k1, k2 = wavenumbers(medium, omega)
+    sig, cs, co = _frame(y, medium)
+    ks, ko, Y = cs * omega, co * omega, sig * y
     c = green_coeffs_closed(y, medium, omega)
-    if y > 0:
-        ep, em = np.exp(1j * k1 * y), np.exp(-1j * k1 * y)
-        g_out, g_in = c.A * ep, c.B * ep + c.C * em
-        dg_out, dg_in = 1j * k1 * c.A * ep, 1j * k1 * (c.B * ep - c.C * em)
-        g0_in, g0_tr = c.B + c.C, c.D
-        dg0_in, dg0_tr = 1j * k1 * (c.B - c.C), -1j * k2 * c.D
-    else:
-        ep, em = np.exp(-1j * k2 * y), np.exp(1j * k2 * y)
-        g_out, g_in = c.A * ep, c.B * ep + c.C * em
-        dg_out = -1j * k2 * c.A * ep
-        dg_in = -1j * k2 * c.B * ep + 1j * k2 * c.C * em
-        g0_in, g0_tr = c.B + c.C, c.D
-        dg0_in, dg0_tr = -1j * k2 * (c.B - c.C), 1j * k1 * c.D
-        # x = y approached from above lies in the inner region, from below in the outer
-        g_out, g_in = g_in, g_out
-        dg_out, dg_in = dg_in, dg_out
+    ep, em = np.exp(1j * ks * Y), np.exp(-1j * ks * Y)
+    g_out, g_in = c.A * ep, c.B * ep + c.C * em
+    dg_out, dg_in = 1j * ks * c.A * ep, 1j * ks * (c.B * ep - c.C * em)
+    g0_in, g0_tr = c.B + c.C, c.D
+    dg0_in, dg0_tr = 1j * ks * (c.B - c.C), -1j * ko * c.D
     return InterfaceResiduals(
         cont_at_zero=float(np.abs(g0_in - g0_tr)),
         dcont_at_zero=float(np.abs(dg0_in - dg0_tr)),

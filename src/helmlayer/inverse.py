@@ -22,6 +22,7 @@ from .fourier import epsilon_norm, trapezoid_weights
 from .quadrature import composite_rule
 
 __all__ = [
+    "ConditioningWarning",
     "ForwardOperator",
     "ReconstructionResult",
     "assemble_operator",
@@ -36,6 +37,10 @@ __all__ = [
 # the 1/omega amplification guard: reconstruct_homogeneous refuses a grid
 # whose first frequency lies below this
 OMEGA_FLOOR = 1e-8
+
+
+class ConditioningWarning(RuntimeWarning):
+    """A solve that ran on badly conditioned or rank-deficient equations."""
 
 
 @dataclass
@@ -188,7 +193,7 @@ def reconstruct_tikhonov(op, data, lam):
     if cond > 1e12:
         warnings.warn(
             f"regularized normal equations badly conditioned (estimate {cond:.2e})",
-            RuntimeWarning, stacklevel=2,
+            ConditioningWarning, stacklevel=2,
         )
     coeffs, residual = _filtered_solve(op, data, S / (S ** 2 + lam ** 2))
     return ReconstructionResult(op.grid_source(coeffs), "tikhonov", float(lam), residual)
@@ -201,7 +206,7 @@ def reconstruct_tsvd(op, data, k):
         raise ValueError(f"rank k must be in [1, {len(S)}], got {k}")
     if S[k - 1] / S[0] < 1e-14:
         warnings.warn(f"singular value {k} is at numerical rank deficiency",
-                      RuntimeWarning, stacklevel=2)
+                      ConditioningWarning, stacklevel=2)
     filt = np.zeros(len(S))
     filt[:k] = 1.0 / S[:k]
     coeffs, residual = _filtered_solve(op, data, filt)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,11 +13,13 @@ import pytest
 import helmlayer
 import helmlayer.cli as cli
 from helmlayer import forward
-from helmlayer.cli import (ConfigError, RunConfig, build_grid, build_source,
-                           cmd_forward, cmd_reconstruct, cmd_sweep, cmd_verify,
-                           main, parse_config_text, read_sweep_csv, run_sweep,
-                           run_verify, serialize_config)
+from helmlayer.cli import (ConfigError, ExperimentRecord, RunConfig,
+                           build_grid, build_source, cmd_forward, cmd_reconstruct,
+                           cmd_sweep, cmd_verify, main, parse_config_text,
+                           read_sweep_csv, run_sweep, run_verify, serialize_config,
+                           write_sweep_csv)
 from helmlayer.forward import BoundaryData, read_boundary_csv
+from helmlayer.inverse import ConditioningWarning
 from helmlayer.model import SourceSpec, l2_norm_sq
 
 
@@ -439,10 +442,13 @@ def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
      "data row 4 of"),
     (lambda lines: lines[:4] + [lines[4] + ",0"] + lines[5:], "data row 4 of"),
     (lambda lines: lines[:4] + ["9" * 200_000] + lines[5:], "line 5 of"),
-], ids=["empty", "wrong_header", "short_row", "long_row", "huge_field"])
+    (lambda lines: lines[:2] + ["abc" + lines[2][lines[2].index(","):]] + lines[3:],
+     "'abc' in data row 2 of"),
+], ids=["empty", "wrong_header", "short_row", "long_row", "huge_field", "non_numeric"])
 def test_reconstruct_rejects_malformed_data(mangle, where, tmp_path, capsys):
-    # an empty file, a wrong header, a short or long row and a field over
-    # the csv module's size limit each exit 2, naming the file and the row
+    # an empty file, a wrong header, a short or long row, a field over
+    # the csv module's size limit and a cell that is not a number each
+    # exit 2, naming the file and the row (and the bad cell)
     cfg_path, data_path = _forward_csv(tmp_path)
     lines = mangle(data_path.read_text().splitlines())
     data_path.write_text("".join(line + "\n" for line in lines))
@@ -454,6 +460,38 @@ def test_reconstruct_rejects_malformed_data(mangle, where, tmp_path, capsys):
     err = capsys.readouterr().err
     assert where in err and str(data_path) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("column, cell", [(2, "xyz"), (0, "xyz"), (7, "1.5")])
+def test_read_sweep_csv_names_the_bad_cell(column, cell, tmp_path):
+    # a cell its column cannot read (n, K and seed here) names the cell,
+    # the data row and the file
+    path = tmp_path / "s.csv"
+    write_sweep_csv(path, [ExperimentRecord(10.0, 0.01, 2, "tikhonov", 0.5, 0.1, 3.0, 7)] * 3)
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = cell
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"'{cell}' in data row 3 of") as exc:
+        read_sweep_csv(path)
+    assert str(path) in str(exc.value)
+
+
+def test_conditioning_warning_is_not_a_test_error(tmp_path):
+    # inverse's deliberate ConditioningWarning is attributed to its caller,
+    # here cli (stacklevel=2); the test filters turn every other
+    # RuntimeWarning from cli into an error but let this one through, so
+    # a rank-deficient TSVD run still exits 0
+    cfg_path, data_path = _forward_csv(
+        tmp_path, "inverse.method = tsvd\ninverse.n_basis = 41\ninverse.k = 41\n")
+    args = ["reconstruct", "--config", str(cfg_path), "--data", str(data_path),
+            "--out", str(tmp_path / "rec.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 0
+    assert any(issubclass(w.category, ConditioningWarning) for w in caught)
+    assert main(args) == 0
 
 
 def test_reconstruct_skips_blank_lines(tmp_path):

@@ -23,8 +23,8 @@ from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
                                endpoint_amplitude_bound, epsilon_norm,
                                halfline_ft_many, write_ratio_csv, write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
-                              green_coeffs_via_linear_system,
-                              green_eval)
+                              green_coeffs_via_linear_system, green_dx,
+                              green_eval, interface_residuals)
 from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator,
                                morozov_lambda, reconstruct_tikhonov)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
@@ -64,6 +64,22 @@ def test_green_eval_matches_linear_system(medium, omega, y, xs):
     ref = eval_from_coeffs(green_coeffs_via_linear_system(y, medium, omega), xs, y,
                            medium, omega)
     assert np.max(np.abs(green_eval(xs, y, medium, omega) - ref)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(speeds, speeds, omegas, source_points, st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+def test_mirror_image_matches_bit_for_bit(c1, c2, omega, y, xs):
+    # a source at y in (c1, c2) is the mirror image of one at -y in the
+    # swapped medium (c2, c1), x flipped: the kernel, its derivative (d/dx
+    # flips sign), the linear-system amplitudes and the interface
+    # residuals come out as the same doubles
+    medium, swapped = Medium(c1, c2), Medium(c2, c1)
+    xs = np.array(xs)
+    assert np.array_equal(green_eval(xs, y, medium, omega), green_eval(-xs, -y, swapped, omega))
+    assert np.array_equal(green_dx(xs, y, medium, omega), -green_dx(-xs, -y, swapped, omega))
+    assert (green_coeffs_via_linear_system(y, medium, omega)
+            == green_coeffs_via_linear_system(-y, swapped, omega))
+    assert interface_residuals(y, medium, omega) == interface_residuals(-y, swapped, omega)
 
 
 @settings(max_examples=25, deadline=None)
@@ -476,12 +492,12 @@ def test_tail_and_ratio_csv_round_trip(pairs, ratios):
         tail, ratio = os.path.join(tmp, "tail.csv"), os.path.join(tmp, "ratio.csv")
         write_tail_csv(tail, s_vals, T_vals)
         write_ratio_csv(ratio, ratios)
-        tail_rows = _read_csv(tail, ["s", "T", "logs", "logT"])
-        ratio_rows = _read_csv(ratio, ["trial", "ratio"])
-    got = np.array([[float(v) for v in row] for row in tail_rows]).reshape(-1, 4)
+        tail_rows = _read_csv(tail, ["s", "T", "logs", "logT"], [float] * 4)
+        ratio_rows = _read_csv(ratio, ["trial", "ratio"], [int, float])
+    got = np.array(tail_rows).reshape(-1, 4)
     assert _bits(got.T) == _bits([s_vals, T_vals, np.log(s_vals), np.log(T_vals)])
-    assert [int(i) for i, _ in ratio_rows] == list(range(len(ratios)))
-    assert _bits([float(r) for _, r in ratio_rows]) == _bits(ratios)
+    assert [i for i, _ in ratio_rows] == list(range(len(ratios)))
+    assert _bits([r for _, r in ratio_rows]) == _bits(ratios)
 
 
 @settings(max_examples=60, deadline=None)
