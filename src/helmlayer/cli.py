@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -62,133 +62,101 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration with spec'd defaults."""
-
-    c1: float = 1.0
-    c2: float = 1.5
-    K: float = 40.0
-    n_omega: int = 400
-    omega_floor: float | None = None  # defaults to K / n_omega
-    source_kind: str = "bump"
-    source_a: float = -0.6
-    source_b: float = 0.6
-    source_order: int = 2
-    source_mod_freq: float = 8.0
-    source_amp: complex = 1.0 + 0.0j
-    method: str = "tikhonov"
-    lam: float = 1e-6
-    tsvd_k: int = 50
-    n_basis: int = 201
-    support_a: float = -0.95
-    support_b: float = 0.95
-    eps: float = 0.0
-    seed: int = 7
-    sweep_K_list: tuple = (5.0, 10.0, 20.0, 40.0)
-    sweep_eps_list: tuple = (0.0, 1e-1, 1e-2, 1e-3)
-    sweep_n_list: tuple = (1, 2, 3)
-    sweep_trials: int = 10
-    sweep_support_a: float = 0.1
-    sweep_support_b: float = 0.9
-
-    def __post_init__(self):
-        for key, (attr, parse, _) in _CONFIG_KEYS.items():
-            if parse not in (float, _floats):
-                continue
-            value = attrgetter(attr)(self)
-            for v in value if parse is _floats else (value,):
-                if v is not None and not np.isfinite(v):
-                    raise ConfigError(f"{key} must be finite, got {v}")
-        if self.c1 <= 0:
-            raise ConfigError("medium.c1 must be positive")
-        if self.c2 <= 0:
-            raise ConfigError("medium.c2 must be positive")
-        if self.K <= 0:
-            raise ConfigError("frequency.K must be positive")
-        if self.n_omega < 1:
-            raise ConfigError("frequency.n_omega must be at least 1")
-        floor = self.omega_floor
-        if floor is not None and not (0 < floor <= self.K):
-            raise ConfigError("frequency.omega_floor must lie in (0, K]")
-        if self.source_kind not in SOURCE_KINDS:
-            raise ConfigError(f"source.kind must be one of {SOURCE_KINDS}")
-        if not (-1.0 < self.source_a < self.source_b < 1.0):
-            raise ConfigError("source support must satisfy -1 < a < b < 1")
-        if self.source_kind == "bspline" and self.source_order < 1:
-            raise ConfigError("source.order must be a positive integer")
-        if self.method not in METHODS:
-            raise ConfigError(f"inverse.method must be one of {METHODS}")
-        if self.lam <= 0:
-            raise ConfigError("inverse.lambda must be positive")
-        if self.tsvd_k < 1:
-            raise ConfigError("inverse.k must be at least 1")
-        if self.n_basis < 8:
-            raise ConfigError("inverse.n_basis must be at least 8")
-        if not (-1.0 < self.support_a < self.support_b < 1.0):
-            raise ConfigError("inverse support must satisfy -1 < a < b < 1")
-        if self.eps < 0:
-            raise ConfigError("noise.eps must be non-negative")
-        for key, vals in (("sweep.K_list", self.sweep_K_list),
-                          ("sweep.eps_list", self.sweep_eps_list),
-                          ("sweep.n_list", self.sweep_n_list)):
-            if len(vals) == 0:
-                raise ConfigError(f"{key} must not be empty")
-        if any(k <= 0 for k in self.sweep_K_list):
-            raise ConfigError("sweep.K_list entries must be positive")
-        if any(e < 0 for e in self.sweep_eps_list):
-            raise ConfigError("sweep.eps_list entries must be non-negative")
-        if any(n < 1 for n in self.sweep_n_list):
-            raise ConfigError("sweep.n_list entries must be positive integers")
-        if self.sweep_trials < 1:
-            raise ConfigError("sweep.trials must be at least 1")
-        if not (-1.0 < self.sweep_support_a < self.sweep_support_b < 1.0):
-            raise ConfigError("sweep support must satisfy -1 < a < b < 1")
-
-
-def _floats(text):
-    return tuple(float(v) for v in text.split(","))
-
-
-def _ints(text):
-    return tuple(int(v) for v in text.split(","))
+def _split(parse):
+    return lambda text: tuple(parse(v) for v in text.split(","))
 
 
 def _join(fmt):
     return lambda values: ",".join(fmt(v) for v in values)
 
 
+# a config value's (parse, format) pair
+_floats, _ints = _split(float), _split(int)
+_FLOAT, _INT, _STR = (float, _exact), (int, str), (str, str)
+_FLOATS, _INTS = (_floats, _join(_exact)), (_ints, _join(str))
+
+# a single value's range, (test, wording); a list's range holds for each entry
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+_COUNT = (lambda v: v >= 1, "at least 1")
+
+
+def _one_of(names):
+    return (lambda v: v in names, f"one of {names}")
+
+
+def _key(default, key, codec, rule):
+    """A RunConfig field with its config key, (parse, format) pair and
+    single-value range (None: any value; a float must still be finite).
+    A complex field takes a pair of keys, for its real and imaginary parts."""
+    keys = {key: ""} if isinstance(key, str) else dict(zip(key, (".real", ".imag")))
+    return field(default=default, metadata={"keys": keys, "codec": codec, "rule": rule})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated run configuration, its fields in canonical key order."""
+
+    c1: float = _key(1.0, "medium.c1", _FLOAT, _POSITIVE)
+    c2: float = _key(1.5, "medium.c2", _FLOAT, _POSITIVE)
+    K: float = _key(40.0, "frequency.K", _FLOAT, _POSITIVE)
+    n_omega: int = _key(400, "frequency.n_omega", _INT, _COUNT)
+    # None stands for K / n_omega and is left out of the text
+    omega_floor: float | None = _key(None, "frequency.omega_floor", _FLOAT, None)
+    source_kind: str = _key("bump", "source.kind", _STR, _one_of(SOURCE_KINDS))
+    source_a: float = _key(-0.6, "source.a", _FLOAT, None)
+    source_b: float = _key(0.6, "source.b", _FLOAT, None)
+    source_order: int = _key(2, "source.order", _INT, None)
+    source_mod_freq: float = _key(8.0, "source.mod_freq", _FLOAT, None)
+    source_amp: complex = _key(1.0 + 0.0j, ("source.amp_re", "source.amp_im"), _FLOAT, None)
+    method: str = _key("tikhonov", "inverse.method", _STR, _one_of(METHODS))
+    lam: float = _key(1e-6, "inverse.lambda", _FLOAT, _POSITIVE)
+    tsvd_k: int = _key(50, "inverse.k", _INT, _COUNT)
+    n_basis: int = _key(201, "inverse.n_basis", _INT, (lambda v: v >= 8, "at least 8"))
+    support_a: float = _key(-0.95, "inverse.support_a", _FLOAT, None)
+    support_b: float = _key(0.95, "inverse.support_b", _FLOAT, None)
+    sweep_K_list: tuple = _key((5.0, 10.0, 20.0, 40.0), "sweep.K_list", _FLOATS, _POSITIVE)
+    sweep_eps_list: tuple = _key((0.0, 1e-1, 1e-2, 1e-3), "sweep.eps_list", _FLOATS,
+                                 _NON_NEGATIVE)
+    sweep_n_list: tuple = _key((1, 2, 3), "sweep.n_list", _INTS, _COUNT)
+    sweep_trials: int = _key(10, "sweep.trials", _INT, _COUNT)
+    sweep_support_a: float = _key(0.1, "sweep.support_a", _FLOAT, None)
+    sweep_support_b: float = _key(0.9, "sweep.support_b", _FLOAT, None)
+    eps: float = _key(0.0, "noise.eps", _FLOAT, _NON_NEGATIVE)
+    seed: int = _key(7, "noise.seed", _INT, None)
+
+    def __post_init__(self):
+        for f in fields(self):
+            codec, rule = f.metadata["codec"], f.metadata["rule"]
+            for key, part in f.metadata["keys"].items():
+                value = attrgetter(f.name + part)(self)
+                values = value if isinstance(value, tuple) else (value,)
+                if not values:
+                    raise ConfigError(f"{key} must not be empty")
+                for v in values:
+                    if v is None:
+                        continue
+                    if codec in (_FLOAT, _FLOATS) and not np.isfinite(v):
+                        raise ConfigError(f"{key} must be finite, got {v}")
+                    if rule is not None and not rule[0](v):
+                        raise ConfigError(f"{key} must be {rule[1]}, got {v!r}")
+        floor = self.omega_floor
+        if floor is not None and not (0 < floor <= self.K):
+            raise ConfigError(f"{_KEY['omega_floor']} must lie in (0, {_KEY['K']}]")
+        if self.source_kind == "bspline" and self.source_order < 1:
+            raise ConfigError(f"{_KEY['source_order']} must be a positive integer "
+                              f"when {_KEY['source_kind']} = bspline")
+        for a, b in (("source_a", "source_b"), ("support_a", "support_b"),
+                     ("sweep_support_a", "sweep_support_b")):
+            if not (-1.0 < getattr(self, a) < getattr(self, b) < 1.0):
+                raise ConfigError(f"support must satisfy -1 < {_KEY[a]} < {_KEY[b]} < 1")
+
+
 # Every config key, in canonical text order: section.key -> (RunConfig
-# attribute, parse, format).  source.amp_re and source.amp_im are the
-# parts of source_amp; an unset omega_floor (None) is left out of the text.
-_CONFIG_KEYS = {
-    "medium.c1": ("c1", float, _exact),
-    "medium.c2": ("c2", float, _exact),
-    "frequency.K": ("K", float, _exact),
-    "frequency.n_omega": ("n_omega", int, str),
-    "frequency.omega_floor": ("omega_floor", float, _exact),
-    "source.kind": ("source_kind", str, str),
-    "source.a": ("source_a", float, _exact),
-    "source.b": ("source_b", float, _exact),
-    "source.order": ("source_order", int, str),
-    "source.mod_freq": ("source_mod_freq", float, _exact),
-    "source.amp_re": ("source_amp.real", float, _exact),
-    "source.amp_im": ("source_amp.imag", float, _exact),
-    "inverse.method": ("method", str, str),
-    "inverse.lambda": ("lam", float, _exact),
-    "inverse.k": ("tsvd_k", int, str),
-    "inverse.n_basis": ("n_basis", int, str),
-    "inverse.support_a": ("support_a", float, _exact),
-    "inverse.support_b": ("support_b", float, _exact),
-    "sweep.K_list": ("sweep_K_list", _floats, _join(_exact)),
-    "sweep.eps_list": ("sweep_eps_list", _floats, _join(_exact)),
-    "sweep.n_list": ("sweep_n_list", _ints, _join(str)),
-    "sweep.trials": ("sweep_trials", int, str),
-    "sweep.support_a": ("sweep_support_a", float, _exact),
-    "sweep.support_b": ("sweep_support_b", float, _exact),
-    "noise.eps": ("eps", float, _exact),
-    "noise.seed": ("seed", int, str),
-}
+# attribute, parse, format), read from the fields; and the key by attribute
+_CONFIG_KEYS = {key: (f.name + part, *f.metadata["codec"])
+                for f in fields(RunConfig) for key, part in f.metadata["keys"].items()}
+_KEY = {attr: key for key, (attr, _, _) in _CONFIG_KEYS.items()}
 
 
 def parse_config_text(text, origin="<config>"):
@@ -209,9 +177,9 @@ def parse_config_text(text, origin="<config>"):
             values[attr] = parse(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key!r}: {val!r}") from exc
-    amp = complex(values.pop("source_amp.real", 1.0), values.pop("source_amp.imag", 0.0))
-    if amp != 1.0:
-        values["source_amp"] = amp
+    amp = RunConfig.source_amp  # the default, for a part the text leaves out
+    values["source_amp"] = complex(values.pop("source_amp.real", amp.real),
+                                   values.pop("source_amp.imag", amp.imag))
     try:
         return RunConfig(**values)
     except ConfigError:
@@ -426,12 +394,13 @@ def cmd_forward(cfg, out_path):
     f = build_source(cfg)
     grid = build_grid(cfg)
     data = boundary_sweep(f, Medium(cfg.c1, cfg.c2), grid)
-    if not _all_finite(data.u_minus, data.u_plus):
-        print("FAILED: non-finite endpoint data, nothing written", file=sys.stderr)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        epsilon = epsilon_norm(data)
+    if not _all_finite(data.u_minus, data.u_plus, epsilon):
+        print("FAILED: non-finite endpoint data or data norm, nothing written", file=sys.stderr)
         return EXIT_CHECK
     write_boundary_csv(data, out_path)
-    print(f"wrote {len(grid)} frequencies to {out_path} "
-          f"(epsilon = {epsilon_norm(data):.6e})")
+    print(f"wrote {len(grid)} frequencies to {out_path} (epsilon = {epsilon:.6e})")
     return EXIT_OK
 
 
@@ -446,10 +415,11 @@ def write_reconstruction_csv(path, result, f_true):
 
 
 def _solve(cfg, op, data, eps):
-    """TSVD at rank min(k, n_basis), or else Tikhonov at the discrepancy
-    rule's lambda when eps > 0 and at ``cfg.lam`` otherwise."""
+    """TSVD at rank k, capped at the operator's singular value count
+    min(n_basis, 2 n_omega); or else Tikhonov at the discrepancy rule's
+    lambda when eps > 0 and at ``cfg.lam`` otherwise."""
     if cfg.method == "tsvd":
-        return reconstruct_tsvd(op, data, min(cfg.tsvd_k, cfg.n_basis))
+        return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
     lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
     return reconstruct_tikhonov(op, data, lam)
 
@@ -467,19 +437,22 @@ def cmd_reconstruct(cfg, data_path, out_path):
     data = read_boundary_csv(data_path, K=cfg.K)
     if len(data.grid) != cfg.n_omega:
         raise ConfigError(
-            f"data grid mismatch: config declares {cfg.n_omega} frequencies, "
-            f"file {data_path} has {len(data.grid)}"
+            f"data grid mismatch: {_KEY['n_omega']} = {cfg.n_omega}, "
+            f"but file {data_path} has {len(data.grid)} frequencies"
         )
     if cfg.eps > 0:
         data = add_noise(data, cfg.eps, cfg.seed)
-    medium = Medium(cfg.c1, cfg.c2)
-    result = _reconstruct(cfg, data, medium)
     f_true = build_source(cfg)
-    err = recon_error(result, f_true)
+    # an out-of-range run may overflow to inf or nan: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _reconstruct(cfg, data, Medium(cfg.c1, cfg.c2))
+        err = recon_error(result, f_true)
+        norm = np.sqrt(l2_norm_sq(f_true))
+        rel = err / norm if norm > 0 else float("nan")
     result.l2_error = err
-    norm = np.sqrt(l2_norm_sq(f_true))
-    rel = err / norm if norm > 0 else float("nan")
-    if not _all_finite(result.f_est.samples):
+    # rel is nan, and no failure, when the truth has zero norm
+    if not _all_finite(result.f_est.samples, result.reg_param, result.residual, err,
+                       rel if norm > 0 else 0.0):
         print("FAILED: non-finite reconstruction, nothing written", file=sys.stderr)
         return EXIT_CHECK
     write_reconstruction_csv(out_path, result, f_true)
@@ -628,7 +601,7 @@ def main(argv=None):
     for name in ("verify", "forward", "reconstruct", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override noise.seed")
+        p.add_argument("--seed", type=int, default=None, help=f"override {_KEY['seed']}")
         if name in ("forward", "sweep", "reconstruct"):
             p.add_argument("--out", required=True)
         else:

@@ -20,12 +20,19 @@ from helmlayer.cli import (ConfigError, ExperimentRecord, RunConfig,
                            write_sweep_csv)
 from helmlayer.forward import BoundaryData, read_boundary_csv
 from helmlayer.inverse import ConditioningWarning
-from helmlayer.model import SourceSpec, l2_norm_sq
+from helmlayer.model import Medium, SourceSpec, l2_norm_sq
 
 
 def test_empty_config_gives_defaults():
     assert parse_config_text("") == RunConfig()
     assert parse_config_text("# only a comment\n\n") == RunConfig()
+
+
+def test_config_accepts_numpy_scalars():
+    # values computed with numpy pass the same checks as Python numbers
+    cfg = RunConfig(source_a=np.float64(-0.5), n_omega=np.int64(30),
+                    sweep_K_list=(np.float64(2.0),), sweep_n_list=(np.int64(2),))
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 def test_config_validation_names_offender():
@@ -37,6 +44,34 @@ def test_config_validation_names_offender():
         parse_config_text("medium.c1 = 1\nfrequency.K = oops\n")
     with pytest.raises(ConfigError, match="support"):
         parse_config_text("source.a = 0.9\nsource.b = 0.2\n")
+    # one out-of-range value per ranged key, and each support pair reversed:
+    # the message names the key, or both keys of a pair
+    for text, keys in [
+        ("medium.c1 = 0", ["medium.c1"]),
+        ("medium.c2 = -1", ["medium.c2"]),
+        ("frequency.K = 0", ["frequency.K"]),
+        ("frequency.n_omega = 0", ["frequency.n_omega"]),
+        ("frequency.omega_floor = 50", ["frequency.omega_floor", "frequency.K"]),
+        ("source.kind = grid", ["source.kind"]),
+        ("source.kind = bspline\nsource.order = 0", ["source.order", "source.kind"]),
+        ("inverse.method = lsqr", ["inverse.method"]),
+        ("inverse.lambda = 0", ["inverse.lambda"]),
+        ("inverse.k = 0", ["inverse.k"]),
+        ("inverse.n_basis = 7", ["inverse.n_basis"]),
+        ("noise.eps = -1e-3", ["noise.eps"]),
+        ("sweep.K_list = 5,0", ["sweep.K_list"]),
+        ("sweep.eps_list = 0,-1", ["sweep.eps_list"]),
+        ("sweep.n_list = 1,0", ["sweep.n_list"]),
+        ("sweep.trials = 0", ["sweep.trials"]),
+        ("source.a = 0.9\nsource.b = 0.2", ["source.a", "source.b"]),
+        ("inverse.support_a = 0.5\ninverse.support_b = -0.5",
+         ["inverse.support_a", "inverse.support_b"]),
+        ("sweep.support_a = 0.9\nsweep.support_b = 0.1",
+         ["sweep.support_a", "sweep.support_b"]),
+    ]:
+        with pytest.raises(ConfigError) as refused:
+            parse_config_text(text + "\n")
+        assert all(key in str(refused.value) for key in keys), (text, str(refused.value))
 
 
 def test_config_roundtrip():
@@ -540,6 +575,42 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, forward_code", [
+    ("medium.c1 = 1e-300\n", 3),
+    ("source.amp_re = 1e300\nsource.amp_im = 1e300\n", 3),
+    ("noise.eps = 1e300\n", 0),  # forward reads no noise
+])
+def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_path, capsys):
+    # valid configs whose epsilon, residual or error overflow: each run
+    # that would print or write inf or nan exits 3 and writes nothing
+    text = "frequency.n_omega = 40\nfrequency.K = 10\ninverse.n_basis = 41\n" + extra
+    cfg_path, data, out = tmp_path / "run.cfg", tmp_path / "d.csv", tmp_path / "r.csv"
+    cfg_path.write_text(text)
+    assert main(["forward", "--config", str(cfg_path), "--out", str(data)]) == forward_code
+    assert data.exists() == (forward_code == 0)
+    if forward_code:
+        # the refused data, written past the gate for reconstruct to read
+        cfg = parse_config_text(text)
+        forward.write_boundary_csv(forward.boundary_sweep(
+            build_source(cfg), Medium(cfg.c1, cfg.c2), build_grid(cfg)), data)
+    assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(out)]) == 3
+    assert "nothing written" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tsvd_rank_is_capped_at_the_singular_value_count(tmp_path, capsys):
+    # 32 frequencies give 64 rows: inverse.k = 81 solves at rank 64
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("frequency.n_omega = 32\ninverse.n_basis = 81\ninverse.k = 81\n"
+                        "inverse.method = tsvd\n")
+    data = tmp_path / "d.csv"
+    assert main(["forward", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert "reg=64 " in capsys.readouterr().out
+
+
 def test_every_subcommand_runs_without_scipy(tmp_path):
     # helmlayer needs numpy alone: importing the package, verify on the
     # default config, forward and reconstruct on a B-spline source and a
@@ -582,6 +653,22 @@ def test_keyword_knob_count_is_pinned():
                 if inspect.isfunction(f) and f.__module__ == m.__name__
                 for p in inspect.signature(f).parameters.values())
     assert count == 23
+
+
+def test_config_key_count_is_pinned():
+    # a new config key has to raise this pin, as a new keyword knob must
+    assert len(cli._CONFIG_KEYS) == 26
+
+
+def test_readme_key_table_matches_the_declaration():
+    # the README lists every key in canonical order, each at its default;
+    # the floor's default is written as the rule K/n_omega
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.split("Keys and defaults:", 1)[1].split("```")[1].strip().splitlines()
+    assert [line.split("=", 1)[0].strip() for line in lines] == list(cli._CONFIG_KEYS)
+    floor = "frequency.omega_floor = K/n_omega"
+    assert floor in lines
+    assert parse_config_text("\n".join(line for line in lines if line != floor)) == RunConfig()
 
 
 def test_import_starts_no_thread():
