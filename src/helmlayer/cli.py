@@ -20,14 +20,14 @@ import numpy as np
 
 from . import model
 from .model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
-from .greens import (eval_from_coeffs, green_coeffs_closed,
-                     green_coeffs_via_linear_system, green_eval,
-                     interface_residuals)
+from .quadrature import RuleSizeError
+from .greens import (_green_runs, eval_from_coeffs, green_coeffs_closed,
+                     green_coeffs_via_linear_system, interface_residuals)
 from .forward import (_beside, _exact, _read_csv, _write_csv, boundary_sweep,
-                      check_radiation, fd_oracle, forward_field,
-                      interface_traces, read_boundary_csv, write_boundary_csv)
+                      check_radiation_many, fd_oracle, forward_field,
+                      interface_traces_many, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
-                      endpoint_amplitude_bound)
+                      endpoint_amplitude_bound_many)
 from .inverse import (add_noise, assemble_operator, morozov_lambda,
                       recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
@@ -233,6 +233,17 @@ def _random_source(rng):
     return SourceSpec.modulated_bump(a, b, rng.uniform(0.0, 10.0), amp)
 
 
+def _random_draws(rng, n, omega_max):
+    """n draws (source, medium, omega), each drawn medium first, then
+    omega in [0.2, omega_max), then the source."""
+    draws = []
+    for _ in range(n):
+        med = _random_medium(rng)
+        om = rng.uniform(0.2, omega_max)
+        draws.append((_random_source(rng), med, om))
+    return draws
+
+
 def run_verify(cfg):
     """Deterministic identity battery.  Returns (report lines, failures).
 
@@ -247,9 +258,11 @@ def run_verify(cfg):
         checks.append((name, value, threshold))
 
     # Green's function construction: continuity/jump residuals and the
-    # closed form versus the independent linear-system solve.
+    # closed form versus the independent linear-system solve, whose
+    # branches are held to the kernel at 8 points a draw in one call
     rng = np.random.default_rng(seed.spawn(1)[0])
-    worst_iface = worst_sys = worst_branch = 0.0
+    worst_iface = worst_sys = 0.0
+    branches = []
     for _ in range(200):
         med = _random_medium(rng)
         y = rng.uniform(-0.95, 0.95)
@@ -262,60 +275,51 @@ def run_verify(cfg):
         worst_sys = max(worst_sys, max(abs(c_sys.A - c_cf.A), abs(c_sys.B - c_cf.B),
                                        abs(c_sys.C - c_cf.C), abs(c_sys.D - c_cf.D)))
         xs = rng.uniform(-1.0, 1.0, size=8)
-        worst_branch = max(worst_branch, float(np.max(np.abs(
-            eval_from_coeffs(c_sys, xs, y, med, om) - green_eval(xs, y, med, om)))))
+        branches.append((med, om, xs, y, eval_from_coeffs(c_sys, xs, y, med, om)))
+    media, oms, xs, ys, piecewise = zip(*branches)
+    g = _green_runs([np.concatenate(xs)], np.repeat(ys, 8), media, oms, [8] * len(ys), (False,))
+    worst_branch = float(np.max(np.abs(np.concatenate(piecewise) - g[0, 0])))
     record("greens interface/jump residuals", worst_iface, 1e-12)
     record("greens system vs closed form", worst_sys, 1e-12)
     record("greens branch agreement", worst_branch, 1e-12)
 
-    # reciprocity g(x, y) = g(y, x)
+    # reciprocity g(x, y) = g(y, x), every pair in one kernel call
     rng = np.random.default_rng(seed.spawn(2)[0])
-    worst = 0.0
-    count = 0
-    while count < 1000:
+    pairs = []
+    while len(pairs) < 1000:
         med = _random_medium(rng)
         om = rng.uniform(0.1, 20.0)
         x, y = rng.uniform(-0.95, 0.95, size=2)
         if min(abs(x), abs(y), abs(x - y)) < 1e-3:
             continue
-        g_xy, g_yx = green_eval([x, y], [y, x], med, om)
-        worst = max(worst, abs(g_xy - g_yx))
-        count += 1
-    record("greens reciprocity (1000 pairs)", worst, 1e-12)
+        pairs.append((med, om, (x, y), (y, x)))
+    media, oms, xs, ys = zip(*pairs)
+    g = _green_runs([np.ravel(xs)], np.ravel(ys), media, oms, [2] * len(pairs), (False,))[0, 0]
+    record("greens reciprocity (1000 pairs)", float(np.max(np.abs(g[0::2] - g[1::2]))), 1e-12)
 
-    # homogeneous collapse to the free-space kernel
+    # homogeneous collapse to the free-space kernel, in one kernel call
     rng = np.random.default_rng(seed.spawn(3)[0])
-    worst = 0.0
+    draws = []
     for _ in range(100):
         c = rng.uniform(0.5, 2.0)
-        med = Medium(c, c)
         om = rng.uniform(0.1, 20.0)
         x, y = rng.uniform(-0.95, 0.95, size=2)
-        if abs(y) < 1e-3:
-            continue
-        k = c * om
-        worst = max(worst, abs(green_eval(x, y, med, om)
-                               - 1j / (2 * k) * np.exp(1j * k * abs(x - y))))
-    record("greens homogeneous collapse", worst, 1e-13)
+        if abs(y) >= 1e-3:
+            draws.append((Medium(c, c), om, x, y))
+    media, oms, xs, ys = zip(*draws)
+    g = _green_runs([xs], ys, media, oms, [1] * len(draws), (False,))[0, 0]
+    k = np.multiply([med.c1 for med in media], oms)
+    free = 1j / (2 * k) * np.exp(1j * k * np.abs(np.subtract(xs, ys)))
+    record("greens homogeneous collapse", float(np.max(np.abs(g - free))), 1e-13)
 
     # interface trace identities
     rng = np.random.default_rng(seed.spawn(4)[0])
-    worst = 0.0
-    for _ in range(100):
-        med = _random_medium(rng)
-        om = rng.uniform(0.2, 10.0)
-        f = _random_source(rng)
-        worst = max(worst, interface_traces(f, med, om).max_residual)
+    worst = max(rep.max_residual for rep in interface_traces_many(_random_draws(rng, 100, 10.0)))
     record("interface trace identities (100 draws)", worst, 1e-8)
 
     # radiation conditions
     rng = np.random.default_rng(seed.spawn(5)[0])
-    worst = 0.0
-    for _ in range(100):
-        med = _random_medium(rng)
-        om = rng.uniform(0.2, 10.0)
-        f = _random_source(rng)
-        worst = max(worst, *check_radiation(f, med, om))
+    worst = float(np.max(check_radiation_many(_random_draws(rng, 100, 10.0))))
     record("radiation residuals (100 draws)", worst, 1e-10)
 
     # two-solver agreement at the endpoints
@@ -338,15 +342,10 @@ def run_verify(cfg):
     # (a one-sided source meets the bound with equality, so a ratio to a
     # small rhs would report quadrature rounding as a violation)
     rng = np.random.default_rng(seed.spawn(7)[0])
-    worst = 0.0
-    for _ in range(500):
-        med = _random_medium(rng)
-        om = rng.uniform(0.2, 20.0)
-        f = _random_source(rng)
-        lm, rm, lp, rp, sm, sp = endpoint_amplitude_bound(f, med, om)
-        for lhs, rhs, scale in ((lm, rm, sm), (lp, rp, sp)):
-            worst = max(worst, (np.sqrt(lhs) - np.sqrt(rhs)) / scale)
-    record("endpoint amplitude bound violation", worst, 1e-12)
+    lm, rm, lp, rp, sm, sp = endpoint_amplitude_bound_many(_random_draws(rng, 500, 20.0)).T
+    violation = np.concatenate([(np.sqrt(lm) - np.sqrt(rm)) / sm,
+                                (np.sqrt(lp) - np.sqrt(rp)) / sp])
+    record("endpoint amplitude bound violation", max(0.0, float(np.max(violation))), 1e-12)
 
     # band-energy consistency: representation route vs forward-solver route
     rng = np.random.default_rng(seed.spawn(8)[0])
@@ -417,11 +416,23 @@ def write_reconstruction_csv(path, result, f_true):
 def _solve(cfg, op, data, eps):
     """TSVD at rank k, capped at the operator's singular value count
     min(n_basis, 2 n_omega); or else Tikhonov at the discrepancy rule's
-    lambda when eps > 0 and at ``cfg.lam`` otherwise."""
-    if cfg.method == "tsvd":
-        return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
-    lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
-    return reconstruct_tikhonov(op, data, lam)
+    lambda when eps > 0 and at ``cfg.lam`` otherwise.
+
+    A stage whose arithmetic leaves the floating-point range (a Python
+    float overflow, or a numpy one where an errstate raises it) raises
+    an ArithmeticError that names the stage and the medium keys, whose
+    speeds set the scale of the operator and the data."""
+    stage = "TSVD solve"
+    try:
+        if cfg.method == "tsvd":
+            return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
+        stage = "Morozov solve"
+        lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
+        stage = "Tikhonov solve"
+        return reconstruct_tikhonov(op, data, lam)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{stage} out of range ({exc}): its scale is set by "
+                              f"{_KEY['c1']} = {cfg.c1:g} and {_KEY['c2']} = {cfg.c2:g}") from None
 
 
 def _reconstruct(cfg, data, medium):
@@ -443,9 +454,13 @@ def cmd_reconstruct(cfg, data_path, out_path):
     if cfg.eps > 0:
         data = add_noise(data, cfg.eps, cfg.seed)
     f_true = build_source(cfg)
-    # an out-of-range run may overflow to inf or nan: refused below
+    # an out-of-range run may overflow to inf or nan, or raise: refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        result = _reconstruct(cfg, data, Medium(cfg.c1, cfg.c2))
+        try:
+            result = _reconstruct(cfg, data, Medium(cfg.c1, cfg.c2))
+        except ArithmeticError as exc:
+            print(f"FAILED: {exc}; nothing written", file=sys.stderr)
+            return EXIT_CHECK
         err = recon_error(result, f_true)
         norm = np.sqrt(l2_norm_sq(f_true))
         rel = err / norm if norm > 0 else float("nan")
@@ -561,7 +576,10 @@ def _sweep_band(cfg, medium, support, iK, K):
                     if isinstance(clean[n, trial], Exception):
                         raise clean[n, trial]
                     f, data, norm = clean[n, trial]
-                    result = _solve(cfg, op, add_noise(data, eps, cell_seed), eps)
+                    noisy = add_noise(data, eps, cell_seed)
+                    # out of range, a solve raises: its cell records the error
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        result = _solve(cfg, op, noisy, eps)
                     err = recon_error(result, f) / norm
                     ms = 1e3 * (time.perf_counter() - t0)
                     records.append(ExperimentRecord(K, eps, n, result.method,
@@ -627,6 +645,11 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RuleSizeError as exc:
+        print(f"invalid input: {exc}; the rate is the larger of {_KEY['c1']} and "
+              f"{_KEY['c2']} times the band limit ({_KEY['K']}, or each of "
+              f"{_KEY['sweep_K_list']} in a sweep)", file=sys.stderr)
+        return EXIT_CONFIG
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_CONFIG

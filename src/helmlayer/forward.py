@@ -9,7 +9,13 @@ of each one-sided boundary row leaves its system tridiagonal, solved
 without row exchanges (``test_fd_oracle_matches_dense_solve`` holds it
 to ``np.linalg.solve``).  ``interface_traces`` and ``check_radiation``
 verify the exact interface and radiation identities that the
-multi-frequency data analysis rests on.
+multi-frequency data analysis rests on.  They, and the amplitude bound
+of ``fourier``, are one-draw calls of routines that take a batch of
+draws (f, medium, omega) in one pass, ``_draw_sums``: every draw's rule
+is concatenated with the others, each node carrying its draw's medium
+and omega, and one kernel call per block of draws is summed by draw
+with ``np.add.reduceat``.  A draw's fields are the doubles of
+``forward_field``: the same rule, kernel values and per-draw sum.
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
 operator columns of ``inverse.assemble_operator``) come from one map,
@@ -37,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, split_source, wavenumbers
-from .greens import _check_omega, _green, green_eval, green_dx
+from .model import FrequencyGrid, wavenumbers
+from .greens import _check_omega, _green, _green_runs, green_eval, green_dx
 from .quadrature import composite_rule
 
 __all__ = [
@@ -50,10 +56,16 @@ __all__ = [
     "boundary_sweep",
     "fd_oracle",
     "interface_traces",
+    "interface_traces_many",
     "check_radiation",
+    "check_radiation_many",
     "write_boundary_csv",
     "read_boundary_csv",
 ]
+
+# kernel entries per block: of the endpoint map's frequency blocks, and
+# of the nodes of ``_draw_sums``' blocks of draws
+_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -106,35 +118,106 @@ def _panel_nodes(f, nodes):
     return max(4, nodes // 2) if _is_grid(f) else nodes
 
 
-def _field(f, medium, omega, xs, kernels):
-    """int kernel(x, y) f(y) dy at every point x of ``xs`` (in [-1, 1]),
-    one array per kernel, all from one rule and one evaluation of f.
-
-    The rule splits at every point inside the support (the kinks of
-    |x - y|), so it is the rule of a single point whenever at most one
-    point lies inside, as for the two endpoints or the interface alone.
-    Each kernel is one call over the whole point set.
-    """
+def _field(f, medium, omega, x, kernel):
+    """int kernel(x, y) f(y) dy at one point x in [-1, 1], on the rule
+    split at x (the kink of |x - y|): the sum of its terms by
+    ``_segment_sums``, as ``_draw_sums`` forms it for a batch."""
     _check_omega(omega)
+    if not abs(x) <= 1.0:
+        raise ValueError("evaluation point outside [-1, 1]")
+    y, w = source_rule(f, medium.c_max * omega, extra_breaks=[x])
+    if len(y) == 0:
+        return 0j
+    return complex(_segment_sums(w * kernel(x, y, medium, omega) * f(y), [0, len(y)])[0])
+
+
+def _segment_sums(values, bounds):
+    """Sums of ``values`` over [bounds[i], bounds[i+1]) along the last
+    axis, by ``np.add.reduceat``: each is its first term plus the
+    pairwise sum of the rest, wherever the segment sits.  An empty
+    segment sums to 0; bounds[-1] must be the axis length."""
+    bounds = np.asarray(bounds)
+    lo, full = bounds[:-1], bounds[:-1] < bounds[1:]
+    sums = np.zeros(values.shape[:-1] + (len(lo),), dtype=values.dtype)
+    if full.any():
+        # each full segment runs to the next full one's start, since the
+        # empty segments between them start there too
+        sums[..., full] = np.add.reduceat(values, lo[full], axis=-1)
+    return sums
+
+
+def _draw_sums(draws, xs, derivs):
+    """One Green's-kernel pass over the draws (f, medium, omega).
+
+    Each draw integrates on its own rule, ``source_rule(f, c_max omega)``
+    split at the points of ``xs`` as ``_field``'s is at its point, and at
+    the interface: the nodes of each half are that half's rule.  Per
+    draw it returns
+
+    - ``fields[d, k, j]``: int d^k g(x_j, y)/dx^k f(y) dy, for k in
+      ``derivs`` (False for g, True for its x-derivative), with the
+      doubles of ``_field``;
+    - ``fts[d, s, m]``: the half-line transform fhat_side(+-c_side omega)
+      (m = 0 for +, 1 for -) of the left (s = 0) and right (s = 1) half,
+      c_side that half's speed, as the sum over the half's nodes;
+    - ``l1[d, s]``: the half's L1 norm on the same nodes.
+
+    The draws' nodes are concatenated in blocks of whole draws, at most
+    ``_CHUNK`` nodes a block (or one draw, if it alone has more), each
+    node carrying its draw's medium and omega.  A block makes one kernel
+    call (``_green_runs``) for every point and derivative and one
+    exponential per node for the transforms, and sums them by draw and
+    by half with ``_segment_sums``.  A draw's values do not depend on
+    the block it falls in.
+    """
+    draws = list(draws)
     xs = np.asarray(xs, dtype=float)
     if not (np.abs(xs) <= 1.0).all():
         raise ValueError("evaluation point outside [-1, 1]")
-    y, w = source_rule(f, medium.c_max * omega, extra_breaks=xs)
-    if len(y) == 0:
-        return [np.zeros(len(xs), dtype=complex) for _ in kernels]
-    fy = f(y)
-    return [np.sum(w * kernel(xs[:, None], y, medium, omega) * fy, axis=-1)
-            for kernel in kernels]
+    fields = np.zeros((len(draws), len(derivs), len(xs)), dtype=complex)
+    fts = np.zeros((len(draws), 2, 2), dtype=complex)
+    l1 = np.zeros((len(draws), 2))
+
+    def flush(block):
+        idx, media, omegas, ys, ws, fys = zip(*block)
+        counts = [len(y) for y in ys]
+        y, w, fy = np.concatenate(ys), np.concatenate(ws), np.concatenate(fys)
+        starts = np.cumsum([0] + counts)
+        cuts = starts[:-1] + [np.searchsorted(yd, 0.0) for yd in ys]
+        halves = np.append(np.column_stack([starts[:-1], cuts]).ravel(), starts[-1])
+        idx = list(idx)
+        g = _green_runs(xs, y, media, omegas, counts, derivs)  # (point, deriv, node)
+        fields[idx] = _segment_sums(w * g * fy, starts).transpose(2, 1, 0)
+        fw = w * fy
+        speed = np.where(y > 0, np.repeat([m.c1 for m in media], counts),
+                         np.repeat([m.c2 for m in media], counts))
+        wave = np.exp(-1j * (speed * np.repeat(omegas, counts)) * y)  # e^{-i c omega y}
+        fts[idx, :, 0] = _segment_sums(fw * wave, halves).reshape(-1, 2)
+        fts[idx, :, 1] = _segment_sums(fw * wave.conj(), halves).reshape(-1, 2)
+        l1[idx] = _segment_sums(np.abs(fw), halves).reshape(-1, 2)
+
+    block, size = [], 0
+    for d, (f, medium, omega) in enumerate(draws):
+        _check_omega(omega)
+        y, w = source_rule(f, medium.c_max * omega, extra_breaks=xs)
+        if block and size + len(y) > _CHUNK:
+            flush(block)
+            block, size = [], 0
+        block.append((d, medium, omega, y, w, f(y)))
+        size += len(y)
+    if block:
+        flush(block)
+    return fields, fts, l1
 
 
 def forward_field(f, medium, omega, x):
     """u(x, omega) for a single evaluation point x in [-1, 1]."""
-    return complex(_field(f, medium, omega, [x], (green_eval,))[0][0])
+    return _field(f, medium, omega, x, green_eval)
 
 
 def forward_field_dx(f, medium, omega, x):
     """Analytic derivative u'(x, omega), differentiating g under the integral."""
-    return complex(_field(f, medium, omega, [x], (green_dx,))[0][0])
+    return _field(f, medium, omega, x, green_dx)
 
 
 def _cores():
@@ -167,7 +250,7 @@ def _beside(fn):
     return lambda: result
 
 
-def _endpoint_map(omegas, y, weights, medium, chunk=32768):
+def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
     """Endpoint fields (u(-1), u(+1)) of the point sources weights_j at
     y_j (weights may carry trailing columns, one field per column).
 
@@ -312,46 +395,61 @@ class TraceReport:
 
 
 def interface_traces(f, medium, omega):
-    """Quadrature traces u(0), u'(0), from one rule, and their transform
-    predictions."""
-    from .fourier import halfline_ft
+    """Quadrature traces u(0), u'(0) and their transform predictions:
+    ``interface_traces_many`` of one draw."""
+    return interface_traces_many([(f, medium, omega)])[0]
 
-    (u0,), (du0,) = (v.tolist() for v in _field(f, medium, omega, [0.0],
-                                                  (green_eval, green_dx)))
-    k1, k2 = wavenumbers(medium, omega)
 
-    pair = split_source(f)
-    f1m = halfline_ft(pair, "right", -k1)
-    f2p = halfline_ft(pair, "left", k2)
-
-    u0_pred = 1j / (k1 + k2) * (f1m + f2p)
-    du0_pred = (k2 * f1m - k1 * f2p) / (k1 + k2)
-    z_meas = (
-        du0 - 1j * k1 * u0,
-        du0 + 1j * k2 * u0,
-        du0 + 1j * k1 * u0,
-        du0 - 1j * k2 * u0,
-    )
-    z_pred = (
-        f1m,
-        -f2p,
-        ((k2 - k1) * f1m - 2.0 * k1 * f2p) / (k1 + k2),
-        (2.0 * k2 * f1m + (k2 - k1) * f2p) / (k1 + k2),
-    )
-    res = np.array(
-        [abs(u0 - u0_pred), abs(du0 - du0_pred)]
-        + [abs(m - p) for m, p in zip(z_meas, z_pred)]
-    )
-    return TraceReport(u0, du0, u0_pred, du0_pred, z_meas, z_pred, res)
+def interface_traces_many(draws):
+    """A ``TraceReport`` per draw (f, medium, omega): the quadrature
+    traces u(0), u'(0) and the transforms that predict them, all from
+    one pass over the draws' rules (``_draw_sums``)."""
+    draws = list(draws)
+    fields, fts, _ = _draw_sums(draws, [0.0], (False, True))
+    reports = []
+    for (_, medium, omega), ((u0,), (du0,)), ft in zip(draws, fields.tolist(), fts.tolist()):
+        k1, k2 = wavenumbers(medium, omega)
+        f1m, f2p = ft[1][1], ft[0][0]  # fhat_right(-k1), fhat_left(k2)
+        u0_pred = 1j / (k1 + k2) * (f1m + f2p)
+        du0_pred = (k2 * f1m - k1 * f2p) / (k1 + k2)
+        z_meas = (
+            du0 - 1j * k1 * u0,
+            du0 + 1j * k2 * u0,
+            du0 + 1j * k1 * u0,
+            du0 - 1j * k2 * u0,
+        )
+        z_pred = (
+            f1m,
+            -f2p,
+            ((k2 - k1) * f1m - 2.0 * k1 * f2p) / (k1 + k2),
+            (2.0 * k2 * f1m + (k2 - k1) * f2p) / (k1 + k2),
+        )
+        res = np.array(
+            [abs(u0 - u0_pred), abs(du0 - du0_pred)]
+            + [abs(m - p) for m, p in zip(z_meas, z_pred)]
+        )
+        reports.append(TraceReport(u0, du0, u0_pred, du0_pred, z_meas, z_pred, res))
+    return reports
 
 
 def check_radiation(f, medium, omega):
-    """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|),
-    both endpoints from one rule."""
-    (um, up), (dum, dup) = (v.tolist() for v in _field(f, medium, omega, [-1.0, 1.0],
-                                                        (green_eval, green_dx)))
-    k1, k2 = wavenumbers(medium, omega)
-    return abs(dum + 1j * k2 * um), abs(dup - 1j * k1 * up)
+    """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|):
+    ``check_radiation_many`` of one draw."""
+    return tuple(check_radiation_many([(f, medium, omega)])[0].tolist())
+
+
+def check_radiation_many(draws):
+    """The outgoing-condition residuals of each draw (f, medium, omega),
+    one row (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|) a draw, both
+    endpoints of every draw from one pass over the draws' rules
+    (``_draw_sums``)."""
+    draws = list(draws)
+    fields, _, _ = _draw_sums(draws, [-1.0, 1.0], (False, True))
+    rows = []
+    for (_, medium, omega), ((um, up), (dum, dup)) in zip(draws, fields.tolist()):
+        k1, k2 = wavenumbers(medium, omega)
+        rows.append((abs(dum + 1j * k2 * um), abs(dup - 1j * k1 * up)))
+    return np.array(rows, dtype=float).reshape(-1, 2)
 
 
 CSV_HEADER = ["omega", "re_u_minus", "im_u_minus", "re_u_plus", "im_u_plus"]

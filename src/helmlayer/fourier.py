@@ -36,6 +36,11 @@ one table at xi = c omega with the two columns fw and conj(fw) gives all
 four for real omega; for complex omega a second table at conj xi does.
 So the six rows of the endpoint table read one table per side (two for
 complex omega) instead of building one per row.
+
+The amplitude bound checks many single draws (f, medium, omega), each on
+its own rule and at its own arguments, so no table is shared: its
+transforms are the dense sums of ``forward._draw_sums``, one exponential
+per node, over a batch of draws at once.
 """
 
 from __future__ import annotations
@@ -44,9 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (_endpoint_map, _panel_nodes, _write_csv, boundary_sweep,
-                      source_rule)
-from .greens import _check_omega, _endpoint_rows
+from .forward import _draw_sums, _panel_nodes, _write_csv, boundary_sweep, source_rule
+from .greens import _endpoint_rows
 from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
@@ -61,12 +65,17 @@ __all__ = [
     "epsilon_norm",
     "tail_decay_fit",
     "endpoint_amplitude_bound",
+    "endpoint_amplitude_bound_many",
     "data_energy_constant",
     "fit_loglog",
     "fit_loglog_slope",
     "write_tail_csv",
     "write_ratio_csv",
 ]
+
+
+# the halves in the order of ``forward._draw_sums``' transforms
+_HALVES = ("left", "right")
 
 
 def _side_source(pair, side):
@@ -351,42 +360,42 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
 
 def endpoint_amplitude_bound(f, medium, omega):
     """Both sides of the explicit endpoint amplitude inequality, and its
-    scale.
+    scale: ``endpoint_amplitude_bound_many`` of one draw, as a tuple
+    (lhs_minus, rhs_minus, lhs_plus, rhs_plus, scale_minus, scale_plus)."""
+    return tuple(endpoint_amplitude_bound_many([(f, medium, omega)])[0].tolist())
 
-    Returns (lhs_minus, rhs_minus, lhs_plus, rhs_plus, scale_minus,
-    scale_plus) where lhs = omega^2 |u(-+1, omega)|^2 and rhs is the
-    squared triangle bound with the layered coefficients on the
-    half-line transform moduli; lhs <= rhs is exact mathematics.  The
-    scale is sqrt(rhs) with each |fhat_side| replaced by the
+
+def endpoint_amplitude_bound_many(draws):
+    """Both sides of the explicit endpoint amplitude inequality, and its
+    scale, for each draw (f, medium, omega).
+
+    Returns one row (lhs_minus, rhs_minus, lhs_plus, rhs_plus,
+    scale_minus, scale_plus) a draw, where lhs = omega^2 |u(-+1, omega)|^2
+    and rhs is the squared triangle bound with the layered coefficients
+    on the half-line transform moduli; lhs <= rhs is exact mathematics.
+    The scale is sqrt(rhs) with each |fhat_side| replaced by the
     ||f_side||_L1 that bounds it.
 
-    One rule over f serves all three.  lhs is its endpoint map, the
-    arithmetic of a one-frequency ``boundary_sweep``: the Green's-kernel
-    quadrature, not the transforms it is checked against.  The rule
-    splits at the interface, so each side's nodes are the rule of that
-    half, over which its transforms and its L1 norm are summed.
+    One pass over the draws' rules (``forward._draw_sums``) serves all
+    three: lhs is the Green's-kernel quadrature summed per draw, not the
+    transforms it is checked against, and each side's transforms and L1
+    norm are summed over the nodes of that half of the rule.
     """
-    _check_omega(omega)
-    y, w = source_rule(f, medium.c_max * omega)
-    fw = w * f(y)
-    u_minus, u_plus = _endpoint_map(np.array([omega], dtype=float), y, fw, medium)
-    cut = int(np.searchsorted(y, 0.0))
-    rhs, scale = {"minus": 0.0, "plus": 0.0}, {"minus": 0.0, "plus": 0.0}
-    rows = _endpoint_rows(medium)
-    for side, half in (("right", slice(cut, None)), ("left", slice(None, cut))):
-        mine = [row for row in rows if row[2] == side]
-        xis = np.array([[-rate * omega] for _, _, _, rate, _ in mine], dtype=complex)
-        yh, fwh = y[half], fw[half]
-        # the sum halfline_ft_many forms over the half's own rule
-        fts = (_expsum(yh, fwh, xis, _panel_nodes(f, 16), 4096).ravel() if len(yh)
-               else np.zeros(len(mine)))
-        l1 = float(np.sum(np.abs(fwh)))
-        for (e, coeff, _, _, _), ft in zip(mine, fts):
-            rhs[e] += abs(coeff) * abs(ft)
-            scale[e] += abs(coeff) * l1
-    return (omega ** 2 * abs(u_minus[0]) ** 2, rhs["minus"] ** 2,
-            omega ** 2 * abs(u_plus[0]) ** 2, rhs["plus"] ** 2,
-            scale["minus"], scale["plus"])
+    draws = list(draws)
+    fields, fts, l1 = _draw_sums(draws, [-1.0, 1.0], (False,))
+    rows = []
+    for (_, medium, omega), ((u_minus, u_plus),), ft, norms in zip(
+            draws, fields.tolist(), fts.tolist(), l1.tolist()):
+        rhs, scale = {"minus": 0.0, "plus": 0.0}, {"minus": 0.0, "plus": 0.0}
+        for e, coeff, side, rate, _ in _endpoint_rows(medium):
+            s = _HALVES.index(side)
+            # fhat_side(-rate omega), with rate = +-c_side
+            rhs[e] += abs(coeff) * abs(ft[s][0 if rate < 0 else 1])
+            scale[e] += abs(coeff) * norms[s]
+        rows.append((omega ** 2 * abs(u_minus) ** 2, rhs["minus"] ** 2,
+                     omega ** 2 * abs(u_plus) ** 2, rhs["plus"] ** 2,
+                     scale["minus"], scale["plus"]))
+    return np.array(rows, dtype=float).reshape(-1, 6)
 
 
 def data_energy_constant(sampler, medium, omega_cap, trials, seed, csv_path=None):

@@ -10,7 +10,10 @@ right of it, so every routine here, the oracles included, works for both
 signs of y in one frame: ``_frame``'s X = sig x, Y = sig y, where the
 source sits at Y > 0.  The layer amplitudes (direct, reflected and
 transmitted waves) are written once, in ``_amplitudes``, for the kernel,
-its derivative, the closed-form coefficients and the endpoint table.  The
+its derivative, the closed-form coefficients and the endpoint table, and
+the waves once, in ``_waves``: ``_green`` takes them over a table of
+frequencies, ``_green_runs`` over point pairs whose media and
+frequencies change from run to run (a batch of draws).  The
 oracles stay independent of them: ``green_coeffs_via_linear_system``
 solves the 4x4 continuity system, ``eval_from_coeffs`` evaluates its
 amplitudes piecewise, and ``interface_residuals`` measures how well the
@@ -95,50 +98,100 @@ def _span(mask):
     return mask
 
 
+def _waves(out, X, Y, own, sig, ks, ko, amps, derivs):
+    """Write the waves of the sources ``own`` into ``out[i]``, g where
+    ``derivs[i]`` is false and its x-derivative where it is true: in
+    their ``_frame`` (X = sig x, Y = sig y > 0), a direct and a reflected
+    wave on their own side (X >= 0) and a transmitted wave on the other.
+    The exponentials are formed once for every entry of ``derivs``.
+
+    The wavenumbers ks, ko and the amplitudes ``amps`` (``_amplitudes``'
+    three) are either one per point pair (1-D) or shared by all pairs (a
+    scalar, or a column of frequencies whose axes lead ``out[i]``'s).
+    """
+    def at(v, idx):
+        return v[idx] if np.ndim(v) == 1 else v
+
+    direct_amp, refl_amp, trans_amp = amps
+    near, far = _span(own & (X >= 0)), _span(own & (X < 0))
+    last = len(derivs) - 1  # the last entry may overwrite the exponentials
+    if near is not None:
+        Xn, Yn, k = X[near], Y[near], at(ks, near)
+        direct = 1j * k * np.abs(Xn - Yn)
+        np.exp(direct, out=direct)
+        reflected = 1j * k * (Xn + Yn)
+        np.exp(reflected, out=reflected)
+        for i, deriv in enumerate(derivs):
+            wave, refl = (direct, reflected) if i == last else (direct.copy(), reflected.copy())
+            wave *= at(direct_amp, near)
+            if deriv:
+                wave *= np.sign(Xn - Yn)
+            refl *= at(refl_amp, near)
+            wave += refl
+            if deriv:
+                wave *= sig * 1j * k
+            out[i][..., near] = wave
+    if far is not None:
+        Xf, Yf = X[far], Y[far]
+        phase = at(ks, far) * Yf
+        phase -= at(ko, far) * Xf
+        transmitted = 1j * phase
+        np.exp(transmitted, out=transmitted)
+        for i, deriv in enumerate(derivs):
+            trans = transmitted if i == last else transmitted.copy()
+            trans *= at(trans_amp, far)
+            if deriv:
+                trans *= -sig * 1j * at(ko, far)
+            out[i][..., far] = trans
+
+
 def _green(x, y, medium, omega, deriv=False):
-    """g(x, y; omega), or its x-derivative, with the axes of omega first:
-    in each source's ``_frame``, a direct and a reflected wave on its own
-    side (X >= 0) and a transmitted wave on the other."""
+    """g(x, y; omega), or its x-derivative, with the axes of omega first
+    (``_waves`` in each source's frame)."""
     xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xr, yr = xb.ravel(), yb.ravel()
     lead = np.shape(omega)
     om = np.asarray(omega, dtype=float)[..., None] if lead else omega
-    out = np.empty(lead + (xr.size,), dtype=complex)
+    out = np.empty((1,) + lead + (xr.size,), dtype=complex)
     right = yr > 0
     for own, sig in ((right, 1.0), (~right, -1.0)):
         if not own.any():
             continue
         sig, cs, co = _frame(sig, medium)  # a source at y = sig has the group's frame
-        X, Y = sig * xr, sig * yr
         ks, ko = cs * om, co * om
-        direct_amp, refl_amp, trans_amp = _amplitudes(ks, ko)
-        near, far = _span(own & (X >= 0)), _span(own & (X < 0))
-        if near is not None:
-            Xn, Yn = X[near], Y[near]
-            wave = 1j * ks * np.abs(Xn - Yn)
-            np.exp(wave, out=wave)
-            wave *= direct_amp
-            if deriv:
-                wave *= np.sign(Xn - Yn)
-            refl = 1j * ks * (Xn + Yn)
-            np.exp(refl, out=refl)
-            refl *= refl_amp
-            wave += refl
-            if deriv:
-                wave *= sig * 1j * ks
-            out[..., near] = wave
-        if far is not None:
-            Xf, Yf = X[far], Y[far]
-            phase = ks * Yf
-            phase -= ko * Xf
-            trans = 1j * phase
-            np.exp(trans, out=trans)
-            trans *= trans_amp
-            if deriv:
-                trans *= -sig * 1j * ko
-            out[..., far] = trans
-    out = out.reshape(lead + xb.shape)
+        _waves(out, sig * xr, sig * yr, own, sig, ks, ko, _amplitudes(ks, ko), (deriv,))
+    out = out[0].reshape(lead + xb.shape)
     return out[()] if out.ndim == 0 else out
+
+
+def _green_runs(xs, y, media, omegas, counts, derivs):
+    """g(x, y) and its x-derivative at point pairs that come in runs:
+    run r is ``counts[r]`` consecutive sources of the 1-D y, in
+    ``media[r]`` at ``omegas[r]``.  Entry [j, i] holds, for each source,
+    g where ``derivs[i]`` is false and g_x where it is true, at the
+    point ``xs[j]`` (each x broadcasts with y).
+
+    Each run's wavenumbers and amplitudes are formed once, with the
+    scalar arithmetic of ``_green`` at one frequency, and spread over its
+    sources, so every pair gets the doubles of ``_green`` at its run's
+    medium and frequency.
+    """
+    y = np.asarray(y, dtype=float)
+    out = np.empty((len(xs), len(derivs), y.size), dtype=complex)
+    right = y > 0
+    for own, sig in ((right, 1.0), (~right, -1.0)):
+        if not own.any():
+            continue
+        runs = []
+        for medium, om in zip(media, omegas):
+            _, cs, co = _frame(sig, medium)
+            ks, ko = cs * om, co * om
+            runs.append((ks, ko, *_amplitudes(ks, ko)))
+        ks, ko, *amps = (np.repeat(col, counts) for col in zip(*runs))
+        for x, out_x in zip(xs, out):
+            X = sig * np.broadcast_to(np.asarray(x, dtype=float), y.shape)
+            _waves(out_x, X, sig * y, own, sig, ks, ko, amps, derivs)
+    return out
 
 
 def green_eval(x, y, medium, omega):

@@ -20,7 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_rule", "composite_rule"]
+__all__ = ["RuleSizeError", "gauss_rule", "composite_rule"]
+
+# the most nodes a rule may have: 1 GiB for its nodes alone
+_MAX_NODES = 2 ** 27
+
+
+class RuleSizeError(ValueError):
+    """A rule whose oscillation rate asks for more than ``_MAX_NODES``
+    nodes: the rate, not the memory, is out of range."""
 
 
 @lru_cache(maxsize=32)
@@ -68,6 +76,10 @@ def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16
     gx, gw = gauss_rule(nodes)
     cuts = [lo] + [t for t in sorted(set(float(t) for t in breakpoints)) if lo < t < hi] + [hi]
     xs, ws = [], []
+    need = abs(float(osc_rate)) * (hi - lo) / 2.0 * nodes
+    if not need <= _MAX_NODES:  # an infinite rate too
+        raise RuleSizeError(f"resolving oscillation rate {osc_rate:.6g} on [{lo:g}, {hi:g}] "
+                            f"takes {need:.3g} quadrature nodes, over {_MAX_NODES}")
     for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
         panels = max(base_panels, int(np.ceil(abs(osc_rate) * (seg_hi - seg_lo) / 2.0)))
         x, w = _segment_rule(seg_lo, seg_hi, panels, gx, gw, flat_ends)

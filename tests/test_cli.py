@@ -139,7 +139,7 @@ def test_build_source_kinds():
 
 
 def _break_radiation(monkeypatch):
-    monkeypatch.setattr(cli, "check_radiation", lambda f, med, om: (0.0, 1.0))
+    monkeypatch.setattr(cli, "check_radiation_many", lambda draws: np.tile([0.0, 1.0], (len(draws), 1)))
 
 
 def test_verify_default_passes_and_fault_hook_fails(monkeypatch):
@@ -178,15 +178,40 @@ def test_verify_amplitude_bound_at_equality_passes(seed, capsys):
 
 
 def test_verify_detects_tightened_amplitude_bound(monkeypatch, capsys):
-    real = cli.endpoint_amplitude_bound
+    real = cli.endpoint_amplitude_bound_many
 
-    def tightened(*args, **kw):
-        lm, rm, lp, rp, sm, sp = real(*args, **kw)
-        return lm, rm * (1.0 - 1e-6), lp, rp * (1.0 - 1e-6), sm, sp
+    def tightened(draws):
+        rows = real(draws)
+        rows[:, [1, 3]] *= 1.0 - 1e-6  # rhs_minus, rhs_plus
+        return rows
 
-    monkeypatch.setattr(cli, "endpoint_amplitude_bound", tightened)
+    monkeypatch.setattr(cli, "endpoint_amplitude_bound_many", tightened)
     assert main(["verify"]) == 3
     assert "endpoint amplitude bound" in capsys.readouterr().err
+
+
+def test_verify_detects_a_broken_trace_identity(monkeypatch, capsys):
+    real = cli.interface_traces_many
+
+    def shifted(draws):
+        reps = real(draws)
+        # one draw's predicted u(0) off by 1e-7, ten times the threshold
+        bad = reps[len(reps) // 2]
+        u0_pred = bad.u0_predicted + 1e-7
+        residuals = bad.residuals.copy()
+        residuals[0] = abs(bad.u0 - u0_pred)
+        reps[len(reps) // 2] = replace(bad, u0_predicted=u0_pred, residuals=residuals)
+        return reps
+
+    monkeypatch.setattr(cli, "interface_traces_many", shifted)
+    assert main(["verify"]) == 3
+    assert "interface trace identities" in capsys.readouterr().err
+
+
+def test_verify_detects_broken_radiation(monkeypatch, capsys):
+    _break_radiation(monkeypatch)
+    assert main(["verify"]) == 3
+    assert "radiation residuals" in capsys.readouterr().err
 
 
 _NONFINITE_KEYS = [key for key, (_, parse, _) in cli._CONFIG_KEYS.items()
@@ -579,6 +604,7 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
     ("medium.c1 = 1e-300\n", 3),
     ("source.amp_re = 1e300\nsource.amp_im = 1e300\n", 3),
     ("noise.eps = 1e300\n", 0),  # forward reads no noise
+    ("medium.c1 = 1e-300\nnoise.eps = 1e-2\n", 3),  # the Tikhonov solve overflows
 ])
 def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_path, capsys):
     # valid configs whose epsilon, residual or error overflow: each run
@@ -597,6 +623,35 @@ def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_p
                  "--out", str(out)]) == 3
     assert "nothing written" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "sweep"])
+def test_unresolvable_rate_names_its_keys(command, tmp_path, capsys):
+    # medium.c2 = 1e300 asks a quadrature rule for ~1e302 nodes
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("medium.c2 = 1e300\nsweep.K_list = 5\nsweep.trials = 1\n")
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "medium.c2" in err and "frequency.K" in err and "quadrature nodes" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_sweep_out_of_range_cells_name_stage_and_key(tmp_path, capsys):
+    # medium.c1 = 1e-300 scales the operator by ~1e300: each solve
+    # overflows, and its cell records the stage and the key; no
+    # RuntimeWarning escapes (Tier-1's filters stay in force)
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "s.csv"
+    cfg_path.write_text("medium.c1 = 1e-300\nfrequency.n_omega = 40\ninverse.n_basis = 31\n"
+                        "sweep.K_list = 5\nsweep.eps_list = 0,1e-2\nsweep.n_list = 1\n"
+                        "sweep.trials = 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    records = cli.read_sweep_csv(out)
+    assert [r.eps for r in records] == [0.0, 1e-2]
+    for record, stage in zip(records, ("Tikhonov solve", "Morozov solve")):
+        assert record.error.startswith(f"{stage} out of range")
+        assert "medium.c1 = 1e-300" in record.error
 
 
 def test_tsvd_rank_is_capped_at_the_singular_value_count(tmp_path, capsys):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from helmlayer import cli, forward
-from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation, fd_oracle,
-                               forward_field, forward_field_dx,
-                               interface_traces, read_boundary_csv,
-                               write_boundary_csv)
-from helmlayer.fourier import (endpoint_amplitude_bound, fit_loglog_slope, halfline_ft,
-                               halfline_ft_many)
+from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation,
+                               check_radiation_many, fd_oracle, forward_field,
+                               forward_field_dx, interface_traces, interface_traces_many,
+                               read_boundary_csv, write_boundary_csv)
+from helmlayer.fourier import (endpoint_amplitude_bound, endpoint_amplitude_bound_many,
+                               fit_loglog_slope, halfline_ft, halfline_ft_many)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, split_source,
                              wavenumbers)
 
@@ -363,6 +363,31 @@ print("ok")
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_battery_blocks_give_the_same_draws(monkeypatch):
+    # A batch cut into blocks at other draw boundaries (every draw its own
+    # block, blocks of a few draws, one block) gives every draw's values
+    # bit for bit, and so does a batch of that draw alone
+    rng = np.random.default_rng(3)
+    draws = [(cli._random_source(rng), cli._random_medium(rng), rng.uniform(0.2, 20.0))
+             for _ in range(24)]
+    draws.insert(7, (SourceSpec.bump(-0.5, 0.5, amplitude=0.0), Medium(1.0, 1.5), 2.0))
+    nodes = [len(forward.source_rule(f, m.c_max * om)[0]) for f, m, om in draws]
+
+    def battery(d):  # every value, each array with the draw axis first
+        reps = interface_traces_many(d)
+        return (endpoint_amplitude_bound_many(d), check_radiation_many(d),
+                np.array([[rep.u0, rep.du0, *rep.z_predicted] for rep in reps]),
+                *forward._draw_sums(d, [-1.0, 0.0, 1.0], (False, True)))
+
+    monkeypatch.setattr(forward, "_CHUNK", sum(nodes))
+    ref = battery(draws)
+    for chunk in (1, max(nodes), 3 * max(nodes) + 1):
+        monkeypatch.setattr(forward, "_CHUNK", chunk)
+        assert all(np.array_equal(g, r) for g, r in zip(battery(draws), ref))
+    for i in (0, 7, 24):
+        assert all(np.array_equal(g, r[i:i + 1]) for g, r in zip(battery(draws[i:i + 1]), ref))
 
 
 def _sweeps():

@@ -17,11 +17,13 @@ from helmlayer.cli import (METHODS, ConfigError, ExperimentRecord, RunConfig,
                            parse_config_text, read_sweep_csv, serialize_config,
                            write_sweep_csv)
 from helmlayer.forward import (BoundaryData, _read_csv, boundary_sweep, check_radiation,
-                               forward_field, forward_field_dx, interface_traces,
+                               check_radiation_many, forward_field, forward_field_dx,
+                               interface_traces, interface_traces_many,
                                read_boundary_csv, source_rule, write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
-                               endpoint_amplitude_bound, epsilon_norm,
-                               halfline_ft_many, write_ratio_csv, write_tail_csv)
+                               endpoint_amplitude_bound, endpoint_amplitude_bound_many,
+                               epsilon_norm, halfline_ft_many, write_ratio_csv,
+                               write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
@@ -520,10 +522,11 @@ def test_batched_fields_match_per_point_fields(medium, f, omega):
 @given(media, sources(), st.floats(0.2, 20.0))
 def test_amplitude_bound_terms_match_their_own_routes(medium, f, omega):
     lm, rm, lp, rp, sm, sp = endpoint_amplitude_bound(f, medium, omega)
-    # lhs is a one-frequency boundary_sweep, bit for bit
+    # lhs against a one-frequency boundary_sweep: the same rule and
+    # kernel, summed per draw instead of by the map's product
     data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega))
-    assert lm == omega ** 2 * abs(data.u_minus[0]) ** 2
-    assert lp == omega ** 2 * abs(data.u_plus[0]) ** 2
+    assert np.sqrt(lm) == pytest.approx(omega * abs(data.u_minus[0]), rel=1e-13, abs=1e-13 * sm)
+    assert np.sqrt(lp) == pytest.approx(omega * abs(data.u_plus[0]), rel=1e-13, abs=1e-13 * sp)
     # rhs and the scale against each half's own rules: the transforms at
     # the side's rate, the L1 norms at rate 0
     pair = split_source(f)
@@ -539,6 +542,62 @@ def test_amplitude_bound_terms_match_their_own_routes(medium, f, omega):
     assert sp == pytest.approx(scale["plus"], rel=1e-13)
     assert np.sqrt(rm) == pytest.approx(rhs["minus"], rel=1e-13, abs=1e-13 * sm)
     assert np.sqrt(rp) == pytest.approx(rhs["plus"], rel=1e-13, abs=1e-13 * sp)
+
+
+battery_draws = st.lists(st.tuples(sources(), media, st.floats(0.2, 20.0)),
+                         min_size=1, max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(battery_draws)
+# one source left of the interface, one right of it, one across it, and
+# one of each kind with a negative amplitude
+@example([(SourceSpec.bump(-0.8, -0.3, 1.2), Medium(0.6, 1.9), 13.0),
+          (SourceSpec.bspline(0.15, 0.6, 3, -0.7j), Medium(1.7, 0.5), 4.5),
+          (SourceSpec.modulated_bump(-0.35, 0.4, 9.0, -2.0), Medium(1.1, 1.4), 19.0),
+          (SourceSpec.bspline(-0.5, 0.1, 1, -1.0), Medium(2.0, 2.0), 0.3)])
+def test_batched_battery_matches_per_draw_routes(draws):
+    # every draw of a batch against routes that see that draw alone: the
+    # fields bit for bit against forward_field / forward_field_dx (same
+    # rule, kernel doubles and per-draw sums), lhs against a
+    # one-frequency boundary_sweep and the transforms against
+    # halfline_ft_many on each half's own rule, to 1e-13
+    bounds = endpoint_amplitude_bound_many(draws)
+    radiation = check_radiation_many(draws)
+    traces = interface_traces_many(draws)
+    assert bounds.shape == (len(draws), 6) and radiation.shape == (len(draws), 2)
+    for (f, medium, omega), (lm, rm, lp, rp, sm, sp), rad, rep in zip(draws, bounds,
+                                                                      radiation, traces):
+        k1, k2 = medium.c1 * omega, medium.c2 * omega
+        um, up, u0 = (forward_field(f, medium, omega, x) for x in (-1.0, 1.0, 0.0))
+        dum, dup, du0 = (forward_field_dx(f, medium, omega, x) for x in (-1.0, 1.0, 0.0))
+        assert tuple(rad) == (abs(dum + 1j * k2 * um), abs(dup - 1j * k1 * up))
+        assert (rep.u0, rep.du0) == (u0, du0)
+
+        data = boundary_sweep(f, medium, FrequencyGrid(np.array([omega]), omega))
+        assert np.sqrt(lm) == pytest.approx(omega * abs(data.u_minus[0]), rel=1e-13,
+                                            abs=1e-13 * sm)
+        assert np.sqrt(lp) == pytest.approx(omega * abs(data.u_plus[0]), rel=1e-13,
+                                            abs=1e-13 * sp)
+        pair = split_source(f)
+        rhs, scale, l1 = {"minus": 0.0, "plus": 0.0}, {"minus": 0.0, "plus": 0.0}, {}
+        for half in (pair.f1, pair.f2):
+            y, w = source_rule(half, 0.0)
+            l1[half.side] = float(np.sum(w * np.abs(half(y))))
+            for e, coeff, side, rate, _ in _endpoint_rows(medium):
+                if side == half.side:
+                    rhs[e] += abs(coeff) * abs(halfline_ft_many(pair, side, [-rate * omega])[0])
+                    scale[e] += abs(coeff) * l1[side]
+        assert (sm, sp) == pytest.approx((scale["minus"], scale["plus"]), rel=1e-13)
+        assert np.sqrt(rm) == pytest.approx(rhs["minus"], rel=1e-13, abs=1e-13 * sm)
+        assert np.sqrt(rp) == pytest.approx(rhs["plus"], rel=1e-13, abs=1e-13 * sp)
+        # the trace predictions read fhat_right(-k1) and fhat_left(k2)
+        f1m, minus_f2p = rep.z_predicted[:2]
+        assert f1m == pytest.approx(halfline_ft_many(pair, "right", [-k1])[0], rel=1e-13,
+                                    abs=1e-13 * l1["right"])
+        assert -minus_f2p == pytest.approx(halfline_ft_many(pair, "left", [k2])[0], rel=1e-13,
+                                           abs=1e-13 * l1["left"])
+        assert rep.max_residual < 1e-8
 
 
 @pytest.mark.parametrize("f", [SourceSpec.bump(-0.4, 0.3, 1.5j), SourceSpec.bump(0.2, 0.7),
