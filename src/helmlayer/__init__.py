@@ -13,10 +13,10 @@ from .forward import (BoundaryData, TraceReport, forward_field,
                       interface_traces, interface_traces_many, check_radiation,
                       check_radiation_many, write_boundary_csv, read_boundary_csv)
 from .fourier import (DataEnergy, halfline_ft, halfline_ft_many,
-                      plancherel_residual, data_energy, data_energy_from_sweep,
-                      epsilon_norm, tail_decay_fit, endpoint_amplitude_bound,
-                      endpoint_amplitude_bound_many, data_energy_constant, fit_loglog,
-                      fit_loglog_slope)
+                      plancherel_residual, endpoint_data, data_energy,
+                      data_energy_from_sweep, epsilon_norm, tail_decay_fit,
+                      endpoint_amplitude_bound, endpoint_amplitude_bound_many,
+                      data_energy_constant, fit_loglog, fit_loglog_slope)
 from .inverse import (ForwardOperator, ReconstructionResult, assemble_operator,
                       add_noise, reconstruct_tikhonov, reconstruct_tsvd,
                       reconstruct_homogeneous, recon_error, morozov_lambda)

@@ -26,8 +26,8 @@ from .greens import (_green_runs, eval_from_coeffs, green_coeffs_closed,
 from .forward import (_beside, _exact, _read_csv, _write_csv, boundary_sweep,
                       check_radiation_many, fd_oracle, forward_field,
                       interface_traces_many, read_boundary_csv, write_boundary_csv)
-from .fourier import (data_energy, data_energy_from_sweep, epsilon_norm,
-                      endpoint_amplitude_bound_many)
+from .fourier import (data_energy, data_energy_from_sweep, endpoint_amplitude_bound_many,
+                      endpoint_data, epsilon_norm)
 from .inverse import (add_noise, assemble_operator, morozov_lambda,
                       recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
@@ -539,11 +539,12 @@ def _sweep_band(cfg, medium, support, iK, K):
 
     Once the operator is assembled, the sources' clean data and norms are
     computed on a thread made for them (``forward._beside``; at once on
-    one CPU) while the calling thread factors the operator; their
-    endpoint maps run inline there, so this stage takes two threads.
-    The thread is joined before the cells run in order on the calling
-    thread.  The SVD stays on the calling thread: run on the
-    helper instead, it raised a sweep's peak memory by 4%.
+    one CPU) while the calling thread factors the operator.  A source's
+    data come from the endpoint representation (``fourier.endpoint_data``),
+    not from a Green's-kernel quadrature.  The thread is joined before
+    the cells run in order on the calling thread.  The SVD stays on the
+    calling thread: run on the helper instead, it raised a sweep's peak
+    memory by 4%.
     """
     op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
 
@@ -553,7 +554,7 @@ def _sweep_band(cfg, medium, support, iK, K):
             for trial in range(cfg.sweep_trials):
                 try:
                     f = _sweep_source(cfg, n, trial)
-                    clean[n, trial] = (f, boundary_sweep(f, medium, op.grid),
+                    clean[n, trial] = (f, endpoint_data(f, medium, op.grid),
                                        np.sqrt(l2_norm_sq(f)))
                 except Exception as exc:  # recorded in each of its cells below
                     clean[n, trial] = exc

@@ -29,9 +29,10 @@ importing the module starts no thread, no thread outlives the call
 that made it, and a forked child starts clean.
 
 ``_beside`` runs other work on one thread made for it: a stability-sweep
-band computes its sources' data there while the calling thread factors
-the band's operator.  Helpers are spawned from the main thread only; a
-map called off it (the sources' own maps) runs every block itself.
+band computes its sources' data there (``fourier.endpoint_data``, no
+endpoint map) while the calling thread factors the band's operator.
+Helpers are spawned from the main thread only; a map called off it runs
+every block itself.
 """
 
 from __future__ import annotations
@@ -265,8 +266,8 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
     each take the next block until none is left, so a thread slowed by
     other load does not hold the rest back.  One block or one CPU runs
     in the calling thread alone, and so does a map called off the main
-    thread (a sweep band's sources, say): only the main thread spawns
-    helpers, so helmlayer never runs more threads of its own than CPUs.
+    thread: only the main thread spawns helpers, so helmlayer never runs
+    more threads of its own than CPUs.
 
     The split depends on the frequency count, len(y) and ``chunk`` only,
     and a block is the same computation whichever thread runs it, so the

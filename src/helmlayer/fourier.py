@@ -37,6 +37,12 @@ four for real omega; for complex omega a second table at conj xi does.
 So the six rows of the endpoint table read one table per side (two for
 complex omega) instead of building one per row.
 
+``endpoint_data`` reads the endpoint data of a source over a frequency
+grid from the same table: omega u(e, omega) = i F_e(omega), with F_e the
+endpoint amplitude (``greens._endpoint_rows``).  It gives what the
+Green's-kernel quadrature of ``forward.boundary_sweep`` gives, which
+stays as the independent route.
+
 The amplitude bound checks many single draws (f, medium, omega), each on
 its own rule and at its own arguments, so no table is shared: its
 transforms are the dense sums of ``forward._draw_sums``, one exponential
@@ -49,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _draw_sums, _panel_nodes, _write_csv, boundary_sweep, source_rule
+from .forward import (BoundaryData, _draw_sums, _panel_nodes, _write_csv, boundary_sweep,
+                      source_rule)
 from .greens import _endpoint_rows
 from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
@@ -59,6 +66,7 @@ __all__ = [
     "halfline_ft",
     "halfline_ft_many",
     "plancherel_residual",
+    "endpoint_data",
     "data_energy",
     "data_energy_from_sweep",
     "trapezoid_weights",
@@ -225,6 +233,16 @@ def _endpoint_amplitudes(pair, medium, omegas, nodes=16):
             for g, sgn in ((False, 1.0), (True, -1.0)):
                 out[e, g] = out[e, g] + coeff * rot[phase, sgn] * fts[-sgn * np.sign(rate), g]
     return {key: val.reshape(omegas.shape) for key, val in out.items()}
+
+
+def endpoint_data(f, medium, grid):
+    """Endpoint data u(+-1, omega) for every frequency of the grid, from
+    the explicit representation u(e, omega) = i F_e(omega) / omega: the
+    amplitudes F_e of ``_endpoint_amplitudes`` over the split source,
+    each half on its own rule, so a support may straddle the interface."""
+    om = grid.omegas
+    amps = _endpoint_amplitudes(split_source(f), medium, om)
+    return BoundaryData(grid, 1j * amps["minus", False] / om, 1j * amps["plus", False] / om)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyGrid, SourceSpec
-from .forward import BoundaryData, _endpoint_map, boundary_sweep
-from .fourier import epsilon_norm, trapezoid_weights
+from .forward import BoundaryData, _endpoint_map
+from .fourier import endpoint_data, epsilon_norm, trapezoid_weights
 from .quadrature import composite_rule
 
 __all__ = [
@@ -264,7 +264,7 @@ def reconstruct_homogeneous(data, medium, x_grid):
     rec = np.trapezoid(np.exp(1j * np.outer(x_grid, xi)) * fh, xi, axis=1) / (2.0 * np.pi)
     f_est = SourceSpec.from_grid(x_grid, rec)
     # data misfit of the band-limited estimate, in the discrete data norm
-    synth = boundary_sweep(f_est, medium, data.grid)
+    synth = endpoint_data(f_est, medium, data.grid)
     residual = epsilon_norm(BoundaryData(data.grid, data.u_minus - synth.u_minus,
                                          data.u_plus - synth.u_plus))
     return ReconstructionResult(f_est, "homogeneous_ft", float(data.grid.K), residual)

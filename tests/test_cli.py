@@ -358,14 +358,14 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
         "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
         "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
-    real = cli.boundary_sweep
+    real = cli.endpoint_data
 
     def flaky(f, medium, grid, **kw):
         if grid.K == 8.0:
             raise RuntimeError("injected failure")
         return real(f, medium, grid, **kw)
 
-    monkeypatch.setattr(cli, "boundary_sweep", flaky)
+    monkeypatch.setattr(cli, "endpoint_data", flaky)
     path = tmp_path / "s.csv"
     assert cmd_sweep(cfg, path) == 0
     records = read_sweep_csv(path)
@@ -385,7 +385,7 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
         "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
     clean = run_sweep(cfg)
-    real = cli.boundary_sweep
+    real = cli.endpoint_data
     calls, on_caller = [], set()
 
     def flaky(f, medium, grid, **kw):
@@ -395,7 +395,7 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
             raise RuntimeError("injected failure")
         return real(f, medium, grid, **kw)
 
-    monkeypatch.setattr(cli, "boundary_sweep", flaky)
+    monkeypatch.setattr(cli, "endpoint_data", flaky)
     records = run_sweep(cfg)
     assert len(records) == len(clean) == 2 * 2 * 3 * 2
     # one forward solve per (n, trial) for each K, shared by every eps

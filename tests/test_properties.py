@@ -22,8 +22,8 @@ from helmlayer.forward import (BoundaryData, _read_csv, boundary_sweep, check_ra
                                read_boundary_csv, source_rule, write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
                                endpoint_amplitude_bound, endpoint_amplitude_bound_many,
-                               epsilon_norm, halfline_ft_many, write_ratio_csv,
-                               write_tail_csv)
+                               endpoint_data, epsilon_norm, halfline_ft_many,
+                               write_ratio_csv, write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
@@ -211,9 +211,9 @@ def _conjugate(f):
 
 
 @st.composite
-def placed_sources(draw):
+def placed_sources(draw, max_order=3):
     # across the interface, wholly on one side (the other side empty), or
-    # ending on the interface itself
+    # ending on the interface itself; B-splines of order 1 to max_order
     place = draw(st.sampled_from(["straddle", "right", "left", "to_zero", "from_zero"]))
     if place == "straddle":
         a, b = draw(st.floats(-0.9, -0.05)), draw(st.floats(0.05, 0.9))
@@ -230,7 +230,7 @@ def placed_sources(draw):
     if kind == "bump":
         return SourceSpec.bump(a, b, amp)
     if kind == "bspline":
-        return SourceSpec.bspline(a, b, draw(st.integers(1, 3)), amp)
+        return SourceSpec.bspline(a, b, draw(st.integers(1, max_order)), amp)
     if kind == "modulated_bump":
         return SourceSpec.modulated_bump(a, b, draw(st.floats(-20.0, 20.0)), amp)
     n = draw(st.integers(3, 12))
@@ -285,6 +285,25 @@ def test_real_frequency_partner_is_the_conjugate(medium, f, lo, hi, q, rows):
     energy = data_energy(f, medium, hi)
     assert energy.I1.imag == 0.0 and energy.I2.imag == 0.0
     assert energy.I1.real >= 0.0 and energy.I2.real >= 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+       placed_sources(max_order=8), st.floats(0.5, 80.0), st.integers(8, 64))
+def test_endpoint_data_matches_boundary_sweep(medium, f, K, n_omega):
+    # the endpoint representation i F_e / omega against the Green's-kernel
+    # quadrature over the whole source.  At least 8 frequencies put the
+    # lowest at K/8 or below, where the data are on the scale of the
+    # terms that both routes sum.  A band of high frequencies only, where
+    # a smooth source's data cancel to 1e-5 of that scale, would measure
+    # both routes' rounding of those terms against the cancelled size.
+    grid = FrequencyGrid.uniform(K, n_omega)
+    ref = boundary_sweep(f, medium, grid)
+    got = endpoint_data(f, medium, grid)
+    assert got.grid is grid
+    want = np.array([ref.u_minus, ref.u_plus])
+    diff = np.array([got.u_minus, got.u_plus]) - want
+    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want))
 
 
 seeds = st.integers(0, 2**32 - 1)
