@@ -21,7 +21,7 @@ import numpy as np
 from . import model
 from .model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
 from .quadrature import RuleSizeError
-from .greens import (_green_runs, eval_from_coeffs, green_coeffs_closed,
+from .greens import (WavenumberRangeError, _green_runs, eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, interface_residuals)
 from .forward import (_beside, _exact, _read_csv, _write_csv, boundary_sweep,
                       check_radiation_many, fd_oracle, forward_field,
@@ -393,7 +393,7 @@ def cmd_forward(cfg, out_path):
     f = build_source(cfg)
     grid = build_grid(cfg)
     data = boundary_sweep(f, Medium(cfg.c1, cfg.c2), grid)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused below
         epsilon = epsilon_norm(data)
     if not _all_finite(data.u_minus, data.u_plus, epsilon):
         print("FAILED: non-finite endpoint data or data norm, nothing written", file=sys.stderr)
@@ -650,6 +650,12 @@ def main(argv=None):
         print(f"invalid input: {exc}; the rate is the larger of {_KEY['c1']} and "
               f"{_KEY['c2']} times the band limit ({_KEY['K']}, or each of "
               f"{_KEY['sweep_K_list']} in a sweep)", file=sys.stderr)
+        return EXIT_CONFIG
+    except WavenumberRangeError as exc:
+        print(f"invalid input: {exc}; the wavenumbers are {_KEY['c1']} and {_KEY['c2']} times "
+              f"the frequencies, set by {_KEY['K']}, {_KEY['n_omega']} and "
+              f"{_KEY['omega_floor']} (or by each of {_KEY['sweep_K_list']} in a sweep)",
+              file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

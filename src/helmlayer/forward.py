@@ -19,7 +19,11 @@ with ``np.add.reduceat``.  A draw's fields are the doubles of
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
 operator columns of ``inverse.assemble_operator``) come from one map,
-``_endpoint_map``.  It splits the frequencies into blocks; the calling
+``_endpoint_map``.  It fills one array in the operator's row order, the
+u(-1) rows and then the u(+1) rows, each block's product written in
+place: the operator scales that array's rows where it lies, and
+``boundary_sweep``'s two endpoints are views of its halves, so neither
+stacks nor copies it.  It splits the frequencies into blocks; the calling
 thread and one helper thread per further CPU the process may run on
 each take the next block until none is left.  The split does not
 depend on the number of workers and every entry is the same arithmetic
@@ -45,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrequencyGrid, wavenumbers
-from .greens import _check_omega, _green, _green_runs, green_eval, green_dx
+from .greens import (_check_omega, _check_wavenumbers, _green, _green_runs, green_eval,
+                     green_dx)
 from .quadrature import composite_rule
 
 __all__ = [
@@ -252,22 +257,28 @@ def _beside(fn):
 
 
 def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
-    """Endpoint fields (u(-1), u(+1)) of the point sources weights_j at
-    y_j (weights may carry trailing columns, one field per column).
+    """Endpoint fields of the point sources weights_j at y_j (weights may
+    carry trailing columns, one field per column), stacked in one array
+    in the operator's row order: the n rows of u(-1), then the n rows of
+    u(+1), n the frequency count.
 
     The frequencies are split into balanced blocks of at most ``chunk``
     kernel entries (rows times len(y)), but never of one row.  The
     default gives blocks of about 27 rows for the 1212 nodes of the
     default operator and of 80 rows for a 384-node source rule.
     Each block forms its kernel rows g(+-1, y_j; omega) from the layer
-    table and multiplies them by the weights, cast to complex once, into
-    its own rows of the result.  The calling thread and one helper thread
-    per further CPU, made for this call and joined before it returns,
-    each take the next block until none is left, so a thread slowed by
-    other load does not hold the rest back.  One block or one CPU runs
-    in the calling thread alone, and so does a map called off the main
-    thread: only the main thread spawns helpers, so helmlayer never runs
-    more threads of its own than CPUs.
+    table and multiplies them by the weights, cast to complex once,
+    straight into its own rows of the result (``np.matmul``'s ``out``);
+    a product that leaves the double range is inf or nan there, without
+    a warning, for the caller to refuse.  The calling thread and one
+    helper thread per further CPU, made for this call and joined before
+    it returns, each take the next block until none is left, so a thread
+    slowed by other load does not hold the rest back.  One block or one
+    CPU runs in the calling thread alone, and so does a map called off
+    the main thread: only the main thread spawns helpers, so helmlayer
+    never runs more threads of its own than CPUs.  Wavenumbers whose
+    layer amplitudes leave the double range raise
+    ``greens.WavenumberRangeError`` before any block runs.
 
     The split depends on the frequency count, len(y) and ``chunk`` only,
     and a block is the same computation whichever thread runs it, so the
@@ -281,13 +292,18 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
     """
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
+    _check_wavenumbers(medium, omegas)
     n = len(omegas)
     weights = np.asarray(weights, dtype=complex)
-    u_minus = np.empty((n,) + weights.shape[1:], dtype=complex)
-    u_plus = np.empty_like(u_minus)
+    out = np.empty((2 * n,) + weights.shape[1:], dtype=complex)
     n_blocks = max(1, min(-(-n * len(y) // chunk), n // 2))
     cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
     todo, lock = iter(zip(cuts[:-1], cuts[1:])), threading.Lock()
+
+    def product(x, blk, rows):
+        g = _green(x, y, medium, blk)
+        with np.errstate(over="ignore", invalid="ignore"):  # callers refuse inf and nan
+            np.matmul(g, weights, out=out[rows])
 
     def run():
         while True:
@@ -296,9 +312,8 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
             if block is None:
                 return
             lo, hi = block
-            blk = omegas[lo:hi]
-            u_minus[lo:hi] = _green(-1.0, y, medium, blk) @ weights
-            u_plus[lo:hi] = _green(1.0, y, medium, blk) @ weights
+            product(-1.0, omegas[lo:hi], slice(lo, hi))
+            product(1.0, omegas[lo:hi], slice(n + lo, n + hi))
 
     workers = min(_cores(), n_blocks)
     if workers == 1 or threading.current_thread() is not threading.main_thread():
@@ -311,7 +326,7 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
             run()
         for fut in futures:
             fut.result()  # a helper's exception reaches the caller
-    return u_minus, u_plus
+    return out
 
 
 def boundary_sweep(f, medium, grid):
@@ -319,12 +334,13 @@ def boundary_sweep(f, medium, grid):
 
     One quadrature rule resolved at the largest frequency serves the
     whole sweep; frequencies are independent, evaluated in blocks spread
-    over the CPUs (``_endpoint_map``) and assembled in grid order.
+    over the CPUs (``_endpoint_map``) and assembled in grid order.  The
+    two endpoints' data are the halves of the map's one array.
     """
     om = grid.omegas
     y, w = source_rule(f, medium.c_max * float(om[-1]))
-    u_minus, u_plus = _endpoint_map(om, y, w * f(y), medium)
-    return BoundaryData(grid, u_minus, u_plus)
+    u = _endpoint_map(om, y, w * f(y), medium)
+    return BoundaryData(grid, u[:len(om)], u[len(om):])
 
 
 def fd_oracle(f, medium, omega, nodes):

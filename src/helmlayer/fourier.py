@@ -57,7 +57,7 @@ import numpy as np
 
 from .forward import (BoundaryData, _draw_sums, _panel_nodes, _write_csv, boundary_sweep,
                       source_rule)
-from .greens import _endpoint_rows
+from .greens import _check_wavenumbers, _endpoint_rows
 from .model import FrequencyGrid, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
@@ -239,7 +239,12 @@ def endpoint_data(f, medium, grid):
     """Endpoint data u(+-1, omega) for every frequency of the grid, from
     the explicit representation u(e, omega) = i F_e(omega) / omega: the
     amplitudes F_e of ``_endpoint_amplitudes`` over the split source,
-    each half on its own rule, so a support may straddle the interface."""
+    each half on its own rule, so a support may straddle the interface.
+    Speeds whose unit-frequency table (``greens._endpoint_rows``) leaves
+    the double range raise ``greens.WavenumberRangeError``: at c1 =
+    1e160, c2 = 3e160 the reflected rows' amplitudes overflow to 0, and
+    the data would be 85% off."""
+    _check_wavenumbers(medium, 1.0)
     om = grid.omegas
     amps = _endpoint_amplitudes(split_source(f), medium, om)
     return BoundaryData(grid, 1j * amps["minus", False] / om, 1j * amps["plus", False] / om)

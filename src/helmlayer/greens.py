@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "WavenumberRangeError",
     "GreenCoeffs",
     "InterfaceResiduals",
     "green_eval",
@@ -36,6 +37,28 @@ __all__ = [
     "eval_from_coeffs",
     "interface_residuals",
 ]
+
+
+class WavenumberRangeError(ValueError):
+    """Wavenumbers c omega so small or so large that the layer amplitudes
+    (``_amplitudes``) leave the floating-point range: 2 k^2 below the
+    least double, or above the largest."""
+
+
+def _check_wavenumbers(medium, omegas):
+    """Raise ``WavenumberRangeError`` when the amplitude table of either
+    frame, formed from arrays as ``_green`` forms it, would overflow,
+    divide by zero or turn invalid at the least or the largest of
+    ``omegas``; the table is monotone in omega between them."""
+    om = np.array([np.min(omegas), np.max(omegas)], dtype=float)
+    for cs, co in ((medium.c1, medium.c2), (medium.c2, medium.c1)):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                _amplitudes(cs * om, co * om)
+        except FloatingPointError:
+            raise WavenumberRangeError(
+                f"the layer amplitudes leave the floating-point range at speeds {cs:g} and "
+                f"{co:g}, omega from {om[0]:g} to {om[1]:g}") from None
 
 
 def _check_omega(omega):

@@ -69,8 +69,11 @@ class ForwardOperator:
         return len(self.basis_x)
 
     def svd(self):
+        """(U, S, Vh), factored once; V = Vh^H, the transposed view of
+        conj(Vh) that every solve reads, is formed beside it."""
         if self._svd is None:
             self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            self._v = self._svd[2].conj().T
         return self._svd
 
     def apply(self, coeffs):
@@ -125,6 +128,8 @@ def assemble_operator(medium, grid, n_basis, support):
     if n_basis < 8:
         raise ValueError("need at least 8 basis functions")
     edges = np.linspace(a, b, n_basis + 2)
+    if not (np.diff(edges) > 0).all():
+        raise ValueError(f"basis support [{a}, {b}] is too narrow for {n_basis} hats")
     nodes_x = edges[1:-1]
     h = edges[1] - edges[0]
     rate = medium.c_max * float(grid.omegas[-1])
@@ -132,10 +137,11 @@ def assemble_operator(medium, grid, n_basis, support):
     # hat values at the quadrature nodes, scaled by the weights
     H = np.clip(1.0 - np.abs((y[:, None] - nodes_x[None, :]) / h), 0.0, None) * w[:, None]
     om = grid.omegas
-    A_minus, A_plus = _endpoint_map(om, y, H, medium)
+    matrix = _endpoint_map(om, y, H, medium)  # rows u(-1), then u(+1)
     wr = om * np.sqrt(trapezoid_weights(om))
     row_weights = np.concatenate([wr, wr])
-    matrix = np.vstack([A_minus, A_plus]) * row_weights[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the solves refuse it
+        matrix *= row_weights[:, None]
     return ForwardOperator(medium, grid, nodes_x, (a, b), matrix, row_weights)
 
 
@@ -151,6 +157,9 @@ def add_noise(data, eps_target, seed):
     pert_m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     pert_p = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     raw = epsilon_norm(BoundaryData(data.grid, pert_m, pert_p))
+    if not raw > 0:
+        raise ValueError(f"noise of data norm {raw} cannot be scaled to {eps_target:g}: "
+                         f"the frequencies, down to {data.grid.omegas[0]:.3g}, are too low")
     scale = eps_target / raw
     return BoundaryData(data.grid, data.u_minus + scale * pert_m,
                         data.u_plus + scale * pert_p)
@@ -177,9 +186,9 @@ def _project(U, d):
 def _filtered_solve(op, data, filt):
     """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
     holds one filter value per singular value."""
-    U, S, Vh = op.svd()
+    op.svd()
     d, beta = op._projected(data)
-    coeffs = (Vh.conj().T * filt) @ beta
+    coeffs = (op._v * filt) @ beta
     residual = float(np.linalg.norm(op.matrix @ coeffs - d))
     return coeffs, residual
 
@@ -188,6 +197,8 @@ def reconstruct_tikhonov(op, data, lam):
     """Minimize ||A c - d||^2 + lam^2 ||c||^2 through the SVD filter."""
     if lam <= 0:
         raise ValueError("regularization parameter must be positive")
+    if not lam ** 2 > 0:
+        raise FloatingPointError(f"regularization parameter {lam:g} squares to 0")
     _, S, _ = op.svd()
     cond = (S[0] ** 2 + lam ** 2) / (S[-1] ** 2 + lam ** 2)
     if cond > 1e12:
@@ -204,6 +215,8 @@ def reconstruct_tsvd(op, data, k):
     U, S, Vh = op.svd()
     if not 1 <= k <= len(S):
         raise ValueError(f"rank k must be in [1, {len(S)}], got {k}")
+    if not S[k - 1] > 0:
+        raise ValueError(f"singular value {k} of the operator is 0: its rank is below {k}")
     if S[k - 1] / S[0] < 1e-14:
         warnings.warn(f"singular value {k} is at numerical rank deficiency",
                       ConditioningWarning, stacklevel=2)

@@ -242,7 +242,8 @@ class SourceSpec:
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         if self.kind in ("bump", "modulated_bump"):
-            t = (2.0 * x - (self.a + self.b)) / (self.b - self.a)
+            with np.errstate(over="ignore"):  # far outside a narrow support: inf, value 0
+                t = (2.0 * x - (self.a + self.b)) / (self.b - self.a)
             vals = _bump_profile(t).astype(complex)
             if self.kind == "modulated_bump":
                 vals = vals * np.exp(1j * self.mod_freq * x)

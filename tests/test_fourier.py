@@ -6,9 +6,10 @@ import pytest
 from helmlayer.forward import BoundaryData, boundary_sweep, source_rule
 from helmlayer.fourier import (data_energy, data_energy_constant,
                                data_energy_from_sweep, endpoint_amplitude_bound,
-                               epsilon_norm, fit_loglog_slope, halfline_ft,
+                               endpoint_data, epsilon_norm, fit_loglog_slope, halfline_ft,
                                halfline_ft_many, plancherel_residual,
                                tail_decay_fit, write_ratio_csv, write_tail_csv)
+from helmlayer.greens import WavenumberRangeError
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
                              split_source)
 from helmlayer.quadrature import composite_rule
@@ -356,3 +357,21 @@ def test_fit_loglog_slope_examples():
         fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(ValueError):
         fit_loglog_slope([1.0, 2.0], [1.0, 2.0])
+
+
+def test_wavenumbers_out_of_range_are_refused():
+    # where the layer amplitudes leave the double range, both endpoint
+    # routes refuse the medium and grid; at c = 1e160 the endpoint
+    # representation's reflected rows overflowed to 0 and its data sat 85%
+    # off the kernel quadrature's, without a warning
+    f = SourceSpec.bspline(0.1, 0.8, 2)
+    for c in (1e-160, 1e150, 1e160):
+        medium, grid = Medium(c, 3.0 * c), FrequencyGrid.uniform(4.0 / c, 8)
+        if c == 1e150:
+            ref, got = boundary_sweep(f, medium, grid), endpoint_data(f, medium, grid)
+            assert np.max(np.abs(got.u_plus - ref.u_plus)) < 1e-14 * np.max(np.abs(ref.u_plus))
+            continue
+        with pytest.raises(WavenumberRangeError):
+            endpoint_data(f, medium, grid)
+    with pytest.raises(WavenumberRangeError, match="omega from 5e-159 to 1e-157"):
+        boundary_sweep(f, Medium(1.0, 1.5), FrequencyGrid.uniform(1e-157, 20))

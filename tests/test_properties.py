@@ -4,8 +4,11 @@ discrepancy rule, the B-spline source and the config and data-file
 round trips, over media, frequencies, sources, noise levels and seeds
 drawn by hypothesis."""
 
+import contextlib
 import dataclasses
+import io
 import os
+import re
 import tempfile
 import warnings
 
@@ -13,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helmlayer.cli import (METHODS, ConfigError, ExperimentRecord, RunConfig,
-                           parse_config_text, read_sweep_csv, serialize_config,
-                           write_sweep_csv)
+from helmlayer import cli
+from helmlayer.cli import (METHODS, RECON_HEADER, ConfigError, ExperimentRecord, RunConfig,
+                           build_source, parse_config_text, read_sweep_csv,
+                           serialize_config, write_sweep_csv)
 from helmlayer.forward import (BoundaryData, _read_csv, boundary_sweep, check_radiation,
                                check_radiation_many, forward_field, forward_field_dx,
                                interface_traces, interface_traces_many,
@@ -27,10 +31,10 @@ from helmlayer.fourier import (_endpoint_amplitudes, data_energy,
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
-from helmlayer.inverse import (_tikhonov_residuals, add_noise, assemble_operator,
-                               morozov_lambda, reconstruct_tikhonov)
+from helmlayer.inverse import (ConditioningWarning, _tikhonov_residuals, add_noise,
+                               assemble_operator, morozov_lambda, reconstruct_tikhonov)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
-                             split_source)
+                             l2_norm_sq, split_source)
 from helmlayer.quadrature import composite_rule
 
 speeds = st.floats(0.5, 2.0)
@@ -82,6 +86,23 @@ def test_mirror_image_matches_bit_for_bit(c1, c2, omega, y, xs):
     assert (green_coeffs_via_linear_system(y, medium, omega)
             == green_coeffs_via_linear_system(-y, swapped, omega))
     assert interface_residuals(y, medium, omega) == interface_residuals(-y, swapped, omega)
+
+
+@st.composite
+def point_pairs(draw):
+    # (x, y) both left of the interface, both right of it, or across it
+    side = st.floats(1e-3, 0.99)
+    sx, sy = draw(st.sampled_from([(-1, -1), (1, 1), (-1, 1), (1, -1)]))
+    return sx * draw(side), sy * draw(side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)), st.floats(0.1, 50.0),
+       st.lists(point_pairs(), min_size=1, max_size=8))
+def test_green_function_is_reciprocal(medium, omega, pairs):
+    x, y = np.array(pairs).T
+    g_xy, g_yx = green_eval(x, y, medium, omega), green_eval(y, x, medium, omega)
+    assert np.all(np.abs(g_xy - g_yx) <= 1e-12 * np.abs(g_xy))
 
 
 @settings(max_examples=25, deadline=None)
@@ -634,3 +655,122 @@ def test_bound_and_radiation_build_one_rule(f, monkeypatch):
     assert len(calls) == 1
     check_radiation(f, medium, 7.5)
     assert len(calls) == 2
+
+
+def _huge_or_tiny(ordinary):
+    """A key's ordinary values, or a magnitude log-uniform in [1e-300, 1e300]."""
+    return ordinary | st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def _signed(magnitudes):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), magnitudes).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def cli_configs(draw):
+    """Config text over every key's accepted range, at small sizes: at
+    most 40 frequencies, 31 hats and one band limit."""
+    c1, c2 = (draw(_huge_or_tiny(st.floats(0.3, 3.0))) for _ in "12")
+    K = draw(_huge_or_tiny(st.floats(1.0, 40.0)))
+    # a rate past the rule's node cap exits 2 at once; keep the rest fast
+    assume(max(c1, c2) * K <= 400.0 or max(c1, c2) * K >= 1e8)
+    (sa, sb), (ia, ib), (wa, wb) = draw(supports), draw(supports), draw(supports)
+    eps = st.just(0.0) | _huge_or_tiny(st.floats(1e-4, 0.1))
+    keys = {
+        "medium.c1": c1, "medium.c2": c2, "frequency.K": K,
+        "frequency.n_omega": draw(st.integers(1, 40)),
+        "frequency.omega_floor": draw(st.none() | st.floats(0.0, 1.0, exclude_min=True).map(
+            lambda u: u * K)),
+        "source.kind": draw(st.sampled_from(["bump", "bspline", "modulated_bump"])),
+        "source.a": sa, "source.b": sb, "source.order": draw(st.integers(1, 12)),
+        "source.mod_freq": draw(_signed(_huge_or_tiny(st.floats(0.0, 20.0)))),
+        "source.amp_re": draw(st.just(0.0) | _signed(_huge_or_tiny(st.floats(0.1, 3.0)))),
+        "source.amp_im": draw(st.just(0.0) | _signed(_huge_or_tiny(st.floats(0.1, 3.0)))),
+        "inverse.method": draw(st.sampled_from(METHODS)),
+        "inverse.lambda": draw(_huge_or_tiny(st.floats(1e-8, 1.0))),
+        "inverse.k": draw(st.integers(1, 100)),
+        "inverse.n_basis": draw(st.integers(8, 31)),
+        "inverse.support_a": ia, "inverse.support_b": ib,
+        "sweep.K_list": K,
+        "sweep.eps_list": ",".join(map(repr, draw(st.lists(eps, min_size=1, max_size=2)))),
+        "sweep.n_list": ",".join(map(str, draw(st.lists(st.integers(1, 4), min_size=1,
+                                                        max_size=2)))),
+        "sweep.trials": draw(st.integers(1, 2)),
+        "sweep.support_a": wa, "sweep.support_b": wb,
+        "noise.eps": draw(eps), "noise.seed": draw(st.integers(0, 2**32)),
+    }
+    return "".join(f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+                   for key, value in keys.items() if value is not None)
+
+
+def _main(*argv):
+    """``cli.main(argv)``'s exit code and its standard output; it must not
+    raise (a traceback) nor print one."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)  # deliberate, on random configs
+        code = cli.main(list(argv))
+    assert code in (0, 2, 3), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
+
+
+def _figures(text):
+    return {key: float(value) for key, value in re.findall(r"(\w+)\s*=\s*([^\s,)]+)", text)
+            if key not in ("method",)}
+
+
+_SMALL = ("frequency.n_omega = 20\ninverse.n_basis = 11\nsweep.n_list = 1\nsweep.trials = 1\n"
+          "sweep.eps_list = 0,1e-2\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_configs(), st.sampled_from(["forward", "sweep"]))
+# each a RuntimeWarning or a traceback before the checks that now exit 2 or 3
+# (or, in a sweep, fail the cells): kernel amplitudes past the double
+# range, at a low band limit or at unit frequency
+@example(_SMALL + "frequency.K = 1e-157\n", "forward")
+@example(_SMALL + "sweep.K_list = 1e-157\n", "sweep")
+@example(_SMALL + "medium.c1 = 1e-160\nmedium.c2 = 1e-160\nsweep.K_list = 1e160\n", "sweep")
+# noise whose data norm underflows to 0
+@example(_SMALL + "medium.c1 = 1e10\nmedium.c2 = 1e10\nfrequency.K = 1e-160\nnoise.eps = 1e-2\n",
+         "forward")
+# hats too narrow to tell apart, a bump evaluated far outside its support
+@example(_SMALL + "sweep.support_a = 0.0\nsweep.support_b = 5e-324\n", "sweep")
+@example(_SMALL + "inverse.support_a = 0.0\ninverse.support_b = 5e-324\n", "forward")
+@example(_SMALL + "source.a = -5e-324\nsource.b = 5e-324\n", "forward")
+# a TSVD rank past a zero singular value, a Morozov lambda that squares to 0
+@example(_SMALL + "frequency.n_omega = 1\nfrequency.K = 1e-94\ninverse.method = tsvd\n"
+         "inverse.support_a = 0.0\ninverse.support_b = 1e-288\n", "forward")
+@example(_SMALL + "inverse.support_a = -1e-184\ninverse.support_b = 1e-184\nnoise.eps = 1e-4\n",
+         "forward")
+# endpoint data whose product overflows
+@example(_SMALL + "medium.c1 = 6e-196\nmedium.c2 = 0.3\nsource.amp_re = 1e267\n"
+         "source.amp_im = 1e267\n", "forward")
+def test_cli_exits_0_2_or_3_with_finite_figures(text, command):
+    # a valid config ends in exit 0 with finite figures, or in exit 2 or 3,
+    # without a traceback or (Tier-1's filters) a RuntimeWarning
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, data, rec = (os.path.join(tmp, name) for name in ("run.cfg", "d.csv", "r.csv"))
+        with open(cfg_path, "w") as fh:
+            fh.write(text)
+        code, out = _main(command, "--config", cfg_path, "--out", data)
+        if code:
+            return
+        if command == "sweep":
+            for r in read_sweep_csv(data):
+                assert r.error or (np.isfinite(r.reg_param) and np.isfinite(r.l2_error)), r
+            return
+        assert np.isfinite(_figures(out)["epsilon"])
+        read_boundary_csv(data)  # refuses a non-finite cell
+        code, out = _main("reconstruct", "--config", cfg_path, "--data", data, "--out", rec)
+        if code:
+            return
+        figures = _figures(out)
+        assert all(np.isfinite(figures[k]) for k in ("reg", "residual", "l2_error")), out
+        cfg = parse_config_text(text)
+        if not np.isfinite(figures["rel"]):
+            assert np.isnan(figures["rel"]) and l2_norm_sq(build_source(cfg)) == 0, out
+        cells = np.asarray(_read_csv(rec, RECON_HEADER, [float] * 5), dtype=float)
+        assert np.all(np.isfinite(cells))

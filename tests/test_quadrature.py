@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helmlayer import inverse
-from helmlayer.forward import source_rule
+from helmlayer.forward import _CHUNK, boundary_sweep, source_rule
+from helmlayer.greens import _green
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
 from helmlayer.quadrature import _segment_rule, composite_rule, gauss_rule
 
@@ -137,6 +139,92 @@ def test_operator_matches_the_cell_rule_bits(monkeypatch):
         assert np.array_equal(seen[-1][0].view(np.int64), y.view(np.int64))
         assert np.array_equal(seen[-1][1].view(np.int64), hats.view(np.int64))
     assert len(seen[1][0]) == 6 * 83  # 82 cells, one of them split at 0
+
+
+def _per_segment_rule(lo, hi, breakpoints, osc_rate, base_panels, nodes, flat_ends):
+    """``composite_rule`` as a loop over its segments, one ``_segment_rule``
+    call each, as the package built it before it grouped the segments."""
+    gx, gw = gauss_rule(nodes)
+    cuts = [lo] + [t for t in sorted(set(float(t) for t in breakpoints)) if lo < t < hi] + [hi]
+    xs, ws = [], []
+    for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
+        panels = max(base_panels, int(np.ceil(abs(osc_rate) * (seg_hi - seg_lo) / 2.0)))
+        x, w = _segment_rule(seg_lo, seg_hi, panels, gx, gw, flat_ends)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+@st.composite
+def rule_args(draw):
+    lo = draw(st.floats(-2.0, 2.0))
+    hi = lo + draw(st.floats(1e-6, 3.0))
+    inside = st.floats(lo, hi) | st.floats(lo - 0.5, hi + 0.5) | st.sampled_from([lo, hi, 0.0])
+    breaks = draw(st.lists(inside, max_size=40))
+    breaks += draw(st.lists(st.sampled_from(breaks), max_size=5)) if breaks else []  # repeats
+    flat_ends = draw(st.sampled_from([(), "ends", "inner"]))
+    if flat_ends:
+        cut = draw(st.sampled_from(breaks)) if breaks and flat_ends == "inner" else lo
+        flat_ends = ((cut, draw(st.floats(1e-4, 1.0))), (hi, draw(st.floats(1e-4, 1.0))))
+    return (lo, hi, breaks, draw(st.floats(0.0, 300.0)), draw(st.integers(1, 8)),
+            draw(st.sampled_from([2, 4, 6, 8, 16])), flat_ends)
+
+
+_OPERATOR_CELLS = [*np.linspace(-0.95, 0.95, 203)[1:-1], 0.0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(rule_args())
+@example((-0.95, 0.95, _OPERATOR_CELLS, 60.0, 1, 6, ()))  # the default operator's rule
+@example((-0.95, 0.95, _OPERATOR_CELLS, 700.0, 1, 6, ()))  # 3 and 4 panels a cell
+@example((-0.6, 0.6, _OPERATOR_CELLS, 0.0, 1, 16, ((-0.6, 1e-3), (0.6, 1e-3))))
+@example((-0.7, 0.58, [0.0, 5e-324, 1e-323, 0.29], 10.0, 3, 4, ()))  # steps that underflow
+def test_grouped_rule_matches_the_per_segment_rule_bits(args):
+    # segments sharing a panel count are built by one linspace over their
+    # ends, each element by _segment_rule's operations: the same doubles
+    got = composite_rule(*args)
+    ref = _per_segment_rule(*args)
+    assert all(np.array_equal(g.view(np.int64), r.view(np.int64)) for g, r in zip(got, ref))
+
+
+def _per_half_map(om, y, weights, medium):
+    """The endpoint map as the package computed it before it stacked its
+    halves: (u(-1), u(+1)) in two arrays, the frequencies cut into
+    ``_endpoint_map``'s blocks, one product per block and endpoint."""
+    n = len(om)
+    weights = np.asarray(weights, dtype=complex)
+    u_minus = np.empty((n,) + weights.shape[1:], dtype=complex)
+    u_plus = np.empty_like(u_minus)
+    n_blocks = max(1, min(-(-n * len(y) // _CHUNK), n // 2))
+    cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        u_minus[lo:hi] = _green(-1.0, y, medium, om[lo:hi]) @ weights
+        u_plus[lo:hi] = _green(1.0, y, medium, om[lo:hi]) @ weights
+    return u_minus, u_plus
+
+
+def test_operator_is_the_stacked_halves_scaled_by_row(monkeypatch):
+    # on the supports of test_operator_matches_the_cell_rule_bits, the
+    # operator scaled in place in the map's one array is the stack of the
+    # two halves times the row weights, bit for bit
+    medium, grid = Medium(1.0, 1.5), FrequencyGrid.uniform(20.0, 40)
+    real, seen = inverse._endpoint_map, []
+
+    def spy(om, y, weights, med):
+        seen.append((y, weights))
+        return real(om, y, weights, med)
+
+    monkeypatch.setattr(inverse, "_endpoint_map", spy)
+    for n_basis, support in ((201, (-0.95, 0.95)), (81, (-0.9, 0.93)), (41, (0.05, 0.9))):
+        op = inverse.assemble_operator(medium, grid, n_basis, support)
+        A_minus, A_plus = _per_half_map(grid.omegas, *seen[-1], medium)
+        ref = np.vstack([A_minus, A_plus]) * op.row_weights[:, None]
+        assert np.array_equal(op.matrix.view(np.int64), ref.view(np.int64))
+    # boundary_sweep's two endpoints are the halves of one array
+    data = boundary_sweep(SourceSpec.bump(-0.4, 0.7), medium, grid)
+    stack = data.u_minus.base
+    assert stack is not None and data.u_plus.base is stack and stack.shape == (2 * len(grid),)
+    assert data.u_plus.ctypes.data == data.u_minus.ctypes.data + data.u_minus.nbytes
 
 
 def test_composite_rule_validation():
