@@ -7,15 +7,16 @@ second-order finite-difference discretization of the same boundary value
 problem used to cross-check the quadrature path.  Eliminating one entry
 of each one-sided boundary row leaves its system tridiagonal, solved
 without row exchanges (``test_fd_oracle_matches_dense_solve`` holds it
-to ``np.linalg.solve``).  ``interface_traces`` and ``check_radiation``
-verify the exact interface and radiation identities that the
-multi-frequency data analysis rests on.  They, and the amplitude bound
-of ``fourier``, are one-draw calls of routines that take a batch of
-draws (f, medium, omega) in one pass, ``_draw_sums``: every draw's rule
-is concatenated with the others, each node carrying its draw's medium
-and omega, and one kernel call per block of draws is summed by draw
-with ``np.add.reduceat``.  A draw's fields are the doubles of
-``forward_field``: the same rule, kernel values and per-draw sum.
+to ``np.linalg.solve``).  ``interface_traces_many`` and
+``check_radiation_many`` verify the exact interface and radiation
+identities that the multi-frequency data analysis rests on, and
+``fourier.endpoint_amplitude_bound_many`` the amplitude bound, each for a
+batch of draws (f, medium, omega) in one pass, ``_draw_sums``: every
+draw's rule is concatenated with the others, each node carrying its
+draw's medium and omega, and one kernel call per block of draws is
+summed by draw with ``np.add.reduceat``.  A draw's fields are the
+doubles of ``forward_field``: the same rule, kernel values and per-draw
+sum.
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
 operator columns of ``inverse.assemble_operator``) come from one map,
@@ -61,9 +62,7 @@ __all__ = [
     "forward_field_dx",
     "boundary_sweep",
     "fd_oracle",
-    "interface_traces",
     "interface_traces_many",
-    "check_radiation",
     "check_radiation_many",
     "write_boundary_csv",
     "read_boundary_csv",
@@ -256,15 +255,15 @@ def _beside(fn):
     return lambda: result
 
 
-def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
+def _endpoint_map(omegas, y, weights, medium):
     """Endpoint fields of the point sources weights_j at y_j (weights may
     carry trailing columns, one field per column), stacked in one array
     in the operator's row order: the n rows of u(-1), then the n rows of
     u(+1), n the frequency count.
 
-    The frequencies are split into balanced blocks of at most ``chunk``
-    kernel entries (rows times len(y)), but never of one row.  The
-    default gives blocks of about 27 rows for the 1212 nodes of the
+    The frequencies are split into balanced blocks of at most ``_CHUNK``
+    kernel entries (rows times len(y)), read at call time, but never of
+    one row.  That gives blocks of about 27 rows for the 1212 nodes of the
     default operator and of 80 rows for a 384-node source rule.
     Each block forms its kernel rows g(+-1, y_j; omega) from the layer
     table and multiplies them by the weights, cast to complex once,
@@ -280,7 +279,7 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
     layer amplitudes leave the double range raise
     ``greens.WavenumberRangeError`` before any block runs.
 
-    The split depends on the frequency count, len(y) and ``chunk`` only,
+    The split depends on the frequency count, len(y) and ``_CHUNK`` only,
     and a block is the same computation whichever thread runs it, so the
     result does not depend on the number of CPUs.  With single-threaded
     BLAS it is also the one product of the whole table, bit for bit,
@@ -290,13 +289,11 @@ def _endpoint_map(omegas, y, weights, medium, chunk=_CHUNK):
     may partition a large product its own way, as a change of its thread
     count does.
     """
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     _check_wavenumbers(medium, omegas)
     n = len(omegas)
     weights = np.asarray(weights, dtype=complex)
     out = np.empty((2 * n,) + weights.shape[1:], dtype=complex)
-    n_blocks = max(1, min(-(-n * len(y) // chunk), n // 2))
+    n_blocks = max(1, min(-(-n * len(y) // _CHUNK), n // 2))
     cuts = [n * i // n_blocks for i in range(n_blocks + 1)]
     todo, lock = iter(zip(cuts[:-1], cuts[1:])), threading.Lock()
 
@@ -411,12 +408,6 @@ class TraceReport:
         return float(np.max(self.residuals))
 
 
-def interface_traces(f, medium, omega):
-    """Quadrature traces u(0), u'(0) and their transform predictions:
-    ``interface_traces_many`` of one draw."""
-    return interface_traces_many([(f, medium, omega)])[0]
-
-
 def interface_traces_many(draws):
     """A ``TraceReport`` per draw (f, medium, omega): the quadrature
     traces u(0), u'(0) and the transforms that predict them, all from
@@ -447,12 +438,6 @@ def interface_traces_many(draws):
         )
         reports.append(TraceReport(u0, du0, u0_pred, du0_pred, z_meas, z_pred, res))
     return reports
-
-
-def check_radiation(f, medium, omega):
-    """Outgoing-condition residuals (|u'(-1) + i k2 u(-1)|, |u'(1) - i k1 u(1)|):
-    ``check_radiation_many`` of one draw."""
-    return tuple(check_radiation_many([(f, medium, omega)])[0].tolist())
 
 
 def check_radiation_many(draws):
@@ -521,8 +506,9 @@ def write_boundary_csv(data, path):
                                      data.u_plus.real, data.u_plus.imag))
 
 
-def read_boundary_csv(path, K=None):
-    """Read endpoint data written by ``write_boundary_csv``."""
+def read_boundary_csv(path, K):
+    """Read endpoint data written by ``write_boundary_csv``, on a grid of
+    band limit K."""
     arr = np.asarray(_read_csv(path, CSV_HEADER, [float] * len(CSV_HEADER)), dtype=float)
     if arr.size == 0:
         raise ValueError(f"no data rows in {path}")
@@ -530,5 +516,5 @@ def read_boundary_csv(path, K=None):
     if bad.any():
         raise ValueError(f"non-finite value in data row {np.argmax(bad) + 1} of {path}")
     om = arr[:, 0]
-    grid = FrequencyGrid(om, K if K is not None else float(om[-1]))
+    grid = FrequencyGrid(om, K)
     return BoundaryData(grid, arr[:, 1] + 1j * arr[:, 2], arr[:, 3] + 1j * arr[:, 4])

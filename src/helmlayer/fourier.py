@@ -43,10 +43,11 @@ endpoint amplitude (``greens._endpoint_rows``).  It gives what the
 Green's-kernel quadrature of ``forward.boundary_sweep`` gives, which
 stays as the independent route.
 
-The amplitude bound checks many single draws (f, medium, omega), each on
-its own rule and at its own arguments, so no table is shared: its
-transforms are the dense sums of ``forward._draw_sums``, one exponential
-per node, over a batch of draws at once.
+The amplitude bound, ``endpoint_amplitude_bound_many``, checks many
+single draws (f, medium, omega), each on its own rule and at its own
+arguments, so no table is shared: its transforms are the dense sums of
+``forward._draw_sums``, one exponential per node, over a batch of draws
+at once.
 """
 
 from __future__ import annotations
@@ -63,20 +64,16 @@ from .quadrature import composite_rule
 
 __all__ = [
     "DataEnergy",
-    "halfline_ft",
     "halfline_ft_many",
-    "plancherel_residual",
     "endpoint_data",
     "data_energy",
     "data_energy_from_sweep",
     "trapezoid_weights",
     "epsilon_norm",
     "tail_decay_fit",
-    "endpoint_amplitude_bound",
     "endpoint_amplitude_bound_many",
     "data_energy_constant",
     "fit_loglog",
-    "fit_loglog_slope",
     "write_tail_csv",
     "write_ratio_csv",
 ]
@@ -92,11 +89,6 @@ def _side_source(pair, side):
     if side == "left":
         return pair.f2
     raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-
-
-def halfline_ft(pair, side, xi):
-    """fhat_side(xi) = int e^{-i xi y} f_side(y) dy over the side's interval."""
-    return complex(halfline_ft_many(pair, side, xi))
 
 
 def halfline_ft_many(pair, side, xis, nodes=16, chunk=4096,
@@ -179,23 +171,6 @@ def _exp_table(a, y):
     """The table exp(a_k y_j), built in place."""
     out = np.multiply.outer(a, y)
     return np.exp(out, out=out)
-
-
-def plancherel_residual(pair, xi_max, n_xi):
-    """|  ||f1||^2 + ||f2||^2  -  (1/2pi) int_{-xi_max}^{xi_max} (|fhat1|^2 + |fhat2|^2) |.
-
-    The transform-side integral is a trapezoid rule on n_xi equispaced
-    arguments; the tail beyond xi_max is the caller's responsibility.
-    """
-    if n_xi < 3:
-        raise ValueError("need at least 3 transform samples")
-    xis = np.linspace(-xi_max, xi_max, n_xi)
-    total = 0.0
-    for side in ("right", "left"):
-        vals = halfline_ft_many(pair, side, xis)
-        total += float(np.trapezoid(np.abs(vals) ** 2, xis))
-    norms = l2_norm_sq(pair.f1) + l2_norm_sq(pair.f2)
-    return abs(norms - total / (2.0 * np.pi))
 
 
 def _endpoint_amplitudes(pair, medium, omegas, nodes=16):
@@ -318,11 +293,24 @@ def trapezoid_weights(omegas):
 
 def epsilon_norm(data):
     """Discrete data norm: sqrt of the trapezoid rule for
-    int_0^K omega^2 (|u(-1)|^2 + |u(1)|^2) d omega over the data grid."""
+    int_0^K omega^2 (|u(-1)|^2 + |u(1)|^2) d omega over the data grid.
+
+    Data whose squares overflow, though the norm is finite, are summed
+    again divided by their largest modulus, which multiplies the root."""
     om = data.grid.omegas
     w = trapezoid_weights(om)
-    integrand = om ** 2 * (np.abs(data.u_minus) ** 2 + np.abs(data.u_plus) ** 2)
-    return float(np.sqrt(np.sum(w * integrand)))
+
+    def norm(um, up):
+        return float(np.sqrt(np.sum(w * (om ** 2 * (np.abs(um) ** 2 + np.abs(up) ** 2)))))
+
+    with np.errstate(over="ignore"):
+        plain = norm(data.u_minus, data.u_plus)
+    if np.isfinite(plain):
+        return plain
+    top = max(np.max(np.abs(data.u_minus)), np.max(np.abs(data.u_plus)))
+    if not np.isfinite(top):
+        return plain
+    return float(top * norm(data.u_minus / top, data.u_plus / top))
 
 
 def fit_loglog(xs, ys):
@@ -341,11 +329,6 @@ def fit_loglog(xs, ys):
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(slope), float(intercept), r2
-
-
-def fit_loglog_slope(xs, ys):
-    """Ordinary least-squares slope of log y versus log x."""
-    return fit_loglog(xs, ys)[0]
 
 
 def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
@@ -379,13 +362,6 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
     if csv_path is not None:
         write_tail_csv(csv_path, s_list, T)
     return slope, r2
-
-
-def endpoint_amplitude_bound(f, medium, omega):
-    """Both sides of the explicit endpoint amplitude inequality, and its
-    scale: ``endpoint_amplitude_bound_many`` of one draw, as a tuple
-    (lhs_minus, rhs_minus, lhs_plus, rhs_plus, scale_minus, scale_plus)."""
-    return tuple(endpoint_amplitude_bound_many([(f, medium, omega)])[0].tolist())
 
 
 def endpoint_amplitude_bound_many(draws):

@@ -22,11 +22,7 @@ __all__ = [
     "HalfSource",
     "SourcePair",
     "wavenumbers",
-    "eval_source",
     "split_source",
-    "discrete_sobolev_norm",
-    "sobolev_norm",
-    "class_membership",
     "l2_norm_sq",
 ]
 
@@ -257,14 +253,6 @@ class SourceSpec:
         return vals[0] if scalar else vals
 
 
-def eval_source(spec, x):
-    """Evaluate a source, rejecting arguments outside the open interval (-1, 1)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("evaluation point outside (-1, 1)")
-    return spec(x)
-
-
 @dataclass(frozen=True)
 class HalfSource:
     """A source restricted to one side of the interface at x = 0.
@@ -332,53 +320,3 @@ def l2_norm_sq(source):
     lo, hi = sup
     y, w = composite_rule(lo, hi, source.breakpoints, 0.0, 8, 16, source.flat_ends)
     return float(np.sum(w * np.abs(source(y)) ** 2))
-
-
-def discrete_sobolev_norm(values, h, n):
-    """Discrete H^n norm of uniformly spaced samples.
-
-    Sums the trapezoid L2 norms squared of the k-th iterated centered
-    differences for k = 0..n; each difference level trims one node from
-    both ends, so at least 2n + 2 nodes are required.
-    """
-    v = np.asarray(values, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError("values must be a 1-d array")
-    if n < 0:
-        raise ValueError("derivative order must be non-negative")
-    if len(v) < 2 * n + 2:
-        raise ValueError(f"grid too coarse: need >= {2 * n + 2} nodes for order {n}, got {len(v)}")
-    total = 0.0
-    level = v
-    for _ in range(n + 1):
-        total += float(np.trapezoid(np.abs(level) ** 2, dx=h))
-        level = (level[2:] - level[:-2]) / (2.0 * h)
-    return float(np.sqrt(total))
-
-
-def sobolev_norm(spec, n):
-    """Discrete H^n norm of a source.
-
-    Grid sources use their own (uniform) sample grid; other kinds are
-    sampled on 2049 equispaced interior points of (-1, 1).
-    """
-    if spec.kind == "grid":
-        x = spec.x_grid
-        steps = np.diff(x)
-        if not np.allclose(steps, steps[0], rtol=1e-10, atol=0.0):
-            raise ValueError("sobolev_norm requires a uniform grid source")
-        return discrete_sobolev_norm(spec.samples * spec.amplitude, float(steps[0]), n)
-    x = np.linspace(-1.0, 1.0, 2051)[1:-1]
-    return discrete_sobolev_norm(spec(x), float(x[1] - x[0]), n)
-
-
-def class_membership(spec, n, M):
-    """True when the discrete H^n norm is at most M.
-
-    Compact support strictly inside (-1, 1) is structural for every
-    SourceSpec, so only the norm bound is checked.  Only positivity of M
-    is enforced.
-    """
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return sobolev_norm(spec, n) <= M

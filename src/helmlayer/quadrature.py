@@ -52,7 +52,7 @@ def gauss_rule(nodes):
     return x, w
 
 
-def _segment_rule(lo, hi, panels, gx, gw, flat_ends=()):
+def _segment_rule(lo, hi, panels, gx, gw, flat_ends):
     edges = np.linspace(lo, hi, panels + 1)
     step = (hi - lo) / panels
     head = [lo + width for end, width in flat_ends if end == lo and step > width]

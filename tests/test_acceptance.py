@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from helmlayer.cli import parse_config_text, run_sweep
-from helmlayer.forward import boundary_sweep, check_radiation, fd_oracle, forward_field, interface_traces
+from helmlayer.forward import (boundary_sweep, check_radiation_many, fd_oracle, forward_field,
+                               interface_traces_many)
 from helmlayer.fourier import (data_energy, data_energy_from_sweep,
-                               endpoint_amplitude_bound, fit_loglog_slope,
-                               plancherel_residual, tail_decay_fit,
-                               data_energy_constant)
+                               endpoint_amplitude_bound_many, fit_loglog, halfline_ft_many,
+                               tail_decay_fit, data_energy_constant)
 from helmlayer.greens import green_eval, interface_residuals
 from helmlayer.inverse import reconstruct_homogeneous, recon_error
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq,
@@ -67,7 +67,7 @@ def test_criterion_1_identity_suite():
         med = _random_medium(rng)
         om = rng.uniform(0.2, 10.0)
         f = _random_source(rng)
-        rm, rp = check_radiation(f, med, om)
+        rm, rp = check_radiation_many([(f, med, om)])[0]
         worst_rad = max(worst_rad, rm, rp)
 
     worst_trace = 0.0
@@ -75,7 +75,7 @@ def test_criterion_1_identity_suite():
         med = _random_medium(rng)
         om = rng.uniform(0.2, 10.0)
         f = _random_source(rng)
-        worst_trace = max(worst_trace, interface_traces(f, med, om).max_residual)
+        worst_trace = max(worst_trace, interface_traces_many([(f, med, om)])[0].max_residual)
 
     elapsed = time.time() - t0
     ok = (worst_appendix <= 1e-10 and worst_recip <= 1e-10
@@ -106,7 +106,7 @@ def test_criterion_2_cross_solver_oracle():
         rel = (abs(u[0] - refs[-1.0]) / abs(refs[-1.0])
                + abs(u[-1] - refs[1.0]) / abs(refs[1.0]))
         worst_rel = max(worst_rel, rel)
-        orders.append(fit_loglog_slope(hs, errs))
+        orders.append(fit_loglog(hs, errs)[0])
     elapsed = time.time() - t0
     ok = (worst_rel <= 1e-4 and all(1.8 <= o <= 2.2 for o in orders)
           and elapsed <= 60.0)
@@ -156,7 +156,7 @@ def test_criterion_5_amplitude_bounds():
         med = _random_medium(rng)
         om = rng.uniform(0.2, 20.0)
         f = _random_source(rng)
-        lm, rm, lp, rp, _, _ = endpoint_amplitude_bound(f, med, om)
+        lm, rm, lp, rp, _, _ = endpoint_amplitude_bound_many([(f, med, om)])[0]
         worst = max(worst, (lm - rm) / max(rm, 1e-300), (lp - rp) / max(rp, 1e-300))
     ok = worst <= 1e-12
     _report(5, ok, f"largest relative violation {worst:.2e} over 500 trials "
@@ -229,6 +229,40 @@ def test_criterion_7_increasing_stability_sweep():
             f"ordered: {mono_e}; "
             f"(c) K=40, eps=1e-2 medians vs n {[f'{v:.3f}' for v in n_meds]} "
             f"decreasing: {mono_n}; {elapsed:.0f}s (<= 600s)")
+
+
+def plancherel_residual(pair, xi_max, n_xi):
+    """|  ||f1||^2 + ||f2||^2  -  (1/2pi) int_{-xi_max}^{xi_max} (|fhat1|^2 + |fhat2|^2) |.
+
+    The transform-side integral is a trapezoid rule on n_xi equispaced
+    arguments; the tail beyond xi_max is the caller's responsibility.
+    """
+    if n_xi < 3:
+        raise ValueError("need at least 3 transform samples")
+    xis = np.linspace(-xi_max, xi_max, n_xi)
+    total = 0.0
+    for side in ("right", "left"):
+        vals = halfline_ft_many(pair, side, xis)
+        total += float(np.trapezoid(np.abs(vals) ** 2, xis))
+    norms = l2_norm_sq(pair.f1) + l2_norm_sq(pair.f2)
+    return abs(norms - total / (2.0 * np.pi))
+
+
+def test_plancherel_zero_and_smooth():
+    zero = split_source(SourceSpec.bump(-0.5, 0.5, amplitude=0.0))
+    assert plancherel_residual(zero, 50.0, 501) == 0.0
+    pair = split_source(SourceSpec.bump(0.1, 0.9))
+    assert plancherel_residual(pair, 200.0, 4001) < 1e-6
+
+
+def test_plancherel_refinement():
+    # the residual converges to the fixed transform-tail value; the
+    # quadrature part (distance to that limit) halves or better per doubling
+    pair = split_source(SourceSpec.bump(0.1, 0.9))
+    limit = plancherel_residual(pair, 60.0, 6401)
+    coarse = abs(plancherel_residual(pair, 60.0, 201) - limit)
+    fine = abs(plancherel_residual(pair, 60.0, 401) - limit)
+    assert fine <= 0.5 * coarse
 
 
 def test_criterion_8_plancherel_and_energy_constant():

@@ -19,6 +19,7 @@ from helmlayer.cli import (ConfigError, ExperimentRecord, RunConfig,
                            read_sweep_csv, run_sweep, run_verify, serialize_config,
                            write_sweep_csv)
 from helmlayer.forward import BoundaryData, read_boundary_csv
+from helmlayer.fourier import epsilon_norm
 from helmlayer.inverse import ConditioningWarning
 from helmlayer.model import Medium, SourceSpec, l2_norm_sq
 
@@ -245,7 +246,7 @@ def test_cmd_forward_zero_source_and_determinism(tmp_path, capsys):
     assert cmd_forward(cfg, p1) == 0
     assert cmd_forward(cfg, p2) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    data = read_boundary_csv(p1)
+    data = read_boundary_csv(p1, cfg.K)
     assert np.all(data.u_minus == 0.0) and np.all(data.u_plus == 0.0)
 
 
@@ -487,7 +488,7 @@ def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
     lines[5] = ",".join(row)
     data_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="non-finite"):
-        read_boundary_csv(data_path)
+        read_boundary_csv(data_path, 5.0)
     out = tmp_path / "rec.csv"
     assert main(["reconstruct", "--config", str(cfg_path),
                  "--data", str(data_path), "--out", str(out)]) == 2
@@ -513,7 +514,7 @@ def test_reconstruct_rejects_malformed_data(mangle, where, tmp_path, capsys):
     lines = mangle(data_path.read_text().splitlines())
     data_path.write_text("".join(line + "\n" for line in lines))
     with pytest.raises(ValueError, match=where):
-        read_boundary_csv(data_path)
+        read_boundary_csv(data_path, 5.0)
     out = tmp_path / "rec.csv"
     assert main(["reconstruct", "--config", str(cfg_path),
                  "--data", str(data_path), "--out", str(out)]) == 2
@@ -601,10 +602,14 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("extra, forward_code", [
-    ("medium.c1 = 1e-300\n", 3),
-    ("source.amp_re = 1e300\nsource.amp_im = 1e300\n", 3),
+    # finite data whose squares overflow: forward's epsilon is finite
+    ("medium.c1 = 1e-300\n", 0),
+    ("source.amp_re = 1e300\nsource.amp_im = 1e300\n", 0),
     ("noise.eps = 1e300\n", 0),  # forward reads no noise
-    ("medium.c1 = 1e-300\nnoise.eps = 1e-2\n", 3),  # the Tikhonov solve overflows
+    ("medium.c1 = 1e-300\nnoise.eps = 1e-2\n", 0),  # the Tikhonov solve overflows
+    # finite data, about 1e300, whose norm is past the double range
+    ("medium.c1 = 1e-6\nmedium.c2 = 1e-6\nfrequency.K = 1e6\nfrequency.omega_floor = 5e5\n"
+     "source.amp_re = 1e300\nsource.amp_im = 1e300\n", 3),
 ])
 def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_path, capsys):
     # valid configs whose epsilon, residual or error overflow: each run
@@ -698,16 +703,46 @@ def _run_child(script, **env):
     return proc.stdout.strip().splitlines()[-1]
 
 
+_MODULES = [getattr(helmlayer, m) for m in
+            ("model", "quadrature", "greens", "forward", "fourier", "inverse", "cli")]
+
+
 def test_keyword_knob_count_is_pinned():
     # keyword parameters with defaults on the module-level functions of
     # the seven modules: a new knob has to raise this pin
-    modules = [getattr(helmlayer, m) for m in
-               ("model", "quadrature", "greens", "forward", "fourier", "inverse", "cli")]
     count = sum(p.default is not p.empty
-                for m in modules for f in vars(m).values()
+                for m in _MODULES for f in vars(m).values()
                 if inspect.isfunction(f) and f.__module__ == m.__name__
                 for p in inspect.signature(f).parameters.values())
-    assert count == 23
+    assert count == 20
+
+
+def test_public_name_count_is_pinned():
+    # every name a module exports exists there, and the package re-exports
+    # only exported names: a new public name has to raise these pins
+    for m in _MODULES:
+        assert [name for name in m.__all__ if not hasattr(m, name)] == [], m.__name__
+    exported = {name for m in _MODULES for name in m.__all__}
+    public = [name for name, value in vars(helmlayer).items()
+              if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(set(public) - exported) == []
+    assert len(public) == 50
+    assert sum(len(m.__all__) for m in _MODULES) == 67
+
+
+def test_forward_norm_of_data_whose_squares_overflow(tmp_path, capsys):
+    # at amplitude 1e300 the endpoint data are finite (max |u| is about
+    # 4e300) but their squares overflow: epsilon is 1e150 times the 1e150
+    # run's, printed and recomputed from the written data
+    printed, recomputed = {}, {}
+    for amp in ("1e150", "1e300"):
+        cfg, out = tmp_path / f"{amp}.cfg", tmp_path / f"{amp}.csv"
+        cfg.write_text(f"source.amp_re = {amp}\nsource.amp_im = {amp}\n")
+        assert main(["forward", "--config", str(cfg), "--out", str(out)]) == 0
+        printed[amp] = float(capsys.readouterr().out.split("epsilon = ")[1].split(")")[0])
+        recomputed[amp] = epsilon_norm(read_boundary_csv(out, RunConfig().K))
+    assert printed["1e300"] == pytest.approx(1e150 * printed["1e150"], rel=1e-12)
+    assert recomputed["1e300"] == pytest.approx(1e150 * recomputed["1e150"], rel=1e-12)
 
 
 def test_config_key_count_is_pinned():

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from helmlayer import cli, forward
-from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation,
-                               check_radiation_many, fd_oracle, forward_field,
-                               forward_field_dx, interface_traces, interface_traces_many,
+from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation_many, fd_oracle,
+                               forward_field, forward_field_dx, interface_traces_many,
                                read_boundary_csv, write_boundary_csv)
-from helmlayer.fourier import (endpoint_amplitude_bound, endpoint_amplitude_bound_many,
-                               fit_loglog_slope, halfline_ft, halfline_ft_many)
+from helmlayer.fourier import endpoint_amplitude_bound_many, fit_loglog, halfline_ft_many
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, split_source,
                              wavenumbers)
 
@@ -25,7 +23,7 @@ def test_zero_source_field_is_zero():
     assert forward_field(zero, med, 2.0, 0.3) == 0.0
     x, u = fd_oracle(zero, med, 2.0, 256)
     assert np.all(u == 0.0)
-    rm, rp = check_radiation(zero, med, 2.0)
+    rm, rp = check_radiation_many([(zero, med, 2.0)])[0]
     assert rm == 0.0 and rp == 0.0
 
 
@@ -38,7 +36,7 @@ def test_homogeneous_endpoint_matches_halfline_transform():
     for om in (0.7, 2.0, 5.5):
         k = c * om
         u1 = forward_field(f, med, om, 1.0)
-        pred = 1j * np.exp(1j * k) / (2 * k) * halfline_ft(pair, "right", k)
+        pred = 1j * np.exp(1j * k) / (2 * k) * halfline_ft_many(pair, "right", [k])[0]
         assert abs(u1 - pred) < 1e-12
 
 
@@ -63,7 +61,7 @@ def test_fd_oracle_second_order_convergence():
         x, u = fd_oracle(f, med, om, n)
         errs.append(abs(u[0] - ref_m) + abs(u[-1] - ref_p))
         hs.append(2.0 / n)
-    order = fit_loglog_slope(hs, errs)
+    order = fit_loglog(hs, errs)[0]
     assert 1.8 < order < 2.2
 
 
@@ -166,20 +164,20 @@ def test_linearity_on_shared_grid_sources():
 def test_interface_traces_examples():
     med = Medium(1.0, 1.5)
     f = SourceSpec.bump(-0.6, 0.7)
-    report = interface_traces(f, med, 2.0)
+    report = interface_traces_many([(f, med, 2.0)])[0]
     assert report.max_residual < 1e-10
 
     # one-sided source: z2 vanishes and u(0) is a pure transmitted transform
     g = SourceSpec.bump(0.2, 0.8, amplitude=1.0 - 0.4j)
-    rep = interface_traces(g, med, 2.0)
+    rep = interface_traces_many([(g, med, 2.0)])[0]
     k1, k2 = wavenumbers(med, 2.0)
-    f1m = halfline_ft(split_source(g), "right", -k1)
+    f1m = halfline_ft_many(split_source(g), "right", [-k1])[0]
     assert abs(rep.z_measured[1]) < 1e-12
     assert abs(rep.u0 - 1j * f1m / (k1 + k2)) < 1e-12
 
     # even source in a homogeneous medium has zero derivative trace
     h = SourceSpec.bump(-0.5, 0.5)
-    rep = interface_traces(h, Medium(1.2, 1.2), 3.0)
+    rep = interface_traces_many([(h, Medium(1.2, 1.2), 3.0)])[0]
     assert abs(rep.du0) < 1e-13
     assert abs(rep.du0_predicted) < 1e-13
 
@@ -193,7 +191,7 @@ def test_trace_identities_random_battery():
         b = a + rng.uniform(0.25, 0.6)
         f = SourceSpec.modulated_bump(a, min(b, 0.9), rng.uniform(0, 6),
                                       amplitude=np.exp(1j * rng.uniform(0, 6.3)))
-        assert interface_traces(f, med, om).max_residual < 1e-8
+        assert interface_traces_many([(f, med, om)])[0].max_residual < 1e-8
 
 
 def test_radiation_residuals():
@@ -202,7 +200,7 @@ def test_radiation_residuals():
         med = Medium(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         om = rng.uniform(0.3, 8.0)
         f = SourceSpec.bump(rng.uniform(-0.7, -0.1), rng.uniform(0.1, 0.7))
-        rm, rp = check_radiation(f, med, om)
+        rm, rp = check_radiation_many([(f, med, om)])[0]
         assert rm < 1e-10 and rp < 1e-10
 
 
@@ -220,7 +218,7 @@ def test_fd_radiation_closure_shrinks_second_order():
         du = (11 * u[-1] - 18 * u[-2] + 9 * u[-3] - 2 * u[-4]) / (6 * h)
         res.append(abs(du - 1j * k1 * u[-1]))
         hs.append(h)
-    order = fit_loglog_slope(hs, res)
+    order = fit_loglog(hs, res)[0]
     assert 1.6 < order < 2.4
 
 
@@ -268,11 +266,14 @@ def test_field_and_derivative_refuse_points_outside_the_interval():
             field(f, med, 0.0, 0.3)
 
 
-@pytest.mark.parametrize("check", [endpoint_amplitude_bound, check_radiation, interface_traces])
+# each id names the identity its routine checks
+@pytest.mark.parametrize("check", [endpoint_amplitude_bound_many, check_radiation_many,
+                                   interface_traces_many],
+                         ids=["endpoint_amplitude_bound", "check_radiation", "interface_traces"])
 @pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
 def test_single_frequency_checks_refuse_bad_omega(check, omega):
     with pytest.raises(ValueError, match="omega must be positive and finite"):
-        check(SourceSpec.bump(-0.5, 0.5), Medium(1.0, 1.5), omega)
+        check([(SourceSpec.bump(-0.5, 0.5), Medium(1.0, 1.5), omega)])
 
 
 def test_boundary_csv_roundtrip(tmp_path):
@@ -282,7 +283,8 @@ def test_boundary_csv_roundtrip(tmp_path):
     data = boundary_sweep(f, med, grid)
     path = tmp_path / "data.csv"
     write_boundary_csv(data, path)
-    back = read_boundary_csv(path)
+    back = read_boundary_csv(path, grid.K)
+    assert back.grid.K == grid.K
     assert np.array_equal(back.grid.omegas, data.grid.omegas)
     assert np.array_equal(back.u_minus, data.u_minus)
     assert np.array_equal(back.u_plus, data.u_plus)
@@ -307,14 +309,13 @@ def test_endpoint_map_independent_of_workers(monkeypatch, n):
     om, y, weight_sets = _map_inputs(n)
     for weights in weight_sets:
         for chunk in MAP_CHUNKS:
+            monkeypatch.setattr(forward, "_CHUNK", chunk)
             monkeypatch.setattr(forward, "_cores", lambda: 1)
-            ref = _endpoint_map(om, y, weights, med, chunk)
+            ref = _endpoint_map(om, y, weights, med)
             for workers in (2, 3):
                 monkeypatch.setattr(forward, "_cores", lambda: workers)
-                got = _endpoint_map(om, y, weights, med, chunk)
+                got = _endpoint_map(om, y, weights, med)
                 assert np.array_equal(got, ref)
-    with pytest.raises(ValueError):
-        _endpoint_map(om, y, weights, med, 0)
 
 
 def test_no_thread_outlives_its_work(monkeypatch):
@@ -327,8 +328,9 @@ def test_no_thread_outlives_its_work(monkeypatch):
         "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n"))
     assert threading.active_count() == before
     om, y, (weights, _) = _map_inputs(400)
+    monkeypatch.setattr(forward, "_CHUNK", 300)
     with pytest.raises(ValueError):
-        _endpoint_map(om, y, weights[:-1], Medium(1.0, 1.5), 300)
+        _endpoint_map(om, y, weights[:-1], Medium(1.0, 1.5))
     assert threading.active_count() == before
 
 
@@ -353,7 +355,8 @@ for n in (1, 2, 3, 33, 400):
         for workers in (1, 2, 3):
             forward._cores = lambda: workers
             for chunk in {MAP_CHUNKS!r}:
-                got = forward._endpoint_map(om, y, weights, med, chunk)
+                forward._CHUNK = chunk
+                got = forward._endpoint_map(om, y, weights, med)
                 assert np.array_equal(got, ref), (n, workers, chunk)
 print("ok")
 """
@@ -474,15 +477,16 @@ rng = np.random.default_rng(4)
 om = np.sort(rng.uniform(0.1, 40.0, 400))
 y = np.sort(rng.uniform(-0.95, 0.95, 150))
 w = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+forward._CHUNK = 300
 forward._cores = lambda: 1
-ref = forward._endpoint_map(om, y, w, med, 300)
+ref = forward._endpoint_map(om, y, w, med)
 forward._cores = lambda: {workers}
 pool = ThreadPoolExecutor({workers} - 1)
 start = threading.Barrier({workers} - 1)  # every executor thread holds a map before any map starts
 
 def task():
     start.wait(timeout=30)
-    return forward._endpoint_map(om, y, w, med, 300)
+    return forward._endpoint_map(om, y, w, med)
 
 futures = [pool.submit(task) for _ in range({workers} - 1)]
 try:

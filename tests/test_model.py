@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, class_membership,
-                             discrete_sobolev_norm, eval_source, l2_norm_sq,
-                             sobolev_norm, split_source, wavenumbers)
+from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq, split_source,
+                             wavenumbers)
 from helmlayer.quadrature import composite_rule
-from helmlayer.fourier import fit_loglog_slope
 
 
 def test_wavenumbers_examples():
@@ -52,8 +50,8 @@ def test_frequency_grid_validation():
 
 def test_bump_peak_and_support():
     f = SourceSpec.bump(-0.5, 0.5, amplitude=2.0 - 1.0j)
-    assert eval_source(f, 0.9) == 0.0
-    assert eval_source(f, 0.0) == pytest.approx(2.0 - 1.0j)
+    assert f(0.9) == 0.0
+    assert f(0.0) == pytest.approx(2.0 - 1.0j)
     # the peak value sits at the support midpoint
     x = np.linspace(-0.5, 0.5, 1001)
     assert np.max(np.abs(f(x))) == pytest.approx(abs(2.0 - 1.0j))
@@ -74,16 +72,8 @@ def test_eval_outside_support_is_exactly_zero():
             x = rng.uniform(-0.999, 0.999)
             if spec.a <= x <= spec.b:
                 continue
-            assert eval_source(spec, x) == 0.0
+            assert spec(x) == 0.0
             count += 1
-
-
-def test_eval_rejects_points_outside_domain():
-    f = SourceSpec.bump(-0.5, 0.5)
-    with pytest.raises(ValueError):
-        eval_source(f, 1.0)
-    with pytest.raises(ValueError):
-        eval_source(f, np.array([0.0, -1.2]))
 
 
 def test_grid_source_node_identity():
@@ -91,7 +81,7 @@ def test_grid_source_node_identity():
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(41) + 1j * rng.standard_normal(41)
     spec = SourceSpec.from_grid(x, vals)
-    out = eval_source(spec, x)
+    out = spec(x)
     assert np.allclose(out, vals, rtol=0.0, atol=0.0)
 
 
@@ -137,77 +127,3 @@ def test_split_norm_additivity():
     whole = np.sum(w * np.abs(f(y)) ** 2)
     split = l2_norm_sq(pair.f1) + l2_norm_sq(pair.f2)
     assert abs(whole - split) < 1e-12
-
-
-def test_sobolev_norm_zero_and_l2():
-    z = SourceSpec.bump(-0.5, 0.5, amplitude=0.0)
-    assert sobolev_norm(z, 3) == 0.0
-    f = SourceSpec.bump(-0.5, 0.5)
-    x = np.linspace(-1.0, 1.0, 2051)[1:-1]
-    expected = np.sqrt(np.trapezoid(np.abs(f(x)) ** 2, x))
-    assert sobolev_norm(f, 0) == pytest.approx(expected, abs=1e-12)
-
-
-def test_sobolev_norm_convergence_second_order():
-    # analytic-derivative oracle for f = sin(pi x) * bump on [-0.8, 0.8]
-    a, b = -0.8, 0.8
-    scale = 2.0 / (b - a)
-
-    def profile(x):
-        t = (2 * x - (a + b)) / (b - a)
-        out = np.zeros_like(x)
-        m = np.abs(t) < 1
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - t[m] ** 2))
-        return out
-
-    def dprofile(x):
-        t = (2 * x - (a + b)) / (b - a)
-        out = np.zeros_like(x)
-        m = np.abs(t) < 1 - 1e-12
-        tm = t[m]
-        out[m] = np.exp(1.0 - 1.0 / (1.0 - tm ** 2)) * (-2.0 * tm / (1.0 - tm ** 2) ** 2) * scale
-        return out
-
-    def f(x):
-        return np.sin(np.pi * x) * profile(x)
-
-    def df(x):
-        return np.pi * np.cos(np.pi * x) * profile(x) + np.sin(np.pi * x) * dprofile(x)
-
-    xf = np.linspace(-1.0, 1.0, 400001)
-    exact = np.sqrt(np.trapezoid(f(xf) ** 2, xf) + np.trapezoid(df(xf) ** 2, xf))
-
-    errs, hs = [], []
-    for num in (256, 512, 1024, 2048):
-        x = np.linspace(-1.0, 1.0, num + 1)[1:-1]
-        h = x[1] - x[0]
-        errs.append(abs(discrete_sobolev_norm(f(x), h, 1) - exact))
-        hs.append(h)
-    order = fit_loglog_slope(hs, errs)
-    assert 1.6 < order < 2.4
-
-
-def test_sobolev_norm_monotone_in_order():
-    f = SourceSpec.bspline(-0.4, 0.5, 3)
-    norms = [sobolev_norm(f, n) for n in range(4)]
-    assert all(norms[i + 1] >= norms[i] for i in range(3))
-
-
-def test_sobolev_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        discrete_sobolev_norm(np.zeros(5), 0.1, 2)
-
-
-def test_class_membership():
-    zero = SourceSpec.bump(-0.5, 0.5, amplitude=0.0)
-    assert class_membership(zero, 3, 5.0)
-    f = SourceSpec.bump(-0.5, 0.5)
-    n1 = sobolev_norm(f, 1)
-    big = SourceSpec.bump(-0.5, 0.5, amplitude=2.0)  # norm = 2 * n1 = 2M for M = n1
-    assert not class_membership(big, 1, n1)
-    g = SourceSpec.bspline(-0.3, 0.4, 2)
-    m = sobolev_norm(g, 2)
-    assert class_membership(g, 2, m * 1.001)
-    assert not class_membership(g, 2, m * 0.999)
-    with pytest.raises(ValueError):
-        class_membership(f, 1, 0.0)

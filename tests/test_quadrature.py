@@ -88,7 +88,7 @@ def _cell_rule(edges, osc_rate=0.0, nodes=6):
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         panels = max(1, int(np.ceil(abs(osc_rate) * (hi - lo) / 2.0)))
-        x, w = _segment_rule(lo, hi, panels, gx, gw)
+        x, w = _segment_rule(lo, hi, panels, gx, gw, ())
         xs.append(x)
         ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
