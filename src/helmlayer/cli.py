@@ -14,16 +14,15 @@ import argparse
 import sys
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
-from operator import attrgetter
 
 import numpy as np
 
 from . import model
-from .model import FrequencyGrid, Medium, SourceSpec, l2_norm_sq
+from .model import FrequencyGrid, Medium, SourceSpec, _l2_norm
 from .quadrature import RuleSizeError
 from .greens import (WavenumberRangeError, _green_runs, eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, interface_residuals)
-from .forward import (_beside, _exact, _read_csv, _write_csv, boundary_sweep,
+from .forward import (_exact, _read_csv, _together, _write_csv, boundary_sweep,
                       check_radiation_many, fd_oracle, forward_field,
                       interface_traces_many, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, endpoint_amplitude_bound_many,
@@ -87,10 +86,8 @@ def _one_of(names):
 
 def _key(default, key, codec, rule):
     """A RunConfig field with its config key, (parse, format) pair and
-    single-value range (None: any value; a float must still be finite).
-    A complex field takes a pair of keys, for its real and imaginary parts."""
-    keys = {key: ""} if isinstance(key, str) else dict(zip(key, (".real", ".imag")))
-    return field(default=default, metadata={"keys": keys, "codec": codec, "rule": rule})
+    single-value range (None: any value; a float must still be finite)."""
+    return field(default=default, metadata={"key": key, "codec": codec, "rule": rule})
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,8 @@ class RunConfig:
     source_b: float = _key(0.6, "source.b", _FLOAT, None)
     source_order: int = _key(2, "source.order", _INT, None)
     source_mod_freq: float = _key(8.0, "source.mod_freq", _FLOAT, None)
-    source_amp: complex = _key(1.0 + 0.0j, ("source.amp_re", "source.amp_im"), _FLOAT, None)
+    source_amp_re: float = _key(1.0, "source.amp_re", _FLOAT, None)
+    source_amp_im: float = _key(0.0, "source.amp_im", _FLOAT, None)
     method: str = _key("tikhonov", "inverse.method", _STR, _one_of(METHODS))
     lam: float = _key(1e-6, "inverse.lambda", _FLOAT, _POSITIVE)
     tsvd_k: int = _key(50, "inverse.k", _INT, _COUNT)
@@ -123,23 +121,22 @@ class RunConfig:
     sweep_support_a: float = _key(0.1, "sweep.support_a", _FLOAT, None)
     sweep_support_b: float = _key(0.9, "sweep.support_b", _FLOAT, None)
     eps: float = _key(0.0, "noise.eps", _FLOAT, _NON_NEGATIVE)
-    seed: int = _key(7, "noise.seed", _INT, None)
+    seed: int = _key(7, "noise.seed", _INT, _NON_NEGATIVE)
 
     def __post_init__(self):
         for f in fields(self):
-            codec, rule = f.metadata["codec"], f.metadata["rule"]
-            for key, part in f.metadata["keys"].items():
-                value = attrgetter(f.name + part)(self)
-                values = value if isinstance(value, tuple) else (value,)
-                if not values:
-                    raise ConfigError(f"{key} must not be empty")
-                for v in values:
-                    if v is None:
-                        continue
-                    if codec in (_FLOAT, _FLOATS) and not np.isfinite(v):
-                        raise ConfigError(f"{key} must be finite, got {v}")
-                    if rule is not None and not rule[0](v):
-                        raise ConfigError(f"{key} must be {rule[1]}, got {v!r}")
+            key, codec, rule = f.metadata["key"], f.metadata["codec"], f.metadata["rule"]
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not values:
+                raise ConfigError(f"{key} must not be empty")
+            for v in values:
+                if v is None:
+                    continue
+                if codec in (_FLOAT, _FLOATS) and not np.isfinite(v):
+                    raise ConfigError(f"{key} must be finite, got {v}")
+                if rule is not None and not rule[0](v):
+                    raise ConfigError(f"{key} must be {rule[1]}, got {v!r}")
         floor = self.omega_floor
         if floor is not None and not (0 < floor <= self.K):
             raise ConfigError(f"{_KEY['omega_floor']} must lie in (0, {_KEY['K']}]")
@@ -154,8 +151,7 @@ class RunConfig:
 
 # Every config key, in canonical text order: section.key -> (RunConfig
 # attribute, parse, format), read from the fields; and the key by attribute
-_CONFIG_KEYS = {key: (f.name + part, *f.metadata["codec"])
-                for f in fields(RunConfig) for key, part in f.metadata["keys"].items()}
+_CONFIG_KEYS = {f.metadata["key"]: (f.name, *f.metadata["codec"]) for f in fields(RunConfig)}
 _KEY = {attr: key for key, (attr, _, _) in _CONFIG_KEYS.items()}
 
 
@@ -177,9 +173,6 @@ def parse_config_text(text, origin="<config>"):
             values[attr] = parse(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key!r}: {val!r}") from exc
-    amp = RunConfig.source_amp  # the default, for a part the text leaves out
-    values["source_amp"] = complex(values.pop("source_amp.real", amp.real),
-                                   values.pop("source_amp.imag", amp.imag))
     try:
         return RunConfig(**values)
     except ConfigError:
@@ -196,24 +189,22 @@ def parse_config(path):
 def serialize_config(cfg):
     """Configuration as canonical flat text (parses back to an equal config)."""
     lines = [f"{key} = {fmt(value)}" for key, (attr, _, fmt) in _CONFIG_KEYS.items()
-             if (value := attrgetter(attr)(cfg)) is not None]
+             if (value := getattr(cfg, attr)) is not None]
     return "\n".join(lines) + "\n"
 
 
 def build_grid(cfg, K=None):
     K = cfg.K if K is None else K
-    floor = cfg.omega_floor if (K == cfg.K and cfg.omega_floor is not None) else K / cfg.n_omega
-    return FrequencyGrid.uniform(K, cfg.n_omega, floor)
+    return FrequencyGrid.uniform(K, cfg.n_omega, cfg.omega_floor if K == cfg.K else None)
 
 
 def build_source(cfg):
+    amp = complex(cfg.source_amp_re, cfg.source_amp_im)
     if cfg.source_kind == "bump":
-        return SourceSpec.bump(cfg.source_a, cfg.source_b, cfg.source_amp)
+        return SourceSpec.bump(cfg.source_a, cfg.source_b, amp)
     if cfg.source_kind == "bspline":
-        return SourceSpec.bspline(cfg.source_a, cfg.source_b, cfg.source_order,
-                                  cfg.source_amp)
-    return SourceSpec.modulated_bump(cfg.source_a, cfg.source_b,
-                                     cfg.source_mod_freq, cfg.source_amp)
+        return SourceSpec.bspline(cfg.source_a, cfg.source_b, cfg.source_order, amp)
+    return SourceSpec.modulated_bump(cfg.source_a, cfg.source_b, cfg.source_mod_freq, amp)
 
 
 def _random_medium(rng):
@@ -419,17 +410,18 @@ def _solve(cfg, op, data, eps):
     lambda when eps > 0 and at ``cfg.lam`` otherwise.
 
     A stage whose arithmetic leaves the floating-point range (a Python
-    float overflow, or a numpy one where an errstate raises it) raises
-    an ArithmeticError that names the stage and the medium keys, whose
-    speeds set the scale of the operator and the data."""
+    float or numpy overflow, an invalid operation or a division by zero)
+    raises an ArithmeticError that names the stage and the medium keys,
+    whose speeds set the scale of the operator and the data."""
     stage = "TSVD solve"
     try:
-        if cfg.method == "tsvd":
-            return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
-        stage = "Morozov solve"
-        lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
-        stage = "Tikhonov solve"
-        return reconstruct_tikhonov(op, data, lam)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if cfg.method == "tsvd":
+                return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
+            stage = "Morozov solve"
+            lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
+            stage = "Tikhonov solve"
+            return reconstruct_tikhonov(op, data, lam)
     except ArithmeticError as exc:
         raise ArithmeticError(f"{stage} out of range ({exc}): its scale is set by "
                               f"{_KEY['c1']} = {cfg.c1:g} and {_KEY['c2']} = {cfg.c2:g}") from None
@@ -462,9 +454,8 @@ def cmd_reconstruct(cfg, data_path, out_path):
             print(f"FAILED: {exc}; nothing written", file=sys.stderr)
             return EXIT_CHECK
         err = recon_error(result, f_true)
-        norm = np.sqrt(l2_norm_sq(f_true))
+        norm = _l2_norm(f_true)
         rel = err / norm if norm > 0 else float("nan")
-    result.l2_error = err
     # rel is nan, and no failure, when the truth has zero norm
     if not _all_finite(result.f_est.samples, result.reg_param, result.residual, err,
                        rel if norm > 0 else 0.0):
@@ -505,7 +496,7 @@ def _sweep_source(cfg, n, trial):
     center = rng.uniform(lo + width / 2 + 0.01 * span, hi - width / 2 - 0.01 * span)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     f = SourceSpec.bspline(center - width / 2, center + width / 2, n)
-    amp = phase / np.sqrt(l2_norm_sq(f))
+    amp = phase / _l2_norm(f)
     return SourceSpec.bspline(f.a, f.b, n, amp)
 
 
@@ -538,15 +529,21 @@ def _sweep_band(cfg, medium, support, iK, K):
     live only for this call, so one K's worth is held at a time.
 
     Once the operator is assembled, the sources' clean data and norms are
-    computed on a thread made for them (``forward._beside``; at once on
-    one CPU) while the calling thread factors the operator.  A source's
-    data come from the endpoint representation (``fourier.endpoint_data``),
-    not from a Green's-kernel quadrature.  The thread is joined before
-    the cells run in order on the calling thread.  The SVD stays on the
-    calling thread: run on the helper instead, it raised a sweep's peak
-    memory by 4%.
+    computed on a thread made for them while the calling thread factors
+    the operator (``forward._together``; one after the other on one CPU
+    or off the main thread).  A source's data come from the endpoint
+    representation (``fourier.endpoint_data``), not from a Green's-kernel
+    quadrature.  The thread is joined before the cells run in order on
+    the calling thread.  The SVD stays on the calling thread: run on the
+    helper instead, it raised a sweep's peak memory by 4%.
     """
     op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
+
+    def factor():
+        try:
+            op.svd()
+        except np.linalg.LinAlgError:
+            pass  # each cell factors again and records the error
 
     def sources():
         clean = {}
@@ -554,18 +551,12 @@ def _sweep_band(cfg, medium, support, iK, K):
             for trial in range(cfg.sweep_trials):
                 try:
                     f = _sweep_source(cfg, n, trial)
-                    clean[n, trial] = (f, endpoint_data(f, medium, op.grid),
-                                       np.sqrt(l2_norm_sq(f)))
+                    clean[n, trial] = (f, endpoint_data(f, medium, op.grid), _l2_norm(f))
                 except Exception as exc:  # recorded in each of its cells below
                     clean[n, trial] = exc
         return clean
 
-    wait_for_sources = _beside(sources)
-    try:
-        op.svd()
-    except np.linalg.LinAlgError:
-        pass  # each cell factors again and records the error
-    clean = wait_for_sources()
+    _, clean = _together(factor, sources)
     records = []
     for ieps, eps in enumerate(cfg.sweep_eps_list):
         for n in cfg.sweep_n_list:
@@ -579,8 +570,7 @@ def _sweep_band(cfg, medium, support, iK, K):
                     f, data, norm = clean[n, trial]
                     noisy = add_noise(data, eps, cell_seed)
                     # out of range, a solve raises: its cell records the error
-                    with np.errstate(over="raise", invalid="raise", divide="raise"):
-                        result = _solve(cfg, op, noisy, eps)
+                    result = _solve(cfg, op, noisy, eps)
                     err = recon_error(result, f) / norm
                     ms = 1e3 * (time.perf_counter() - t0)
                     records.append(ExperimentRecord(K, eps, n, result.method,

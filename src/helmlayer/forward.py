@@ -29,15 +29,17 @@ thread and one helper thread per further CPU the process may run on
 each take the next block until none is left.  The split does not
 depend on the number of workers and every entry is the same arithmetic
 whichever thread computes it, so the worker count never moves a bit.
-Each call makes its helper threads and joins them before it returns:
-importing the module starts no thread, no thread outlives the call
-that made it, and a forked child starts clean.
 
-``_beside`` runs other work on one thread made for it: a stability-sweep
-band computes its sources' data there (``fourier.endpoint_data``, no
-endpoint map) while the calling thread factors the band's operator.
-Helpers are spawned from the main thread only; a map called off it runs
-every block itself.
+Every helper thread comes from one primitive, ``_together``: it runs its
+first function on the calling thread and each other one on a thread
+made for it, and joins them all before it returns.  The endpoint map
+runs its block loop there once per worker, and a stability-sweep band
+computes its sources' data (``fourier.endpoint_data``, no endpoint map)
+beside the factoring of its operator.  Helpers are made from the main
+thread only, and only with more than one CPU; elsewhere the work runs
+in order on the calling thread.  Importing the module starts no thread,
+no thread outlives the call that made it, and a forked child starts
+clean.
 """
 
 from __future__ import annotations
@@ -232,27 +234,23 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _beside(fn):
-    """Start ``fn()`` beside the calling thread and return a function
-    that waits for its result.  With more than one CPU, ``fn`` runs on a
-    thread made for it, which the waiter joins before it returns the
-    result or raises ``fn``'s exception; with one CPU, ``fn`` runs at
-    once, before this returns.  concurrent.futures is imported here and
-    in ``_endpoint_map`` so that importing helmlayer starts no thread
-    and loads no executor."""
-    if _cores() > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def _together(*fns):
+    """Call ``fns[0]`` on the calling thread and every other fn on a
+    thread made for it, join them all, and return their results in
+    order; the first exception in that order is raised once all are
+    joined.  With one CPU, one fn, or a caller off the main thread, the
+    fns run in order on the calling thread, so helmlayer never runs more
+    threads of its own than CPUs.  concurrent.futures is imported here
+    only, so that importing helmlayer starts no thread and loads no
+    executor."""
+    if len(fns) == 1 or _cores() == 1 or threading.current_thread() is not threading.main_thread():
+        return [fn() for fn in fns]
+    from concurrent.futures import ThreadPoolExecutor
 
-        executor = ThreadPoolExecutor(1, thread_name_prefix="helmlayer")
-        future = executor.submit(fn)
-
-        def wait():
-            executor.shutdown()
-            return future.result()
-
-        return wait
-    result = fn()
-    return lambda: result
+    with ThreadPoolExecutor(len(fns) - 1, thread_name_prefix="helmlayer") as helpers:
+        futures = [helpers.submit(fn) for fn in fns[1:]]
+        first = fns[0]()
+    return [first] + [fut.result() for fut in futures]
 
 
 def _endpoint_map(omegas, y, weights, medium):
@@ -269,14 +267,14 @@ def _endpoint_map(omegas, y, weights, medium):
     table and multiplies them by the weights, cast to complex once,
     straight into its own rows of the result (``np.matmul``'s ``out``);
     a product that leaves the double range is inf or nan there, without
-    a warning, for the caller to refuse.  The calling thread and one
-    helper thread per further CPU, made for this call and joined before
-    it returns, each take the next block until none is left, so a thread
-    slowed by other load does not hold the rest back.  One block or one
-    CPU runs in the calling thread alone, and so does a map called off
-    the main thread: only the main thread spawns helpers, so helmlayer
-    never runs more threads of its own than CPUs.  Wavenumbers whose
-    layer amplitudes leave the double range raise
+    a warning, for the caller to refuse.  One block loop per worker, at
+    most one per CPU and one per block, runs through ``_together``: the
+    calling thread and the helpers each take the next block until none
+    is left, so a thread slowed by other load does not hold the rest
+    back.  One block or one CPU makes one loop; off the main thread the
+    loops run in turn on the calling thread, and the first takes every
+    block.
+    Wavenumbers whose layer amplitudes leave the double range raise
     ``greens.WavenumberRangeError`` before any block runs.
 
     The split depends on the frequency count, len(y) and ``_CHUNK`` only,
@@ -312,17 +310,7 @@ def _endpoint_map(omegas, y, weights, medium):
             product(-1.0, omegas[lo:hi], slice(lo, hi))
             product(1.0, omegas[lo:hi], slice(n + lo, n + hi))
 
-    workers = min(_cores(), n_blocks)
-    if workers == 1 or threading.current_thread() is not threading.main_thread():
-        run()
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(workers - 1, thread_name_prefix="helmlayer") as helpers:
-            futures = [helpers.submit(run) for _ in range(workers - 1)]
-            run()
-        for fut in futures:
-            fut.result()  # a helper's exception reaches the caller
+    _together(*[run] * min(_cores(), n_blocks))
     return out
 
 

@@ -59,7 +59,7 @@ import numpy as np
 from .forward import (BoundaryData, _draw_sums, _panel_nodes, _write_csv, boundary_sweep,
                       source_rule)
 from .greens import _check_wavenumbers, _endpoint_rows
-from .model import FrequencyGrid, l2_norm_sq, split_source
+from .model import FrequencyGrid, _scaled_norm, l2_norm_sq, split_source
 from .quadrature import composite_rule
 
 __all__ = [
@@ -296,21 +296,14 @@ def epsilon_norm(data):
     int_0^K omega^2 (|u(-1)|^2 + |u(1)|^2) d omega over the data grid.
 
     Data whose squares overflow, though the norm is finite, are summed
-    again divided by their largest modulus, which multiplies the root."""
+    again rescaled (``model._scaled_norm``)."""
     om = data.grid.omegas
     w = trapezoid_weights(om)
 
     def norm(um, up):
         return float(np.sqrt(np.sum(w * (om ** 2 * (np.abs(um) ** 2 + np.abs(up) ** 2)))))
 
-    with np.errstate(over="ignore"):
-        plain = norm(data.u_minus, data.u_plus)
-    if np.isfinite(plain):
-        return plain
-    top = max(np.max(np.abs(data.u_minus)), np.max(np.abs(data.u_plus)))
-    if not np.isfinite(top):
-        return plain
-    return float(top * norm(data.u_minus / top, data.u_plus / top))
+    return _scaled_norm(norm, data.u_minus, data.u_plus)
 
 
 def fit_loglog(xs, ys):

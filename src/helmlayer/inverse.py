@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, SourceSpec
+from .model import FrequencyGrid, SourceSpec, _scaled_norm
 from .forward import BoundaryData, _endpoint_map
 from .fourier import endpoint_data, epsilon_norm, trapezoid_weights
 from .quadrature import composite_rule
@@ -53,7 +53,6 @@ class ForwardOperator:
     residual.
     """
 
-    medium: object
     grid: FrequencyGrid
     basis_x: np.ndarray
     support: tuple
@@ -142,7 +141,7 @@ def assemble_operator(medium, grid, n_basis, support):
     row_weights = np.concatenate([wr, wr])
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the solves refuse it
         matrix *= row_weights[:, None]
-    return ForwardOperator(medium, grid, nodes_x, (a, b), matrix, row_weights)
+    return ForwardOperator(grid, nodes_x, (a, b), matrix, row_weights)
 
 
 def add_noise(data, eps_target, seed):
@@ -173,7 +172,6 @@ class ReconstructionResult:
     method: str
     reg_param: float
     residual: float
-    l2_error: float | None = None
 
 
 def _project(U, d):
@@ -185,12 +183,12 @@ def _project(U, d):
 
 def _filtered_solve(op, data, filt):
     """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
-    holds one filter value per singular value."""
+    holds one filter value per singular value.  The misfit is finite
+    wherever its entries are (``model._scaled_norm``)."""
     op.svd()
     d, beta = op._projected(data)
     coeffs = (op._v * filt) @ beta
-    residual = float(np.linalg.norm(op.matrix @ coeffs - d))
-    return coeffs, residual
+    return coeffs, _scaled_norm(lambda r: float(np.linalg.norm(r)), op.matrix @ coeffs - d)
 
 
 def reconstruct_tikhonov(op, data, lam):
@@ -284,11 +282,12 @@ def reconstruct_homogeneous(data, medium, x_grid):
 
 
 def recon_error(f_est, f_true):
-    """Trapezoid L2 norm of (estimate - truth) on the reconstruction grid."""
+    """Trapezoid L2 norm of (estimate - truth) on the reconstruction grid,
+    finite wherever the difference is (``model._scaled_norm``)."""
     if isinstance(f_est, ReconstructionResult):
         f_est = f_est.f_est
     if f_est.kind != "grid":
         raise ValueError("estimate must be a grid source")
     x = f_est.x_grid
-    diff = f_est(x) - f_true(x)
-    return float(np.sqrt(np.trapezoid(np.abs(diff) ** 2, x)))
+    return _scaled_norm(lambda d: float(np.sqrt(np.trapezoid(np.abs(d) ** 2, x))),
+                        f_est(x) - f_true(x))

@@ -312,11 +312,39 @@ def split_source(spec):
     return SourcePair(HalfSource(spec, "right"), HalfSource(spec, "left"))
 
 
-def l2_norm_sq(source):
-    """Squared L2 norm of a SourceSpec or HalfSource over its support."""
+def _scaled_norm(norm, *arrays):
+    """``norm(*arrays)``, a root of a sum of squares of their entries.
+    Where that sum overflows though every entry is finite, the arrays
+    are divided by their largest modulus, which then multiplies the
+    root; an in-range norm keeps the plain sum, bit for bit."""
+    with np.errstate(over="ignore"):
+        plain = norm(*arrays)
+    if np.isfinite(plain):
+        return plain
+    top = max(np.max(np.abs(a)) for a in arrays)
+    if not np.isfinite(top):
+        return plain
+    return float(top * norm(*(a / top for a in arrays)))
+
+
+def _weighted_values(source):
+    """The weights of a source's L2 rule over its support, and its values
+    at the rule's nodes (both empty when it has no support)."""
     sup = source.support
     if sup is None:
-        return 0.0
-    lo, hi = sup
-    y, w = composite_rule(lo, hi, source.breakpoints, 0.0, 8, 16, source.flat_ends)
-    return float(np.sum(w * np.abs(source(y)) ** 2))
+        return np.empty(0), np.empty(0, dtype=complex)
+    y, w = composite_rule(*sup, source.breakpoints, 0.0, 8, 16, source.flat_ends)
+    return w, source(y)
+
+
+def l2_norm_sq(source):
+    """Squared L2 norm of a SourceSpec or HalfSource over its support."""
+    w, v = _weighted_values(source)
+    return float(np.sum(w * np.abs(v) ** 2))
+
+
+def _l2_norm(source):
+    """The root of ``l2_norm_sq(source)``, bit for bit, and finite as well
+    where the squares overflow (``_scaled_norm``)."""
+    w, v = _weighted_values(source)
+    return _scaled_norm(lambda u: float(np.sqrt(np.sum(w * np.abs(u) ** 2))), v)

@@ -60,6 +60,7 @@ def test_config_validation_names_offender():
         ("inverse.k = 0", ["inverse.k"]),
         ("inverse.n_basis = 7", ["inverse.n_basis"]),
         ("noise.eps = -1e-3", ["noise.eps"]),
+        ("noise.seed = -1", ["noise.seed"]),
         ("sweep.K_list = 5,0", ["sweep.K_list"]),
         ("sweep.eps_list = 0,-1", ["sweep.eps_list"]),
         ("sweep.n_list = 1,0", ["sweep.n_list"]),
@@ -122,7 +123,7 @@ noise.seed = 3
 def test_serialize_config_canonical_text():
     # key order, number formats and the omega_floor line are pinned
     cfg = RunConfig(c1=0.8, K=25.0, n_omega=120, omega_floor=0.5,
-                    source_kind="modulated_bump", source_amp=0.5 - 1.5j,
+                    source_kind="modulated_bump", source_amp_re=0.5, source_amp_im=-1.5,
                     method="tsvd", tsvd_k=30, sweep_K_list=(4.0, 8.5, 16.0),
                     sweep_eps_list=(0.0, 0.01), sweep_n_list=(1, 3), eps=0.1, seed=3)
     assert serialize_config(cfg) == _CANONICAL_TEXT
@@ -464,6 +465,20 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert outs[0] != outs[1]
 
 
+@pytest.mark.parametrize("command", ["verify", "forward", "reconstruct", "sweep"])
+def test_negative_seed_flag_names_its_key(command, tmp_path, capsys):
+    # a negative seed is refused when the config is built, before any
+    # command reads it, with the same exit code and key on every command
+    out = tmp_path / "o.csv"
+    args = [command, "--seed", "-1", "--out", str(out)]
+    if command == "reconstruct":
+        args += ["--data", str(tmp_path / "d.csv")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "noise.seed" in err and "non-negative" in err
+    assert not out.exists()
+
+
 def test_zero_source_norm_guard():
     cfg = parse_config_text("source.amp_re = 0\n")
     f = build_source(cfg)
@@ -601,10 +616,13 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+_AMP_1E300 = "source.amp_re = 1e300\nsource.amp_im = 1e300\n"
+
+
 @pytest.mark.parametrize("extra, forward_code", [
     # finite data whose squares overflow: forward's epsilon is finite
     ("medium.c1 = 1e-300\n", 0),
-    ("source.amp_re = 1e300\nsource.amp_im = 1e300\n", 0),
+    (_AMP_1E300, 0),  # and so are reconstruct's figures
     ("noise.eps = 1e300\n", 0),  # forward reads no noise
     ("medium.c1 = 1e-300\nnoise.eps = 1e-2\n", 0),  # the Tikhonov solve overflows
     # finite data, about 1e300, whose norm is past the double range
@@ -613,19 +631,34 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
 ])
 def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_path, capsys):
     # valid configs whose epsilon, residual or error overflow: each run
-    # that would print or write inf or nan exits 3 and writes nothing
-    text = "frequency.n_omega = 40\nfrequency.K = 10\ninverse.n_basis = 41\n" + extra
+    # that would print or write inf or nan exits 3 and writes nothing.
+    # At amplitude 1e300 the squares overflow but every figure is finite:
+    # reconstruct exits 0 with the relative error of the 1e150 run
+    base = "frequency.n_omega = 40\nfrequency.K = 10\ninverse.n_basis = 41\n"
     cfg_path, data, out = tmp_path / "run.cfg", tmp_path / "d.csv", tmp_path / "r.csv"
-    cfg_path.write_text(text)
-    assert main(["forward", "--config", str(cfg_path), "--out", str(data)]) == forward_code
-    assert data.exists() == (forward_code == 0)
-    if forward_code:
-        # the refused data, written past the gate for reconstruct to read
-        cfg = parse_config_text(text)
-        forward.write_boundary_csv(forward.boundary_sweep(
-            build_source(cfg), Medium(cfg.c1, cfg.c2), build_grid(cfg)), data)
-    assert main(["reconstruct", "--config", str(cfg_path), "--data", str(data),
-                 "--out", str(out)]) == 3
+
+    def run(text):
+        cfg_path.write_text(text)
+        assert main(["forward", "--config", str(cfg_path), "--out", str(data)]) == forward_code
+        assert data.exists() == (forward_code == 0)
+        if forward_code:
+            # the refused data, written past the gate for reconstruct to read
+            cfg = parse_config_text(text)
+            forward.write_boundary_csv(forward.boundary_sweep(
+                build_source(cfg), Medium(cfg.c1, cfg.c2), build_grid(cfg)), data)
+        capsys.readouterr()
+        return main(["reconstruct", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(out)])
+
+    if extra == _AMP_1E300:
+        rel = {}
+        for amp in ("1e150", "1e300"):
+            assert run(base + extra.replace("1e300", amp)) == 0
+            rel[amp] = float(capsys.readouterr().out.split("rel=")[1])
+            assert out.exists()
+        assert rel["1e300"] == pytest.approx(rel["1e150"], rel=1e-6)
+        return
+    assert run(base + extra) == 3
     assert "nothing written" in capsys.readouterr().err
     assert not out.exists()
 

@@ -334,6 +334,34 @@ def test_no_thread_outlives_its_work(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_sweep_off_the_main_thread_starts_no_thread(monkeypatch):
+    # only the main thread makes helpers: a sweep called from any other
+    # thread, with two CPUs, computes every source's data on that thread
+    monkeypatch.setattr(forward, "_cores", lambda: 2)
+    cfg = cli.parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
+        "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n")
+    real, ran_on, seen = cli.endpoint_data, [], {}
+
+    def traced(*args, **kw):
+        ran_on.append(threading.current_thread())
+        return real(*args, **kw)
+
+    def caller():
+        seen["before"] = threading.active_count()
+        seen["records"] = cli.run_sweep(cfg)
+        seen["after"] = threading.active_count()
+
+    monkeypatch.setattr(cli, "endpoint_data", traced)
+    other = threading.Thread(target=caller)
+    other.start()
+    other.join(timeout=120)
+    assert not other.is_alive()
+    assert len(seen["records"]) == 4 and all(r.error == "" for r in seen["records"])
+    assert ran_on == [other] * 4
+    assert seen["after"] == seen["before"]
+
+
 def test_endpoint_map_blocks_give_the_single_product():
     # With single-threaded BLAS every split into blocks of two or more
     # rows, on any number of workers, gives the doubles of the one product

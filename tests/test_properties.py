@@ -467,7 +467,7 @@ def run_config_fields(draw):
         omega_floor=floor,
         source_kind=draw(st.sampled_from(["bump", "bspline", "modulated_bump"])),
         source_a=sa, source_b=sb, source_order=draw(counts),
-        source_mod_freq=draw(finite), source_amp=complex(draw(finite), draw(finite)),
+        source_mod_freq=draw(finite), source_amp_re=draw(finite), source_amp_im=draw(finite),
         method=draw(st.sampled_from(["tikhonov", "tsvd", "homogeneous_ft"])),
         lam=draw(positive), tsvd_k=draw(counts), n_basis=draw(st.integers(8, 10**6)),
         support_a=ia, support_b=ib, eps=draw(non_negative),
