@@ -27,7 +27,7 @@ from .forward import (_exact, _read_csv, _together, _write_csv, boundary_sweep,
                       interface_traces_many, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, endpoint_amplitude_bound_many,
                       endpoint_data, epsilon_norm)
-from .inverse import (add_noise, assemble_operator, morozov_lambda,
+from .inverse import (_exact_operator, add_noise, assemble_operator, morozov_lambda,
                       recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
 
@@ -350,6 +350,18 @@ def run_verify(cfg):
         worst = max(worst, abs(e1 - e2) / max(e1, 1e-30))
     record("band energy route agreement (rel)", worst, 1e-8)
 
+    # the inversion operator's two routes: the cell quadrature through the
+    # kernel and the hats' exact transforms, on a drawn medium and support
+    rng = np.random.default_rng(seed.spawn(9)[0])
+    med = _random_medium(rng)
+    a = rng.uniform(-0.9, 0.5)
+    support = (a, rng.uniform(a + 0.3, 0.9))
+    grid = FrequencyGrid.uniform(rng.uniform(5.0, 40.0), 40)
+    quad = assemble_operator(med, grid, 41, support).matrix
+    exact = _exact_operator(med, grid, 41, support).matrix
+    record("operator quadrature vs exact (rel)",
+           float(np.max(np.abs(quad - exact)) / np.max(np.abs(quad))), 1e-10)
+
     lines = []
     failures = []
     width = max(len(name) for name, _, _ in checks)
@@ -528,16 +540,19 @@ def _sweep_band(cfg, medium, support, iK, K):
     """The records of one band limit K.  Its operator, SVD and clean data
     live only for this call, so one K's worth is held at a time.
 
-    Once the operator is assembled, the sources' clean data and norms are
-    computed on a thread made for them while the calling thread factors
-    the operator (``forward._together``; one after the other on one CPU
-    or off the main thread).  A source's data come from the endpoint
-    representation (``fourier.endpoint_data``), not from a Green's-kernel
-    quadrature.  The thread is joined before the cells run in order on
-    the calling thread.  The SVD stays on the calling thread: run on the
-    helper instead, it raised a sweep's peak memory by 4%.
+    The operator comes from the hats' exact endpoint transforms
+    (``inverse._exact_operator``), not from the cell quadrature of
+    ``reconstruct``'s ``assemble_operator``.  Once it is built, the
+    sources' clean data and norms are computed on a thread made for them
+    while the calling thread factors the operator (``forward._together``;
+    one after the other on one CPU or off the main thread).  A source's
+    data come from the endpoint representation
+    (``fourier.endpoint_data``), not from a Green's-kernel quadrature.
+    The thread is joined before the cells run in order on the calling
+    thread.  The SVD stays on the calling thread: run on the helper
+    instead, it raised a sweep's peak memory by 4%.
     """
-    op = assemble_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
+    op = _exact_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
 
     def factor():
         try:

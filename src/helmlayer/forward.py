@@ -19,14 +19,16 @@ doubles of ``forward_field``: the same rule, kernel values and per-draw
 sum.
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
-operator columns of ``inverse.assemble_operator``) come from one map,
-``_endpoint_map``.  It fills one array in the operator's row order, the
-u(-1) rows and then the u(+1) rows, each block's product written in
-place: the operator scales that array's rows where it lies, and
-``boundary_sweep``'s two endpoints are views of its halves, so neither
-stacks nor copies it.  It splits the frequencies into blocks; the calling
-thread and one helper thread per further CPU the process may run on
-each take the next block until none is left.  The split does not
+operator columns of ``inverse.assemble_operator``, ``reconstruct``'s
+operator) come from one map, ``_endpoint_map``; a stability-sweep
+band's operator does not, since it is built from the hats' exact
+transforms (``inverse._exact_operator``).  The map fills one array in
+the operator's row order, the u(-1) rows and then the u(+1) rows, each
+block's product written in place: the operator scales that array's
+rows where it lies, and ``boundary_sweep``'s two endpoints are views of
+its halves, so neither stacks nor copies it.  It splits the frequencies
+into blocks; the calling thread and one helper thread per further CPU
+the process may run on each take the next block until none is left.  The split does not
 depend on the number of workers and every entry is the same arithmetic
 whichever thread computes it, so the worker count never moves a bit.
 

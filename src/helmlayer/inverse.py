@@ -3,14 +3,21 @@
 The discretized forward map sends nodal coefficients of a hat-function
 basis (supported strictly inside (-1, 1)) to stacked endpoint data,
 with rows weighted so the Euclidean data misfit equals the discrete
-frequency-weighted data norm.  Regularized inverses: Tikhonov on a
-lambda ladder (optionally picked by the discrepancy rule), truncated
-SVD, and the exact direct Fourier inversion available when the medium
-is homogeneous.
+frequency-weighted data norm.  It has two builders that share the
+basis, the range checks, the row weights and the operator's
+construction.  ``reconstruct``'s, ``assemble_operator``, integrates
+each hat by Gauss cells through the Green's kernel
+(``forward._endpoint_map``).  The stability sweep's, ``_exact_operator``,
+sums the hats' exact transforms over the endpoint rows
+(``greens._endpoint_rows``), with no rule and no kernel table.
+Regularized inverses: Tikhonov on a lambda ladder (optionally picked by
+the discrepancy rule), truncated SVD, and the exact direct Fourier
+inversion available when the medium is homogeneous.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -18,6 +25,7 @@ import numpy as np
 
 from .model import FrequencyGrid, SourceSpec, _scaled_norm
 from .forward import BoundaryData, _endpoint_map
+from .greens import _check_wavenumbers, _endpoint_rows
 from .fourier import endpoint_data, epsilon_norm, trapezoid_weights
 from .quadrature import composite_rule
 
@@ -112,6 +120,33 @@ class ForwardOperator:
         return SourceSpec.from_grid(x, vals)
 
 
+def _basis(n_basis, support):
+    """The support (a, b), the n_basis interior nodes of its uniform
+    partition and their spacing h, for a hat basis strictly inside
+    (-1, 1) whose hats are told apart."""
+    a, b = float(support[0]), float(support[1])
+    if not (-1.0 < a < b < 1.0):
+        raise ValueError(f"basis support [{a}, {b}] must lie strictly inside (-1, 1)")
+    if n_basis < 8:
+        raise ValueError("need at least 8 basis functions")
+    edges = np.linspace(a, b, n_basis + 2)
+    if not (np.diff(edges) > 0).all():
+        raise ValueError(f"basis support [{a}, {b}] is too narrow for {n_basis} hats")
+    return (a, b), edges[1:-1], edges[1] - edges[0]
+
+
+def _weighted_operator(grid, nodes_x, support, matrix):
+    """The operator of the stacked endpoint fields ``matrix`` (rows
+    u(-1), then u(+1)), its rows scaled where they lie by omega
+    sqrt(trapezoid weight)."""
+    om = grid.omegas
+    wr = om * np.sqrt(trapezoid_weights(om))
+    row_weights = np.concatenate([wr, wr])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the solves refuse it
+        matrix *= row_weights[:, None]
+    return ForwardOperator(grid, nodes_x, support, matrix, row_weights)
+
+
 def assemble_operator(medium, grid, n_basis, support):
     """Column j is the endpoint sweep of the j-th hat function.
 
@@ -121,27 +156,93 @@ def assemble_operator(medium, grid, n_basis, support):
     x = 0, where the kernel has a kink, and with panel refinement when a
     cell spans more than ~2 radians of phase at the top frequency.
     """
-    a, b = float(support[0]), float(support[1])
-    if not (-1.0 < a < b < 1.0):
-        raise ValueError(f"basis support [{a}, {b}] must lie strictly inside (-1, 1)")
-    if n_basis < 8:
-        raise ValueError("need at least 8 basis functions")
-    edges = np.linspace(a, b, n_basis + 2)
-    if not (np.diff(edges) > 0).all():
-        raise ValueError(f"basis support [{a}, {b}] is too narrow for {n_basis} hats")
-    nodes_x = edges[1:-1]
-    h = edges[1] - edges[0]
+    (a, b), nodes_x, h = _basis(n_basis, support)
     rate = medium.c_max * float(grid.omegas[-1])
     y, w = composite_rule(a, b, [*nodes_x, 0.0], rate, base_panels=1, nodes=6)
     # hat values at the quadrature nodes, scaled by the weights
     H = np.clip(1.0 - np.abs((y[:, None] - nodes_x[None, :]) / h), 0.0, None) * w[:, None]
+    matrix = _endpoint_map(grid.omegas, y, H, medium)  # rows u(-1), then u(+1)
+    return _weighted_operator(grid, nodes_x, (a, b), matrix)
+
+
+# below this |t|, phi2(t) is summed as its series: the first term left
+# out, t^10 / 12!, is then under 3e-19
+_PHI2_SERIES = 0.1
+_PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(10)]
+
+
+def _phi2(t):
+    """phi2(t) = (e^t - 1 - t) / t^2 = sum_k t^k / (k + 2)!."""
+    t = np.asarray(t, dtype=complex)
+    out = np.empty_like(t)
+    small = np.abs(t) < _PHI2_SERIES
+    ts, tb = t[small], t[~small]
+    out[small] = np.polynomial.polynomial.polyval(ts, _PHI2_COEFFS)
+    out[~small] = (np.expm1(tb) - tb) / tb ** 2
+    return out
+
+
+def _piece_transform(s, u, v, alpha, beta):
+    """int_u^v e^{s y} l(y) dy for the linear l with l(u) = alpha and
+    l(v) = beta: with L = v - u and t = s L,
+
+        L e^{s u} (alpha phi2(t) + beta e^t phi2(-t)),
+
+    exact for every s, an array of them."""
+    L = v - u
+    t = s * L
+    return L * np.exp(s * u) * (alpha * _phi2(t) + beta * np.exp(t) * _phi2(-t))
+
+
+def _exact_operator(medium, grid, n_basis, support):
+    """The operator of ``assemble_operator`` from the hats' exact
+    endpoint transforms: no quadrature rule and no kernel table.
+
+    By the endpoint representation (``greens._endpoint_rows``), omega
+    u(e, omega) = i sum over the rows of e of coeff e^{i phase omega}
+    int e^{i rate omega y} f_side(y) dy.  A hat wholly on one side
+    transforms to h e^{i r x_j} sinc^2(r h / 2), r = rate omega.  The
+    rows of a side share |rate| = c_side, so one table cos, sin(c_side
+    omega x_j) per side serves them all: the rows of rate +c_side sum to
+    p, those of -c_side to q, and the block is (p + q) cos + i (p - q)
+    sin.  Where the reflected and direct rows' amplitudes are exact
+    negatives (c_side far below the other speed), p + q is exactly 0,
+    where the kernel's sum leaves rounding residue.  A hat that crosses
+    x = 0 is cut there into linear pieces (``_piece_transform``).
+    """
+    support, x, h = _basis(n_basis, support)
     om = grid.omegas
-    matrix = _endpoint_map(om, y, H, medium)  # rows u(-1), then u(+1)
-    wr = om * np.sqrt(trapezoid_weights(om))
-    row_weights = np.concatenate([wr, wr])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: the solves refuse it
-        matrix *= row_weights[:, None]
-    return ForwardOperator(grid, nodes_x, (a, b), matrix, row_weights)
+    _check_wavenumbers(medium, np.append(om, 1.0))  # the grid's amplitudes and the unit table
+    n = len(om)
+    matrix = np.zeros((2 * n, n_basis), dtype=complex)
+    block = {"minus": matrix[:n], "plus": matrix[n:]}
+    # hats wholly left of 0, across it, wholly right of it
+    lo, hi = np.searchsorted(x + h, 0.0, side="right"), np.searchsorted(x - h, 0.0)
+    sides = {"right": (medium.c1, slice(hi, n_basis), 0.0, 1.0),
+             "left": (medium.c2, slice(0, lo), -1.0, 0.0)}
+    amps = {}
+    for e, coeff, side, rate, phase in _endpoint_rows(medium):
+        amp = 1j * coeff * np.exp(1j * phase * om) / om
+        amps[e, side, rate > 0] = amps.get((e, side, rate > 0), 0.0) + amp
+        _, _, y0, y1 = sides[side]
+        for j in range(lo, hi):
+            # the hat's two linear pieces, each cut to this side
+            for u, v in ((x[j] - h, x[j]), (x[j], x[j] + h)):
+                u, v = max(u, y0), min(v, y1)
+                if u < v:
+                    ends = np.clip(1.0 - np.abs(np.array([u, v]) - x[j]) / h, 0.0, None)
+                    block[e][:, j] += amp * _piece_transform(1j * rate * om, u, v, *ends)
+    for side, (c, cols, _, _) in sides.items():
+        if cols.start >= cols.stop:
+            continue
+        r = c * om
+        phase = np.multiply.outer(r, x[cols])
+        cos, sin = np.cos(phase), np.sin(phase)
+        env = h * np.sinc(r * h / (2.0 * np.pi)) ** 2
+        for e in ("minus", "plus"):
+            p, q = (amps.get((e, side, sign), 0.0) * env for sign in (True, False))
+            block[e][:, cols] = (p + q)[:, None] * cos + (1j * (p - q))[:, None] * sin
+    return _weighted_operator(grid, x, support, matrix)
 
 
 def add_noise(data, eps_target, seed):
@@ -229,13 +330,20 @@ def _tikhonov_residuals(op, data, ladder):
 
     With A = U diag(S) V^H, beta = U^H d and perp = ||d - U beta||^2,
     ||A c_lam - d||^2 = sum_i |lam^2 / (S_i^2 + lam^2) beta_i|^2 + perp,
-    so one projection of the data serves the whole ladder.
+    so one projection of the data serves the whole ladder.  Data whose
+    squares overflow, though the residuals are finite, are summed again
+    rescaled (``model._scaled_norm``).
     """
     U, S, _ = op.svd()
     d, beta = op._projected(data)
-    perp = np.linalg.norm(d - U @ beta) ** 2
     lam2 = np.asarray(ladder, dtype=float)[:, None] ** 2
-    return np.sqrt(np.sum(np.abs(lam2 / (S ** 2 + lam2) * beta) ** 2, axis=1) + perp)
+    filt = lam2 / (S ** 2 + lam2)
+
+    def norm(r, b):
+        perp = np.linalg.norm(r) ** 2
+        return np.sqrt(np.sum(np.abs(filt * b) ** 2, axis=1) + perp)
+
+    return _scaled_norm(norm, d - U @ beta, beta)
 
 
 def morozov_lambda(op, data, eps_target, ladder=None):

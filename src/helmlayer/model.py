@@ -313,18 +313,20 @@ def split_source(spec):
 
 
 def _scaled_norm(norm, *arrays):
-    """``norm(*arrays)``, a root of a sum of squares of their entries.
-    Where that sum overflows though every entry is finite, the arrays
-    are divided by their largest modulus, which then multiplies the
-    root; an in-range norm keeps the plain sum, bit for bit."""
+    """``norm(*arrays)``, a root of a sum of squares of their entries, or
+    an array of such roots.  Where a sum overflows though every entry is
+    finite, the arrays are divided by their largest modulus, which then
+    multiplies the roots; in-range norms keep the plain sums, bit for
+    bit."""
     with np.errstate(over="ignore"):
         plain = norm(*arrays)
-    if np.isfinite(plain):
+    if np.isfinite(plain).all():
         return plain
     top = max(np.max(np.abs(a)) for a in arrays)
     if not np.isfinite(top):
         return plain
-    return float(top * norm(*(a / top for a in arrays)))
+    scaled = top * norm(*(a / top for a in arrays))
+    return float(scaled) if np.ndim(scaled) == 0 else scaled
 
 
 def _weighted_values(source):

@@ -617,13 +617,14 @@ def test_reconstruct_non_finite_output_writes_nothing(tmp_path, monkeypatch, cap
 
 
 _AMP_1E300 = "source.amp_re = 1e300\nsource.amp_im = 1e300\n"
+_EPS_1E300 = "noise.eps = 1e300\n"
 
 
 @pytest.mark.parametrize("extra, forward_code", [
     # finite data whose squares overflow: forward's epsilon is finite
     ("medium.c1 = 1e-300\n", 0),
     (_AMP_1E300, 0),  # and so are reconstruct's figures
-    ("noise.eps = 1e300\n", 0),  # forward reads no noise
+    (_EPS_1E300, 0),  # forward reads no noise, and the Morozov ladder rescales
     ("medium.c1 = 1e-300\nnoise.eps = 1e-2\n", 0),  # the Tikhonov solve overflows
     # finite data, about 1e300, whose norm is past the double range
     ("medium.c1 = 1e-6\nmedium.c2 = 1e-6\nfrequency.K = 1e6\nfrequency.omega_floor = 5e5\n"
@@ -633,7 +634,9 @@ def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_p
     # valid configs whose epsilon, residual or error overflow: each run
     # that would print or write inf or nan exits 3 and writes nothing.
     # At amplitude 1e300 the squares overflow but every figure is finite:
-    # reconstruct exits 0 with the relative error of the 1e150 run
+    # reconstruct exits 0 with the relative error of the 1e150 run.  So
+    # does noise of data norm 1e300: the Morozov ladder's residuals are
+    # summed again rescaled, and reconstruct exits 0 with finite figures
     base = "frequency.n_omega = 40\nfrequency.K = 10\ninverse.n_basis = 41\n"
     cfg_path, data, out = tmp_path / "run.cfg", tmp_path / "d.csv", tmp_path / "r.csv"
 
@@ -658,6 +661,16 @@ def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_p
             assert out.exists()
         assert rel["1e300"] == pytest.approx(rel["1e150"], rel=1e-6)
         return
+    if extra == _EPS_1E300:
+        assert run(base + extra) == 0
+        printed = capsys.readouterr().out.split()
+        figures = {k: float(v) for k, v in (f.split("=") for f in printed if "=" in f)
+                   if k != "method"}
+        assert set(figures) == {"reg", "residual", "l2_error", "rel"}
+        assert all(np.isfinite(v) for v in figures.values()), printed
+        assert figures["residual"] <= 1.1e300
+        assert out.exists()
+        return
     assert run(base + extra) == 3
     assert "nothing written" in capsys.readouterr().err
     assert not out.exists()
@@ -665,21 +678,46 @@ def test_overflowing_figures_exit_3_and_write_nothing(extra, forward_code, tmp_p
 
 @pytest.mark.parametrize("command", ["forward", "sweep"])
 def test_unresolvable_rate_names_its_keys(command, tmp_path, capsys):
-    # medium.c2 = 1e300 asks a quadrature rule for ~1e302 nodes
+    # medium.c2 = 1e300 asks forward's quadrature rule for ~1e302 nodes;
+    # the sweep's operator needs no rule, and its layer amplitudes leave
+    # the double range (greens.WavenumberRangeError)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("medium.c2 = 1e300\nsweep.K_list = 5\nsweep.trials = 1\n")
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert "medium.c2" in err and "frequency.K" in err and "quadrature nodes" in err
+    assert "medium.c2" in err and "frequency.K" in err
+    reason = {"forward": "quadrature nodes",
+              "sweep": "layer amplitudes leave the floating-point range"}[command]
+    assert reason in err
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_sweep_out_of_range_cells_name_stage_and_key(tmp_path, capsys):
-    # medium.c1 = 1e-300 scales the operator by ~1e300: each solve
-    # overflows, and its cell records the stage and the key; no
-    # RuntimeWarning escapes (Tier-1's filters stay in force)
+def test_sweep_needs_no_rule_for_its_operator(tmp_path, capsys):
+    # medium.c2 = 1e10 would ask a cell rule for 1.25e11 nodes; the
+    # sweep's operator is the hats' exact transforms, and its sources lie
+    # right of the interface, where the speed is medium.c1
     cfg_path, out = tmp_path / "run.cfg", tmp_path / "s.csv"
-    cfg_path.write_text("medium.c1 = 1e-300\nfrequency.n_omega = 40\ninverse.n_basis = 31\n"
+    cfg_path.write_text("medium.c2 = 1e10\nsweep.K_list = 5\nsweep.eps_list = 0,1e-2\n"
+                        "sweep.n_list = 1\nsweep.trials = 1\n")
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    records = cli.read_sweep_csv(out)
+    assert len(records) == 2
+    for r in records:
+        assert not r.error and np.isfinite(r.reg_param) and np.isfinite(r.l2_error), r
+        assert 0 < r.l2_error < 1
+
+
+def test_sweep_out_of_range_cells_name_stage_and_key(tmp_path, capsys):
+    # a tiny medium.c1 gives operator entries of ~1e282: each solve
+    # overflows, and its cell records the stage and the key; no
+    # RuntimeWarning escapes (Tier-1's filters stay in force).  The
+    # entries of that size are rounding residue: the direct and reflected
+    # waves cancel, and the true operator stays O(1).  At c1 = 1e-300 the
+    # exact transforms' unit-frequency amplitudes cancel exactly and
+    # both cells finish; at 1.7e-300 they leave entries of ~1e282, as the
+    # quadrature does
+    cfg_path, out = tmp_path / "run.cfg", tmp_path / "s.csv"
+    cfg_path.write_text("medium.c1 = 1.7e-300\nfrequency.n_omega = 40\ninverse.n_basis = 31\n"
                         "sweep.K_list = 5\nsweep.eps_list = 0,1e-2\nsweep.n_list = 1\n"
                         "sweep.trials = 1\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -689,7 +727,7 @@ def test_sweep_out_of_range_cells_name_stage_and_key(tmp_path, capsys):
     assert [r.eps for r in records] == [0.0, 1e-2]
     for record, stage in zip(records, ("Tikhonov solve", "Morozov solve")):
         assert record.error.startswith(f"{stage} out of range")
-        assert "medium.c1 = 1e-300" in record.error
+        assert "medium.c1 = 1.7e-300" in record.error
 
 
 def test_tsvd_rank_is_capped_at_the_singular_value_count(tmp_path, capsys):

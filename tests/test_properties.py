@@ -20,17 +20,19 @@ from helmlayer import cli
 from helmlayer.cli import (METHODS, RECON_HEADER, ConfigError, ExperimentRecord, RunConfig,
                            build_source, parse_config_text, read_sweep_csv,
                            serialize_config, write_sweep_csv)
-from helmlayer.forward import (BoundaryData, _read_csv, boundary_sweep, check_radiation_many,
-                               forward_field, forward_field_dx, interface_traces_many,
-                               read_boundary_csv, source_rule, write_boundary_csv)
+from helmlayer.forward import (BoundaryData, _endpoint_map, _read_csv, boundary_sweep,
+                               check_radiation_many, forward_field, forward_field_dx,
+                               interface_traces_many, read_boundary_csv, source_rule,
+                               write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, data_energy, endpoint_amplitude_bound_many,
                                endpoint_data, epsilon_norm, halfline_ft_many,
-                               write_ratio_csv, write_tail_csv)
+                               trapezoid_weights, write_ratio_csv, write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
-from helmlayer.inverse import (ConditioningWarning, _tikhonov_residuals, add_noise,
-                               assemble_operator, morozov_lambda, reconstruct_tikhonov)
+from helmlayer.inverse import (ConditioningWarning, _exact_operator, _tikhonov_residuals,
+                               add_noise, assemble_operator, morozov_lambda,
+                               reconstruct_tikhonov)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
                              l2_norm_sq, split_source)
 from helmlayer.quadrature import composite_rule
@@ -367,6 +369,60 @@ def test_operator_columns_at_interface_match_grid_sweep(medium, a, b, n_basis, K
         e[j] = 1.0
         col = op.weighted_data(boundary_sweep(op.grid_source(e), medium, op.grid))
         assert np.max(np.abs(op.matrix[:, j] - col)) <= 1e-12 * scale
+
+
+@st.composite
+def hat_bases(draw):
+    """(n_basis, support) of a hat basis right of the interface, left of
+    it, across it, or with a node exactly at 0 (a dyadic spacing makes
+    every node exact)."""
+    n = draw(st.integers(8, 60))
+    kind = draw(st.sampled_from(["right", "left", "across", "node at 0"]))
+    if kind == "node at 0":
+        h = 2.0 ** -int(np.ceil(np.log2(n + 1)))
+        m = draw(st.integers(1, n))
+        return n, (-m * h, (n + 1 - m) * h)
+    if kind == "across":
+        return n, (draw(st.floats(-0.95, -0.05)), draw(st.floats(0.05, 0.95)))
+    a = draw(st.floats(0.0, 0.8))
+    b = draw(st.floats(a + 0.1, 0.95))
+    return n, ((a, b) if kind == "right" else (-b, -a))
+
+
+def _fine_operator(medium, grid, n_basis, support):
+    # the hats on a 40-node Gauss rule per half-cell, split at 0, through
+    # the kernel (forward._endpoint_map), rows weighted as the operator's
+    a, b = support
+    edges = np.linspace(a, b, n_basis + 2)
+    x, h = edges[1:-1], edges[1] - edges[0]
+    halves = 0.5 * (edges[:-1] + edges[1:])
+    y, w = composite_rule(a, b, [*x, *halves, 0.0], medium.c_max * grid.omegas[-1],
+                          base_panels=1, nodes=40)
+    H = np.clip(1.0 - np.abs((y[:, None] - x[None, :]) / h), 0.0, None) * w[:, None]
+    om = grid.omegas
+    wr = om * np.sqrt(trapezoid_weights(om))
+    return _endpoint_map(om, y, H, medium) * np.concatenate([wr, wr])[:, None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)), st.floats(0.5, 40.0),
+       st.integers(8, 40), hat_bases())
+def test_exact_operator_matches_a_fine_rule(medium, K, n_omega, basis):
+    # the hats' exact transforms against a rule far finer than the
+    # operator's own: they agree to rounding (3.1e-14 the worst of 1,500
+    # draws), while assemble_operator's six-node cells carry their own
+    # error (3.7e-12 the worst, at c = (3.0, 0.46), K = 20.7)
+    n_basis, support = basis
+    grid = FrequencyGrid.uniform(K, n_omega)
+    exact = _exact_operator(medium, grid, n_basis, support)
+    ref = _fine_operator(medium, grid, n_basis, support)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(exact.matrix - ref)) <= 1e-13 * scale
+    quad = assemble_operator(medium, grid, n_basis, support)
+    assert np.max(np.abs(quad.matrix - exact.matrix)) <= 1e-11 * scale
+    np.testing.assert_array_equal(exact.row_weights, quad.row_weights)
+    np.testing.assert_array_equal(exact.basis_x, quad.basis_x)
+    assert exact.support == quad.support
 
 
 @settings(max_examples=100, deadline=None)
