@@ -374,7 +374,7 @@ def run_verify(cfg):
     return lines, failures
 
 
-def cmd_verify(cfg, out_path=None):
+def cmd_verify(cfg, out_path):
     lines, failures = run_verify(cfg)
     report = "\n".join(lines)
     print(report)

@@ -135,8 +135,6 @@ def _field(f, medium, omega, x, kernel):
     if not abs(x) <= 1.0:
         raise ValueError("evaluation point outside [-1, 1]")
     y, w = source_rule(f, medium.c_max * omega, extra_breaks=[x])
-    if len(y) == 0:
-        return 0j
     return complex(_segment_sums(w * kernel(x, y, medium, omega) * f(y), [0, len(y)])[0])
 
 

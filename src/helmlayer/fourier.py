@@ -334,7 +334,7 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
     segments from s_k on.  Returns (slope, r2) of log T against log s.
     """
     s_list = np.asarray(s_list, dtype=float)
-    if (len(s_list) < 3 or not np.all(np.isfinite(s_list)) or not np.all(np.diff(s_list) > 0)
+    if (len(s_list) < 3 or not np.all(np.isfinite(s_list)) or not np.all(s_list[1:] > s_list[:-1])
             or s_list[0] <= 0):
         raise ValueError("s_list must be >= 3 strictly increasing positive finite values")
     omega_cap = _positive(omega_cap, "omega_cap")

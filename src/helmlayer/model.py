@@ -63,7 +63,7 @@ class FrequencyGrid:
         om = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         if om.size == 0:
             raise ValueError("frequency grid must be non-empty")
-        if not np.all(np.diff(om) > 0):
+        if not np.all(om[1:] > om[:-1]):  # no difference, which may overflow
             raise ValueError("frequencies must be strictly increasing")
         if om[0] <= 0:
             raise ValueError("frequencies must be strictly positive")
@@ -183,7 +183,7 @@ class SourceSpec:
             v = np.asarray(self.samples, dtype=complex)
             if x.ndim != 1 or x.shape != v.shape:
                 raise ValueError("x_grid and samples must be 1-d arrays of equal length")
-            if len(x) < 2 or not np.all(np.diff(x) > 0):
+            if len(x) < 2 or not np.all(x[1:] > x[:-1]):
                 raise ValueError("x_grid must be strictly increasing with >= 2 nodes")
             x.setflags(write=False)
             v.setflags(write=False)

@@ -13,15 +13,12 @@ is the rule with ``base_panels=1`` and the inner cell edges as
 breakpoints: one panel per cell, more only where the phase advances by
 over 2 radians within it.
 
-A rule of many segments is built in groups: the segments that share a
-panel count go through one ``np.linspace`` over their ends, in which
-each element takes the operations of the one-segment ``_segment_rule``,
-so the nodes and weights are its doubles, segment by segment
-(``test_grouped_rule_matches_the_per_segment_rule_bits``).  The
-operator's 203 equal cells become one group.  A segment at a flat end,
-one alone in its group, and a one-segment rule take ``_segment_rule``
-itself; segments whose step underflows to 0, where ``linspace``
-divides before it scales, group apart from the rest.
+The rule is built in one pass over every segment at once.  A segment's
+panel edges are the doubles ``np.linspace`` gives it, a + k step, or
+a + (k / p) delta where the step underflows to 0, so each node and
+weight is the one a segment-by-segment build makes
+(``test_grouped_rule_matches_the_per_segment_rule_bits``).  Flat ends
+act at ``lo`` and ``hi`` only: they cut the first and the last panel.
 """
 
 from __future__ import annotations
@@ -52,18 +49,6 @@ def gauss_rule(nodes):
     return x, w
 
 
-def _segment_rule(lo, hi, panels, gx, gw, flat_ends):
-    edges = np.linspace(lo, hi, panels + 1)
-    step = (hi - lo) / panels
-    head = [lo + width for end, width in flat_ends if end == lo and step > width]
-    tail = [hi - width for end, width in flat_ends if end == hi and step > width]
-    if head or tail:
-        edges = np.concatenate((edges[:1], head[:1], edges[1:-1], tail[:1], edges[-1:]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    return (mids[:, None] + halfs[:, None] * gx).ravel(), (halfs[:, None] * gw).ravel()
-
-
 def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16,
                    flat_ends=()):
     """Quadrature rule on [lo, hi] split at interior breakpoints.
@@ -89,30 +74,26 @@ def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16
     if not need <= _MAX_NODES:  # an infinite rate too
         raise RuleSizeError(f"resolving oscillation rate {osc_rate:.6g} on [{lo:g}, {hi:g}] "
                             f"takes {need:.3g} quadrature nodes, over {_MAX_NODES}")
-    if len(cuts) == 2:
-        panels = max(base_panels, int(np.ceil(abs(osc_rate) * (hi - lo) / 2.0)))
-        return _segment_rule(lo, hi, panels, gx, gw, flat_ends)
-    seg_lo, seg_hi = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
-    panels = np.maximum(base_panels, np.ceil(abs(osc_rate) * (seg_hi - seg_lo) / 2.0)).astype(int)
-    # linspace divides before it scales wherever a step underflows to 0
-    tiny = (seg_hi - seg_lo) / panels == 0
-    ends = {end for end, _ in flat_ends}
-    groups = {}
-    for i, (a, b, p, z) in enumerate(zip(seg_lo.tolist(), seg_hi.tolist(), panels.tolist(),
-                                         tiny.tolist())):
-        groups.setdefault(("end", i) if a in ends or b in ends else (p, z), []).append(i)
-    xs, ws = [None] * len(panels), [None] * len(panels)
-    for idx in groups.values():
-        p = int(panels[idx[0]])
-        if len(idx) == 1:
-            xs[idx[0]], ws[idx[0]] = _segment_rule(seg_lo[idx[0]], seg_hi[idx[0]], p, gx, gw,
-                                                   flat_ends)
-            continue
-        edges = np.linspace(seg_lo[idx], seg_hi[idx], p + 1, axis=1)
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        halfs = 0.5 * np.diff(edges)
-        x = (mids[..., None] + halfs[..., None] * gx).reshape(len(idx), -1)
-        w = (halfs[..., None] * gw).reshape(len(idx), -1)
-        for j, i in enumerate(idx):
-            xs[i], ws[i] = x[j], w[j]
-    return np.concatenate(xs), np.concatenate(ws)
+    cuts = np.array(cuts, dtype=float)
+    delta = cuts[1:] - cuts[:-1]
+    panels = np.maximum(base_panels, np.ceil(abs(osc_rate) * delta / 2.0)).astype(int)
+    step = delta / panels
+    # each segment's edges but its last, which is the next one's first
+    # (hi for the last), as np.linspace forms them: it divides before it
+    # scales where a step underflows to 0
+    seg = np.repeat(np.arange(len(panels)), panels)
+    k = np.arange(len(seg)) - (np.cumsum(panels) - panels)[seg]
+    edges = np.empty(len(seg) + 1)
+    if step.all():
+        np.multiply(k, step[seg], out=edges[:-1])
+    else:
+        edges[:-1] = np.where(step[seg] == 0, k / panels[seg] * delta[seg], k * step[seg])
+    edges[:-1] += cuts[seg]
+    edges[-1] = hi
+    head = [lo + width for end, width in flat_ends if end == lo and step[0] > width]
+    tail = [hi - width for end, width in flat_ends if end == hi and step[-1] > width]
+    if head or tail:
+        edges = np.concatenate((edges[:1], head[:1], edges[1:-1], tail[:1], edges[-1:]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * np.diff(edges)
+    return (mids[:, None] + halfs[:, None] * gx).ravel(), (halfs[:, None] * gw).ravel()

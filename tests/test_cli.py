@@ -41,6 +41,8 @@ def test_config_validation_names_offender():
         parse_config_text("medium.c2 = -1\n")
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("medium.c3 = 1\n")
+    with pytest.raises(ConfigError, match="<config>:2: expected 'key = value'"):
+        parse_config_text("medium.c1 = 1\nmedium.c2 1.5\n")
     with pytest.raises(ConfigError, match="2"):
         parse_config_text("medium.c1 = 1\nfrequency.K = oops\n")
     with pytest.raises(ConfigError, match="support"):
@@ -170,7 +172,7 @@ def test_cmd_verify_exit_codes(tmp_path, capsys, monkeypatch):
     assert "PASS" in (tmp_path / "report.txt").read_text()
     capsys.readouterr()
     _break_radiation(monkeypatch)
-    assert cmd_verify(RunConfig()) == 3
+    assert cmd_verify(RunConfig(), None) == 3
 
 
 @pytest.mark.parametrize("seed", ["13", "16"])
@@ -378,6 +380,15 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
     assert all("injected failure" in r.error for r in bad)
     assert all(np.isnan(r.l2_error) for r in bad)
 
+    # an SVD that fails fails each cell, which factors again, not the sweep
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "endpoint_data", real)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert cmd_sweep(cfg, path) == 0
+    assert [r.error for r in read_sweep_csv(path)] == ["SVD did not converge"] * 4
+
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
@@ -513,6 +524,7 @@ def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("mangle, where", [
     (lambda lines: [], "has no header row"),
+    (lambda lines: lines[:1], "no data rows in"),
     (lambda lines: ["omega,re_u_minus"] + lines[1:], "header row of"),
     (lambda lines: lines[:4] + [",".join(lines[4].split(",")[:3])] + lines[5:],
      "data row 4 of"),
@@ -520,11 +532,13 @@ def test_reconstruct_rejects_non_finite_data(method, value, tmp_path, capsys):
     (lambda lines: lines[:4] + ["9" * 200_000] + lines[5:], "line 5 of"),
     (lambda lines: lines[:2] + ["abc" + lines[2][lines[2].index(","):]] + lines[3:],
      "'abc' in data row 2 of"),
-], ids=["empty", "wrong_header", "short_row", "long_row", "huge_field", "non_numeric"])
+], ids=["empty", "header_only", "wrong_header", "short_row", "long_row", "huge_field",
+        "non_numeric"])
 def test_reconstruct_rejects_malformed_data(mangle, where, tmp_path, capsys):
-    # an empty file, a wrong header, a short or long row, a field over
-    # the csv module's size limit and a cell that is not a number each
-    # exit 2, naming the file and the row (and the bad cell)
+    # an empty file, a header and no rows, a wrong header, a short or
+    # long row, a field over the csv module's size limit and a cell that
+    # is not a number each exit 2, naming the file (and the row and the
+    # bad cell where there is one)
     cfg_path, data_path = _forward_csv(tmp_path)
     lines = mangle(data_path.read_text().splitlines())
     data_path.write_text("".join(line + "\n" for line in lines))
@@ -785,7 +799,7 @@ def test_keyword_knob_count_is_pinned():
                 for m in _MODULES for f in vars(m).values()
                 if inspect.isfunction(f) and f.__module__ == m.__name__
                 for p in inspect.signature(f).parameters.values())
-    assert count == 20
+    assert count == 19
 
 
 def test_public_name_count_is_pinned():
@@ -852,8 +866,9 @@ print(threading.active_count())
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs sched_setaffinity and two CPUs")
 def test_sweep_on_one_cpu_matches_all_cpus(tmp_path):
-    # one CPU means one worker in the endpoint map; the BLAS thread count
-    # is held at 1 on both sides, so only the worker count differs
+    # one CPU means no helper thread for a band's sources, which then run
+    # after its SVD; the BLAS thread count is held at 1 on both sides, so
+    # only the thread count differs
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sweep.K_list = 5,40\nsweep.eps_list = 0,1e-2\nsweep.n_list = 1,3\n"
                    "sweep.trials = 2\n")

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from helmlayer import cli, forward
-from helmlayer.forward import (_endpoint_map, boundary_sweep, check_radiation_many, fd_oracle,
-                               forward_field, forward_field_dx, interface_traces_many,
-                               read_boundary_csv, write_boundary_csv)
+from helmlayer.forward import (BoundaryData, _endpoint_map, boundary_sweep,
+                               check_radiation_many, fd_oracle, forward_field, forward_field_dx,
+                               interface_traces_many, read_boundary_csv, write_boundary_csv)
 from helmlayer.fourier import endpoint_amplitude_bound_many, fit_loglog, halfline_ft_many
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, split_source,
                              wavenumbers)
@@ -21,6 +21,9 @@ def test_zero_source_field_is_zero():
     zero = SourceSpec.bump(-0.5, 0.5, amplitude=0.0)
     med = Medium(1.0, 1.5)
     assert forward_field(zero, med, 2.0, 0.3) == 0.0
+    # a half that carries nothing has an empty rule and the field 0
+    empty = split_source(SourceSpec.bump(0.2, 0.8)).f2
+    assert forward_field(empty, med, 2.0, 0.3) == 0j
     x, u = fd_oracle(zero, med, 2.0, 256)
     assert np.all(u == 0.0)
     rm, rp = check_radiation_many([(zero, med, 2.0)])[0]
@@ -288,6 +291,8 @@ def test_boundary_csv_roundtrip(tmp_path):
     assert np.array_equal(back.grid.omegas, data.grid.omegas)
     assert np.array_equal(back.u_minus, data.u_minus)
     assert np.array_equal(back.u_plus, data.u_plus)
+    with pytest.raises(ValueError, match="length must match the frequency grid"):
+        BoundaryData(grid, data.u_minus[:-1], data.u_plus)
     write_boundary_csv(back, tmp_path / "data2.csv")
     assert (tmp_path / "data.csv").read_bytes() == (tmp_path / "data2.csv").read_bytes()
 

@@ -21,6 +21,8 @@ def _pair(spec):
 def test_halfline_ft_trivialities():
     pair = _pair(SourceSpec.bump(-0.8, -0.2))  # nothing on the right
     assert halfline_ft_many(pair, "right", [3.0])[0] == 0.0
+    with pytest.raises(ValueError, match="side must be"):
+        halfline_ft_many(pair, "up", [3.0])
     f = SourceSpec.bump(0.2, 0.8, amplitude=1.5 - 0.5j)
     pair = _pair(f)
     plain = halfline_ft_many(pair, "right", [0.0])[0]
@@ -152,9 +154,13 @@ _BAD = [0.0, -2.0, np.inf, -np.inf, np.nan]
       for v in _BAD],
     *[(lambda f, med, v=v: tail_decay_fit(f, med, 0, [5.0, 10.0, v], 200.0), "s_list")
       for v in (np.inf, np.nan)],
+    # a difference that overflows
+    (lambda f, med: tail_decay_fit(f, med, 0, [-1.7e308, 1.7e308, 20.0], 200.0), "s_list"),
 ])
 def test_bad_band_limits_raise_named_value_errors(call, name):
-    with pytest.raises(ValueError, match=name):
+    # refused before any arithmetic on them can warn
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=name):
+        warnings.simplefilter("error", RuntimeWarning)
         call(SourceSpec.bump(-0.4, 0.6), Medium(1.0, 1.5))
 
 
@@ -247,6 +253,10 @@ def test_tail_decay_validation():
         tail_decay_fit(f, med, 3, np.array([5.0, 10.0, 20.0]), 200.0)
     with pytest.raises(ValueError):
         tail_decay_fit(f, med, 2, np.array([5.0, 10.0, 20.0]), 25.0)
+    # data whose squares underflow leave a zero tail
+    tiny = SourceSpec.bspline(0.2, 0.8, 2, amplitude=1e-200)
+    with pytest.raises(ValueError, match="tail integral degenerate"):
+        tail_decay_fit(tiny, med, 2, np.array([5.0, 10.0, 20.0]), 200.0)
 
 
 def test_amplitude_bound_zero_and_random():
@@ -318,6 +328,10 @@ def test_data_energy_constant_cap_stability_and_collapse():
     direct = l2_norm_sq(f) / data_energy(f, med, 150.0, n_quad=8).I.real
     assert const == ratios[0]
     assert abs(const - direct) / direct < 1e-12
+    # a draw whose norm and data energy underflow has no ratio
+    tiny = SourceSpec.bump(0.1, 0.6, amplitude=1e-200)
+    with pytest.raises(ZeroDivisionError, match="near-zero source draw"):
+        data_energy_constant(lambda rng: tiny, med, 150.0, 1, seed=1)
 
 
 def test_fit_loglog_slope_examples():

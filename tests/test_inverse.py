@@ -48,6 +48,14 @@ def test_operator_zero_and_validation():
         assemble_operator(MED, grid, 4, (-0.5, 0.5))
     with pytest.raises(ValueError):
         assemble_operator(MED, grid, 20, (-1.0, 0.5))
+    short = BoundaryData(grid, np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="data has 10 frequencies, operator expects 80"):
+        op.weighted_data(short)
+    data = op.boundary_data(np.ones(op.n_basis))
+    with pytest.raises(ValueError, match="must be positive"):
+        reconstruct_tikhonov(op, data, 0.0)
+    with pytest.raises(FloatingPointError, match="squares to 0"):
+        reconstruct_tikhonov(op, data, 1e-200)
 
 
 def test_operator_basis_refinement_second_order():
@@ -227,6 +235,8 @@ def test_recon_error_properties():
     x = np.concatenate([[op.support[0]], op.basis_x, [op.support[1]]])
     ref = np.sqrt(np.trapezoid(np.abs(f(x)) ** 2, x))
     assert recon_error(zero, f) == pytest.approx(ref, abs=1e-12)
+    with pytest.raises(ValueError, match="estimate must be a grid source"):
+        recon_error(f, exact)
 
     rng = np.random.default_rng(44)
     for _ in range(10):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, l2_norm_sq, split_source,
-                             wavenumbers)
+from helmlayer.model import (FrequencyGrid, HalfSource, Medium, SourceSpec, l2_norm_sq,
+                             split_source, wavenumbers)
 from helmlayer.quadrature import composite_rule
 
 
@@ -46,6 +46,10 @@ def test_frequency_grid_validation():
         FrequencyGrid(np.array([1.0, 0.5]), 1.0)
     with pytest.raises(ValueError):
         FrequencyGrid(np.array([0.5, 2.0]), 1.0)
+    with pytest.raises(ValueError, match="n_omega must be at least 1"):
+        FrequencyGrid.uniform(40.0, 0)
+    with pytest.raises(ValueError, match="omega_floor must lie in"):
+        FrequencyGrid.uniform(40.0, 400, omega_floor=50.0)
 
 
 def test_bump_peak_and_support():
@@ -94,6 +98,15 @@ def test_source_validation():
         SourceSpec.bspline(0.0, 0.5, 0)
     with pytest.raises(ValueError):
         SourceSpec("whatever", -0.5, 0.5)
+    x = np.linspace(-0.5, 0.5, 5)
+    with pytest.raises(ValueError, match="requires x_grid and samples"):
+        SourceSpec("grid", -0.5, 0.5, x_grid=x)
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        SourceSpec.from_grid(x, np.zeros(4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        SourceSpec.from_grid(x[[0, 2, 1, 3, 4]], np.zeros(5))
+    with pytest.raises(ValueError, match="side must be"):
+        HalfSource(SourceSpec.bump(-0.5, 0.5), "up")
 
 
 def test_split_one_sided():
@@ -106,6 +119,9 @@ def test_split_one_sided():
     pair = split_source(g)
     assert np.all(pair.f1(x) == 0.0)
     assert np.allclose(pair.f2(x), g(x))
+    # the empty side has no breakpoints and no flat ends
+    assert pair.f1.support is None
+    assert pair.f1.breakpoints == () and pair.f1.flat_ends == ()
 
 
 def test_split_is_partition():

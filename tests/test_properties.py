@@ -20,10 +20,10 @@ from helmlayer import cli
 from helmlayer.cli import (METHODS, RECON_HEADER, ConfigError, ExperimentRecord, RunConfig,
                            build_source, parse_config_text, read_sweep_csv,
                            serialize_config, write_sweep_csv)
-from helmlayer.forward import (BoundaryData, _endpoint_map, _read_csv, boundary_sweep,
-                               check_radiation_many, forward_field, forward_field_dx,
-                               interface_traces_many, read_boundary_csv, source_rule,
-                               write_boundary_csv)
+from helmlayer.forward import (CSV_HEADER, BoundaryData, _endpoint_map, _read_csv,
+                               boundary_sweep, check_radiation_many, forward_field,
+                               forward_field_dx, interface_traces_many, read_boundary_csv,
+                               source_rule, write_boundary_csv)
 from helmlayer.fourier import (_endpoint_amplitudes, data_energy, endpoint_amplitude_bound_many,
                                endpoint_data, epsilon_norm, halfline_ft_many,
                                trapezoid_weights, write_ratio_csv, write_tail_csv)
@@ -809,3 +809,65 @@ def test_cli_exits_0_2_or_3_with_finite_figures(text, command):
             assert np.isnan(figures["rel"]) and l2_norm_sq(build_source(cfg)) == 0, out
         cells = np.asarray(_read_csv(rec, RECON_HEADER, [float] * 5), dtype=float)
         assert np.all(np.isfinite(cells))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["1e300", "-1e300"])
+
+
+@st.composite
+def data_files(draw):
+    """A hand-written ``reconstruct`` data file: 0-40 rows of finite
+    cells (+-1e300 among them), then at most one fault: a wrong header,
+    a cell replaced by inf, nan, an empty cell or text, or a row of the
+    wrong width.  The frequency column is often the config's grid, so
+    some files read."""
+    n_rows = draw(st.integers(0, 40))
+    grid = FrequencyGrid.uniform(5.0, max(n_rows, 1)).omegas
+    on_grid = draw(st.sampled_from([True, True, False]))
+    rows = [draw(st.lists(_FINITE, min_size=5, max_size=5)) for _ in range(n_rows)]
+    if on_grid:
+        for row, omega in zip(rows, grid):
+            row[0] = repr(float(omega))
+    header = CSV_HEADER
+    fault = draw(st.sampled_from([None, None, "header", "cell", "width"]))
+    if fault == "header":
+        header = draw(st.sampled_from([CSV_HEADER[:3], CSV_HEADER[::-1]]))
+    elif fault and rows:
+        row = draw(st.sampled_from(rows))
+        if fault == "cell":
+            row[draw(st.integers(0, 4))] = draw(st.sampled_from(["inf", "-inf", "nan", "",
+                                                                 "abc"]))
+        else:
+            row[:] = row[:4] if draw(st.booleans()) else row + ["0.0"]
+    return n_rows, "".join(",".join(line) + "\n" for line in [header, *rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data_files(), st.sampled_from(METHODS), st.sampled_from([0.0, 1e-2]))
+@example((0, ",".join(CSV_HEADER) + "\n"), "tikhonov", 0.0)  # a header and no rows
+# frequencies whose difference overflows: a RuntimeWarning before the check compared them
+@example((2, ",".join(CSV_HEADER) + "\n-1.7e308,0,0,0,0\n1.7e308,0,0,0,0\n"), "tsvd", 0.0)
+def test_reconstruct_exits_0_2_or_3_on_hand_written_data(data_file, method, eps):
+    # whatever the data file holds, reconstruct exits 0 with finite
+    # figures, or 2 or 3 having written nothing; no traceback, no
+    # RuntimeWarning
+    n_rows, text = data_file
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, data, rec = (os.path.join(tmp, name) for name in ("run.cfg", "d.csv", "r.csv"))
+        with open(cfg_path, "w") as fh:
+            fh.write(f"frequency.K = 5\nfrequency.n_omega = {max(n_rows, 1)}\n"
+                     f"inverse.n_basis = 11\ninverse.k = 5\ninverse.method = {method}\n"
+                     f"noise.eps = {eps!r}\n")
+            if method == "homogeneous_ft":
+                fh.write("medium.c2 = 1.0\n")
+        with open(data, "w") as fh:
+            fh.write(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = _main("reconstruct", "--config", cfg_path, "--data", data, "--out", rec)
+        assert os.path.exists(rec) == (code == 0)
+        if code:
+            return
+        figures = _figures(out)
+        assert all(np.isfinite(figures[k]) for k in ("reg", "residual", "l2_error", "rel")), out

@@ -6,7 +6,7 @@ from helmlayer import inverse
 from helmlayer.forward import _CHUNK, boundary_sweep, source_rule
 from helmlayer.greens import _green
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
-from helmlayer.quadrature import _segment_rule, composite_rule, gauss_rule
+from helmlayer.quadrature import composite_rule, gauss_rule
 
 
 def test_gauss_rule_basics():
@@ -79,6 +79,20 @@ def test_cell_rule_integrates_piecewise_linear_exactly():
     assert abs(got - exact) < 1e-14
 
 
+def _segment_rule(lo, hi, panels, gx, gw, flat_ends):
+    """One segment's rule as the package built it before ``composite_rule``
+    took every segment in one pass: the reference of the tests below."""
+    edges = np.linspace(lo, hi, panels + 1)
+    step = (hi - lo) / panels
+    head = [lo + width for end, width in flat_ends if end == lo and step > width]
+    tail = [hi - width for end, width in flat_ends if end == hi and step > width]
+    if head or tail:
+        edges = np.concatenate((edges[:1], head[:1], edges[1:-1], tail[:1], edges[-1:]))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * np.diff(edges)
+    return (mids[:, None] + halfs[:, None] * gx).ravel(), (halfs[:, None] * gw).ravel()
+
+
 def _cell_rule(edges, osc_rate=0.0, nodes=6):
     """The per-cell rule the package once had beside ``composite_rule``:
     one panel per cell, refined only if the phase advance within a cell
@@ -143,7 +157,7 @@ def test_operator_matches_the_cell_rule_bits(monkeypatch):
 
 def _per_segment_rule(lo, hi, breakpoints, osc_rate, base_panels, nodes, flat_ends):
     """``composite_rule`` as a loop over its segments, one ``_segment_rule``
-    call each, as the package built it before it grouped the segments."""
+    call each."""
     gx, gw = gauss_rule(nodes)
     cuts = [lo] + [t for t in sorted(set(float(t) for t in breakpoints)) if lo < t < hi] + [hi]
     xs, ws = [], []
@@ -162,15 +176,15 @@ def rule_args(draw):
     inside = st.floats(lo, hi) | st.floats(lo - 0.5, hi + 0.5) | st.sampled_from([lo, hi, 0.0])
     breaks = draw(st.lists(inside, max_size=40))
     breaks += draw(st.lists(st.sampled_from(breaks), max_size=5)) if breaks else []  # repeats
-    flat_ends = draw(st.sampled_from([(), "ends", "inner"]))
-    if flat_ends:
-        cut = draw(st.sampled_from(breaks)) if breaks and flat_ends == "inner" else lo
-        flat_ends = ((cut, draw(st.floats(1e-4, 1.0))), (hi, draw(st.floats(1e-4, 1.0))))
+    # flat ends lie at lo and hi, as the package's sources put them
+    ends = draw(st.lists(st.sampled_from([lo, hi]), unique=True, max_size=2))
+    flat_ends = tuple((end, draw(st.floats(1e-4, 1.0))) for end in ends)
     return (lo, hi, breaks, draw(st.floats(0.0, 300.0)), draw(st.integers(1, 8)),
             draw(st.sampled_from([2, 4, 6, 8, 16])), flat_ends)
 
 
 _OPERATOR_CELLS = [*np.linspace(-0.95, 0.95, 203)[1:-1], 0.0]
+_GRID = [*np.linspace(-0.95, 0.95, 201)]
 
 
 @settings(max_examples=500, deadline=None)
@@ -179,9 +193,16 @@ _OPERATOR_CELLS = [*np.linspace(-0.95, 0.95, 203)[1:-1], 0.0]
 @example((-0.95, 0.95, _OPERATOR_CELLS, 700.0, 1, 6, ()))  # 3 and 4 panels a cell
 @example((-0.6, 0.6, _OPERATOR_CELLS, 0.0, 1, 16, ((-0.6, 1e-3), (0.6, 1e-3))))
 @example((-0.7, 0.58, [0.0, 5e-324, 1e-323, 0.29], 10.0, 3, 4, ()))  # steps that underflow
+@example((0.0, 0.7, [0.0], 30.0, 8, 16, ((0.7, 0.034375),)))  # a bump's half
+@example((-0.4, 0.7, [0.0], 60.0, 8, 16, ((-0.4, 0.034375), (0.7, 0.034375))))  # across 0
+@example((-0.58, -0.26, [], 0.0, 8, 16, ((-0.58, 0.01), (-0.26, 0.01))))  # a bump's L2 rule
+@example((0.0, 0.7, [0.0, 0.1, 0.4], 30.0, 8, 16, ()))  # an order-3 B-spline's half
+@example((0.0, 1.0, [], 1200.0, 8, 8, ()))  # a band energy's 600-panel omega rule
+@example((0.0, 0.95, _GRID, 40.0, 1, 8, ()))  # a grid source's half
 def test_grouped_rule_matches_the_per_segment_rule_bits(args):
-    # segments sharing a panel count are built by one linspace over their
-    # ends, each element by _segment_rule's operations: the same doubles
+    # the one pass forms each segment's edges with np.linspace's
+    # operations and cuts the panels at the flat ends as _segment_rule
+    # does: the same doubles, segment by segment
     got = composite_rule(*args)
     ref = _per_segment_rule(*args)
     assert all(np.array_equal(g.view(np.int64), r.view(np.int64)) for g, r in zip(got, ref))
