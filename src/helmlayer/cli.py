@@ -22,12 +22,12 @@ from .model import FrequencyGrid, Medium, SourceSpec, _l2_norm
 from .quadrature import RuleSizeError
 from .greens import (WavenumberRangeError, _green_runs, eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, interface_residuals)
-from .forward import (_exact, _read_csv, _together, _write_csv, boundary_sweep,
+from .forward import (BoundaryData, _exact, _read_csv, _together, _write_csv, boundary_sweep,
                       check_radiation_many, fd_oracle, forward_field,
                       interface_traces_many, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, endpoint_amplitude_bound_many,
                       endpoint_data, epsilon_norm)
-from .inverse import (_exact_operator, add_noise, assemble_operator, morozov_lambda,
+from .inverse import (_exact_operator, _grid_l2, add_noise, assemble_operator, morozov_lambda,
                       recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
 
@@ -419,7 +419,8 @@ def write_reconstruction_csv(path, result, f_true):
 def _solve(cfg, op, data, eps):
     """TSVD at rank k, capped at the operator's singular value count
     min(n_basis, 2 n_omega); or else Tikhonov at the discrepancy rule's
-    lambda when eps > 0 and at ``cfg.lam`` otherwise.
+    lambda when eps > 0 and at ``cfg.lam`` otherwise.  ``data`` may be a
+    block of data sets, a column per set, solved at once.
 
     A stage whose arithmetic leaves the floating-point range (a Python
     float or numpy overflow, an invalid operation or a division by zero)
@@ -517,14 +518,16 @@ def run_sweep(cfg):
 
     Each K assembles its operator once, and each (n, trial) source is
     solved forward once per K; every eps cell reuses that clean data
-    (``add_noise`` returns new arrays).  When eps > 0, a Tikhonov cell's
-    lambda comes from the discrepancy rule, which scans the ladder in SVD
-    coordinates (see ``morozov_lambda``); a TSVD cell runs no scan.  A
-    cell's ``runtime_ms`` covers its own work: the noise, the choice of
-    lambda, the solve and the error; the shared forward solve is not
-    counted.  A source whose forward solve raised records that error in
-    each of its cells.  Within each K the sources' forward solves run
-    beside the operator's SVD (see ``_sweep_band``).
+    (``add_noise`` returns new arrays).  The cells of one (K, eps) are
+    solved as one block, a column per cell (see ``_sweep_band``).  When
+    eps > 0, a Tikhonov cell's lambda comes from the discrepancy rule,
+    which scans the ladder in SVD coordinates for every column at once
+    (see ``morozov_lambda``); a TSVD block runs no scan.  A cell's
+    ``runtime_ms`` is its block's time over the block's cell count: the
+    noise, the choice of lambda, the solve and the errors; the shared
+    forward solves are not counted.  A source whose forward solve raised
+    records that error in each of its cells.  Within each K the sources'
+    forward solves run beside the operator's SVD.
     """
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
@@ -543,59 +546,82 @@ def _sweep_band(cfg, medium, support, iK, K):
     The operator comes from the hats' exact endpoint transforms
     (``inverse._exact_operator``), not from the cell quadrature of
     ``reconstruct``'s ``assemble_operator``.  Once it is built, the
-    sources' clean data and norms are computed on a thread made for them
-    while the calling thread factors the operator (``forward._together``;
-    one after the other on one CPU or off the main thread).  A source's
-    data come from the endpoint representation
-    (``fourier.endpoint_data``), not from a Green's-kernel quadrature.
-    The thread is joined before the cells run in order on the calling
-    thread.  The SVD stays on the calling thread: run on the helper
-    instead, it raised a sweep's peak memory by 4%.
+    sources' clean data, their values on the estimates' grid and their
+    norms are computed on a thread made for them while the calling
+    thread factors the operator (``forward._together``; one after the
+    other on one CPU or off the main thread).  A source's data come from
+    the endpoint representation (``fourier.endpoint_data``), not from a
+    Green's-kernel quadrature.  The thread is joined before the blocks
+    run in order on the calling thread.  The SVD stays on the calling
+    thread: run on the helper instead, it raised a sweep's peak memory
+    by 4%.
+
+    Each eps is one block: its cells' noisy data, each drawn from the
+    cell's own seed, are the columns of one ``BoundaryData``, which
+    ``_solve`` projects, scans and solves at once.  A cell whose source
+    or noise raised records that error, and its column stays in the
+    block as zeros: a column's doubles depend on the block's width, so
+    no cell moves another.  A solve that raises fails every cell of its
+    block.  Each cell's ``runtime_ms`` is the block's time over its cell
+    count.
     """
     op = _exact_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
+    x = op.x_grid
+    cells = [(n, trial) for n in cfg.sweep_n_list for trial in range(cfg.sweep_trials)]
 
     def factor():
         try:
             op.svd()
         except np.linalg.LinAlgError:
-            pass  # each cell factors again and records the error
+            pass  # each block factors again and records the error
 
     def sources():
         clean = {}
-        for n in cfg.sweep_n_list:
-            for trial in range(cfg.sweep_trials):
-                try:
-                    f = _sweep_source(cfg, n, trial)
-                    clean[n, trial] = (f, endpoint_data(f, medium, op.grid), _l2_norm(f))
-                except Exception as exc:  # recorded in each of its cells below
-                    clean[n, trial] = exc
+        for n, trial in cells:
+            try:
+                f = _sweep_source(cfg, n, trial)
+                clean[n, trial] = (endpoint_data(f, medium, op.grid), f(x), _l2_norm(f))
+            except Exception as exc:  # recorded in each of its cells below
+                clean[n, trial] = exc
         return clean
 
     _, clean = _together(factor, sources)
+    zeros = np.zeros(len(op.grid), dtype=complex)
+    failed = (BoundaryData(op.grid, zeros, zeros), np.zeros(len(x)), 1.0)
     records = []
     for ieps, eps in enumerate(cfg.sweep_eps_list):
-        for n in cfg.sweep_n_list:
-            for trial in range(cfg.sweep_trials):
-                cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
-                cell_seed = int(cell_seq.generate_state(1)[0])
-                t0 = time.perf_counter()
-                try:
-                    if isinstance(clean[n, trial], Exception):
-                        raise clean[n, trial]
-                    f, data, norm = clean[n, trial]
-                    noisy = add_noise(data, eps, cell_seed)
-                    # out of range, a solve raises: its cell records the error
-                    result = _solve(cfg, op, noisy, eps)
-                    err = recon_error(result, f) / norm
-                    ms = 1e3 * (time.perf_counter() - t0)
-                    records.append(ExperimentRecord(K, eps, n, result.method,
-                                                    result.reg_param, err, ms,
-                                                    cell_seed))
-                except Exception as exc:  # record, keep sweeping
-                    ms = 1e3 * (time.perf_counter() - t0)
-                    records.append(ExperimentRecord(K, eps, n, cfg.method,
-                                                    float("nan"), float("nan"),
-                                                    ms, cell_seed, str(exc)))
+        t0 = time.perf_counter()
+        seeds, errors, columns = [], [], []
+        for n, trial in cells:
+            cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
+            seeds.append(int(cell_seq.generate_state(1)[0]))
+            try:
+                if isinstance(clean[n, trial], Exception):
+                    raise clean[n, trial]
+                data, truth, norm = clean[n, trial]
+                columns.append((add_noise(data, eps, seeds[-1]), truth, norm))
+                errors.append("")
+            except Exception as exc:  # record, keep sweeping
+                columns.append(failed)
+                errors.append(str(exc))
+        noisy, truth, norms = zip(*columns)
+        block = BoundaryData(op.grid, np.stack([d.u_minus for d in noisy], axis=1),
+                             np.stack([d.u_plus for d in noisy], axis=1))
+        try:
+            # out of range, a solve raises: every cell records the error
+            result = _solve(cfg, op, block, eps)
+            reg = np.broadcast_to(result.reg_param, len(cells))
+            err = _grid_l2(x, result.f_est.samples.T - np.array(truth)) / np.array(norms)
+        except Exception as exc:  # record, keep sweeping
+            errors = [e or str(exc) for e in errors]
+        ms = 1e3 * (time.perf_counter() - t0) / len(cells)
+        for j, (n, _) in enumerate(cells):
+            if errors[j]:
+                records.append(ExperimentRecord(K, eps, n, cfg.method, float("nan"),
+                                                float("nan"), ms, seeds[j], errors[j]))
+            else:
+                records.append(ExperimentRecord(K, eps, n, result.method, float(reg[j]),
+                                                float(err[j]), ms, seeds[j]))
     return records
 
 

@@ -79,7 +79,9 @@ _CHUNK = 32768
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Complex endpoint fields u(-1, omega) and u(+1, omega) over a grid."""
+    """Complex endpoint fields u(-1, omega) and u(+1, omega) over a grid.
+    A block of data sets holds one column per set; the inverse solves
+    (``inverse.ForwardOperator._projected``) take such blocks."""
 
     grid: FrequencyGrid
     u_minus: np.ndarray

@@ -12,7 +12,9 @@ sums the hats' exact transforms over the endpoint rows
 (``greens._endpoint_rows``), with no rule and no kernel table.
 Regularized inverses: Tikhonov on a lambda ladder (optionally picked by
 the discrepancy rule), truncated SVD, and the exact direct Fourier
-inversion available when the medium is homogeneous.
+inversion available when the medium is homogeneous.  The SVD solves take
+one data set, or a block of them with a column per set (the stability
+sweep's cells of one band and noise level), in the same routines.
 """
 
 from __future__ import annotations
@@ -88,17 +90,21 @@ class ForwardOperator:
         return self.matrix @ np.asarray(coeffs, dtype=complex)
 
     def weighted_data(self, data):
+        """Stacked data scaled by the row weights: a vector, or for a
+        block of data sets a column per set."""
         if len(data.grid) != len(self.grid):
             raise ValueError(
                 f"data has {len(data.grid)} frequencies, operator expects {len(self.grid)}"
             )
-        return np.concatenate([data.u_minus, data.u_plus]) * self.row_weights
+        d = np.concatenate([data.u_minus, data.u_plus])
+        return d * self.row_weights.reshape((-1,) + (1,) * (d.ndim - 1))
 
     def _projected(self, data):
         """Weighted data d and its SVD coordinates U^H d, kept for the
         last ``data`` seen (``BoundaryData`` is frozen, its arrays
         read-only), so that a discrepancy scan and the solve after it
-        project the data once."""
+        project the data once.  A block of data sets (``BoundaryData``
+        fields with a column per set) is projected in one product."""
         last = self._projection
         if last is None or last[0] is not data:
             U = self.svd()[0]
@@ -112,12 +118,18 @@ class ForwardOperator:
         n = len(self.grid)
         return BoundaryData(self.grid, v[:n], v[n:])
 
-    def grid_source(self, coeffs):
-        """Coefficient vector as a grid source (zero at the support edges)."""
+    @property
+    def x_grid(self):
+        """The estimates' grid: the basis nodes between the support's ends."""
         a, b = self.support
-        x = np.concatenate([[a], self.basis_x, [b]])
-        vals = np.concatenate([[0.0], np.asarray(coeffs, dtype=complex), [0.0]])
-        return SourceSpec.from_grid(x, vals)
+        return np.concatenate([[a], self.basis_x, [b]])
+
+    def grid_source(self, coeffs):
+        """Coefficient vector as a grid source (zero at the support edges);
+        a block of coefficient columns gives one sample column per set."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        vals = np.pad(coeffs, [(1, 1)] + [(0, 0)] * (coeffs.ndim - 1))
+        return SourceSpec.from_grid(self.x_grid, vals)
 
 
 def _basis(n_basis, support):
@@ -267,7 +279,10 @@ def add_noise(data, eps_target, seed):
 
 @dataclass
 class ReconstructionResult:
-    """A gridded estimate plus the misfit it achieves."""
+    """A gridded estimate plus the misfit it achieves.  Solved for a block
+    of data sets, ``f_est`` holds one sample column per set, ``residual``
+    one entry per set, and ``reg_param`` one value for all or one per set.
+    """
 
     f_est: SourceSpec
     method: str
@@ -282,31 +297,47 @@ def _project(U, d):
     return (U.T @ d.conj()).conj()
 
 
+def _norms(r):
+    """||r||_2, or the norm of each column of a block r."""
+    return np.linalg.norm(r, axis=0 if r.ndim == 2 else None)
+
+
 def _filtered_solve(op, data, filt):
     """Coefficients V diag(filt) U^H d and their data misfit; ``filt``
-    holds one filter value per singular value.  The misfit is finite
-    wherever its entries are (``model._scaled_norm``)."""
+    holds one filter value per singular value, or for a block of data
+    sets one row of them for all sets or per set.  One data set keeps the
+    product (V diag(filt)) beta, whose doubles ``reconstruct``'s pins
+    hold; a block takes one product with V whatever its filters, so a
+    column's doubles depend on the block's width alone, not on which
+    columns share its filter.  The misfit is finite wherever its entries
+    are (``model._scaled_norm``)."""
     op.svd()
     d, beta = op._projected(data)
-    coeffs = (op._v * filt) @ beta
-    return coeffs, _scaled_norm(lambda r: float(np.linalg.norm(r)), op.matrix @ coeffs - d)
+    if beta.ndim == 1:
+        coeffs = (op._v * filt) @ beta
+    else:
+        coeffs = op._v @ (np.atleast_2d(filt).T * beta)
+    return coeffs, _scaled_norm(_norms, op.matrix @ coeffs - d)
 
 
 def reconstruct_tikhonov(op, data, lam):
-    """Minimize ||A c - d||^2 + lam^2 ||c||^2 through the SVD filter."""
-    if lam <= 0:
+    """Minimize ||A c - d||^2 + lam^2 ||c||^2 through the SVD filter.  A
+    block of data sets takes one lam for all, or a column of them, one
+    per set, as ``morozov_lambda`` gives it."""
+    if np.any(lam <= 0):
         raise ValueError("regularization parameter must be positive")
-    if not lam ** 2 > 0:
-        raise FloatingPointError(f"regularization parameter {lam:g} squares to 0")
+    if not np.all(lam ** 2 > 0):
+        raise FloatingPointError(f"regularization parameter {np.min(lam):g} squares to 0")
     _, S, _ = op.svd()
-    cond = (S[0] ** 2 + lam ** 2) / (S[-1] ** 2 + lam ** 2)
+    cond = np.max((S[0] ** 2 + lam ** 2) / (S[-1] ** 2 + lam ** 2))
     if cond > 1e12:
         warnings.warn(
             f"regularized normal equations badly conditioned (estimate {cond:.2e})",
             ConditioningWarning, stacklevel=2,
         )
     coeffs, residual = _filtered_solve(op, data, S / (S ** 2 + lam ** 2))
-    return ReconstructionResult(op.grid_source(coeffs), "tikhonov", float(lam), residual)
+    reg = float(lam) if np.ndim(lam) == 0 else np.ravel(lam)
+    return ReconstructionResult(op.grid_source(coeffs), "tikhonov", reg, residual)
 
 
 def reconstruct_tsvd(op, data, k):
@@ -326,7 +357,8 @@ def reconstruct_tsvd(op, data, k):
 
 
 def _tikhonov_residuals(op, data, ladder):
-    """Tikhonov residual ||A c_lam - d|| at every lam of ``ladder``.
+    """Tikhonov residual ||A c_lam - d|| at every lam of ``ladder``; for
+    a block of data sets, one row of them per set.
 
     With A = U diag(S) V^H, beta = U^H d and perp = ||d - U beta||^2,
     ||A c_lam - d||^2 = sum_i |lam^2 / (S_i^2 + lam^2) beta_i|^2 + perp,
@@ -340,21 +372,27 @@ def _tikhonov_residuals(op, data, ladder):
     filt = lam2 / (S ** 2 + lam2)
 
     def norm(r, b):
-        perp = np.linalg.norm(r) ** 2
-        return np.sqrt(np.sum(np.abs(filt * b) ** 2, axis=1) + perp)
+        perp = _norms(r) ** 2
+        terms = np.abs(filt * b.T[..., None, :]) ** 2  # [set,] ladder step, S_i
+        return np.sqrt(np.sum(terms, axis=-1) + perp[..., None])
 
     return _scaled_norm(norm, d - U @ beta, beta)
 
 
 def morozov_lambda(op, data, eps_target, ladder=None):
     """Largest ladder value whose residual stays within 1.1 * eps_target,
-    or the smallest ladder value if none does."""
+    or the smallest ladder value if none does.  A block of data sets gets
+    one value per set, as a column, which broadcasts against the singular
+    values as ``reconstruct_tikhonov``'s filter needs."""
     _, S, _ = op.svd()
     if ladder is None:
         ladder = S[0] * np.logspace(-8.0, 0.0, 25)
     ladder = np.sort(np.asarray(ladder, dtype=float))
-    ok = np.flatnonzero(_tikhonov_residuals(op, data, ladder) <= 1.1 * eps_target)
-    return float(ladder[ok[-1]] if len(ok) else ladder[0])
+    met = _tikhonov_residuals(op, data, ladder) <= 1.1 * eps_target
+    # the last ladder index met along each row, or 0 where none is
+    last = len(ladder) - 1 - np.argmax(met[..., ::-1], axis=-1, keepdims=True)
+    lam = ladder[np.where(met.any(axis=-1, keepdims=True), last, 0)]
+    return float(lam[0]) if met.ndim == 1 else lam
 
 
 def reconstruct_homogeneous(data, medium, x_grid):
@@ -389,6 +427,12 @@ def reconstruct_homogeneous(data, medium, x_grid):
     return ReconstructionResult(f_est, "homogeneous_ft", float(data.grid.K), residual)
 
 
+def _grid_l2(x, d):
+    """Trapezoid L2 norm over the grid x of d, or of each row of a block
+    d, finite wherever d is (``model._scaled_norm``)."""
+    return _scaled_norm(lambda d: np.sqrt(np.trapezoid(np.abs(d) ** 2, x)), d)
+
+
 def recon_error(f_est, f_true):
     """Trapezoid L2 norm of (estimate - truth) on the reconstruction grid,
     finite wherever the difference is (``model._scaled_norm``)."""
@@ -397,5 +441,4 @@ def recon_error(f_est, f_true):
     if f_est.kind != "grid":
         raise ValueError("estimate must be a grid source")
     x = f_est.x_grid
-    return _scaled_norm(lambda d: float(np.sqrt(np.trapezoid(np.abs(d) ** 2, x))),
-                        f_est(x) - f_true(x))
+    return float(_grid_l2(x, f_est(x) - f_true(x)))

@@ -135,7 +135,10 @@ class SourceSpec:
                       order 1 is the indicator, order 2 the hat, order 3
                       the C^1 quadratic bump
       modulated_bump  bump times exp(i * mod_freq * x)
-      grid            piecewise-linear interpolant of complex samples
+      grid            piecewise-linear interpolant of complex samples; a
+                      block of sample columns, one per data set (the
+                      estimates of a block solve, see ``inverse``), is
+                      read at its nodes only
 
     All kinds are scaled by the complex ``amplitude`` and evaluate to
     exactly 0 outside [a, b].
@@ -181,8 +184,9 @@ class SourceSpec:
                 raise ValueError("grid source requires x_grid and samples")
             x = np.asarray(self.x_grid, dtype=float)
             v = np.asarray(self.samples, dtype=complex)
-            if x.ndim != 1 or x.shape != v.shape:
-                raise ValueError("x_grid and samples must be 1-d arrays of equal length")
+            if x.ndim != 1 or v.shape[:1] != x.shape or v.ndim > 2:
+                raise ValueError("x_grid and samples must be 1-d arrays of equal length "
+                                 "(or samples a block with one row per node)")
             if len(x) < 2 or not np.all(x[1:] > x[:-1]):
                 raise ValueError("x_grid must be strictly increasing with >= 2 nodes")
             x.setflags(write=False)

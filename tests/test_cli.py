@@ -445,9 +445,10 @@ def test_tsvd_sweep_runs_no_discrepancy_scan(monkeypatch):
     assert [r.error for r in records] == [""] * 8
     assert [(r.K, r.eps, r.n, r.method, r.reg_param, r.l2_error, r.seed) for r in records] \
         == [(c.K, c.eps, c.n, c.method, c.reg_param, c.l2_error, c.seed) for c in clean]
-    # the Tikhonov cells with eps > 0 still take their lambda from the scan
+    # the Tikhonov cells with eps > 0 still take their lambda from the scan,
+    # one scan per (K, eps) block
     run_sweep(replace(cfg, method="tikhonov"))
-    assert calls == [1e-2] * 4
+    assert calls == [1e-2] * 2
 
 
 def test_main_exit_codes(tmp_path, capsys):

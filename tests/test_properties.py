@@ -1,6 +1,7 @@
 """Property tests of the layered amplitudes, the half-line transforms,
 the batched field and amplitude-bound routes, the noise model, the
-discrepancy rule, the B-spline source and the config and data-file
+discrepancy rule, the sweep's block solves against per-cell solves, the
+B-spline source and the config and data-file
 round trips, over media, frequencies, sources, noise levels and seeds
 drawn by hypothesis."""
 
@@ -32,8 +33,8 @@ from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_eval, interface_residuals)
 from helmlayer.inverse import (ConditioningWarning, _exact_operator, _tikhonov_residuals,
                                add_noise, assemble_operator, morozov_lambda,
-                               reconstruct_tikhonov)
-from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
+                               reconstruct_tikhonov, recon_error)
+from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis, _l2_norm,
                              l2_norm_sq, split_source)
 from helmlayer.quadrature import composite_rule
 
@@ -467,6 +468,62 @@ def test_morozov_scan_matches_explicit_scan(medium, K, n_omega, n_basis, eps, se
     i = int(np.flatnonzero(ladder == got)[0])
     closed = _tikhonov_residuals(op, data, ladder)
     assert abs(closed[i] - explicit[i]) <= 1e-10 * explicit[i]
+
+
+def _per_cell_sweep(cfg):
+    """The sweep's records solved one cell at a time, as ``run_sweep``
+    solved them before its cells became blocks: per K the same operator
+    and clean data, and per cell its own noise, ``_solve`` on that one
+    data set and ``recon_error`` against the source."""
+    medium = Medium(cfg.c1, cfg.c2)
+    pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
+    support = (max(-0.99, cfg.sweep_support_a - pad), min(0.99, cfg.sweep_support_b + pad))
+    records = []
+    for iK, K in enumerate(cfg.sweep_K_list):
+        op = _exact_operator(medium, cli.build_grid(cfg, K=K), cfg.n_basis, support)
+        clean = {}
+        for n in cfg.sweep_n_list:
+            for trial in range(cfg.sweep_trials):
+                f = cli._sweep_source(cfg, n, trial)
+                clean[n, trial] = (f, endpoint_data(f, medium, op.grid), _l2_norm(f))
+        for ieps, eps in enumerate(cfg.sweep_eps_list):
+            for n in cfg.sweep_n_list:
+                for trial in range(cfg.sweep_trials):
+                    cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
+                    cell_seed = int(cell_seq.generate_state(1)[0])
+                    f, data, norm = clean[n, trial]
+                    noisy = add_noise(data, eps, cell_seed)
+                    result = cli._solve(cfg, op, noisy, eps)
+                    err = recon_error(result, f) / norm
+                    records.append(ExperimentRecord(K, eps, n, result.method,
+                                                    result.reg_param, err, 0.0, cell_seed))
+    return records
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["tikhonov", "tsvd"]), st.integers(2, 8),
+       st.lists(st.sampled_from([4.0, 8.0, 16.0, 40.0]), min_size=1, max_size=2, unique=True),
+       st.lists(st.sampled_from([1e-1, 1e-2, 1e-3]), max_size=3, unique=True),
+       st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True),
+       st.integers(1, 3), st.integers(40, 80), st.integers(21, 61), seeds)
+def test_sweep_blocks_match_the_per_cell_solves(method, k, K_list, noisy, n_list, trials,
+                                                n_omega, n_basis, seed):
+    # each (K, eps) block against its cells solved one by one: the same
+    # lambda, and errors that differ only by the rounding of a block's
+    # matrix products.  TSVD ranks stay at most 8, where the operators'
+    # singular values stay well above rounding; past that, rank-k TSVD of
+    # noiseless data is rounding noise, and any two product orders differ
+    cfg = RunConfig(method=method, tsvd_k=k, n_omega=n_omega, n_basis=n_basis,
+                    sweep_K_list=tuple(K_list), sweep_eps_list=(0.0, *noisy),
+                    sweep_n_list=tuple(n_list), sweep_trials=trials, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        got, want = cli.run_sweep(cfg), _per_cell_sweep(cfg)
+    assert [(r.K, r.eps, r.n, r.method, r.seed, r.error) for r in got] \
+        == [(r.K, r.eps, r.n, r.method, r.seed, r.error) for r in want]
+    assert [r.reg_param for r in got] == [r.reg_param for r in want]
+    for r, w in zip(got, want):
+        assert abs(r.l2_error - w.l2_error) <= 1e-9 * w.l2_error, (r, w)
 
 
 def _bits(v):
