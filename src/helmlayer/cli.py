@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
@@ -416,28 +417,36 @@ def write_reconstruction_csv(path, result, f_true):
     _write_csv(path, RECON_HEADER, zip(x, est.real, est.imag, truth.real, truth.imag))
 
 
+@contextmanager
+def _in_range(cfg, stage):
+    """Run ``stage`` with floating-point errors raised: arithmetic that
+    leaves the floating-point range (a Python float or numpy overflow,
+    an invalid operation or a division by zero) raises an ArithmeticError
+    that names the stage and the medium keys, whose speeds set the scale
+    of the operator and the data."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{stage} out of range ({exc}): its scale is set by "
+                              f"{_KEY['c1']} = {cfg.c1:g} and {_KEY['c2']} = {cfg.c2:g}") from None
+
+
 def _solve(cfg, op, data, eps):
     """TSVD at rank k, capped at the operator's singular value count
     min(n_basis, 2 n_omega); or else Tikhonov at the discrepancy rule's
     lambda when eps > 0 and at ``cfg.lam`` otherwise.  ``data`` may be a
-    block of data sets, a column per set, solved at once.
-
-    A stage whose arithmetic leaves the floating-point range (a Python
-    float or numpy overflow, an invalid operation or a division by zero)
-    raises an ArithmeticError that names the stage and the medium keys,
-    whose speeds set the scale of the operator and the data."""
-    stage = "TSVD solve"
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            if cfg.method == "tsvd":
-                return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
-            stage = "Morozov solve"
-            lam = morozov_lambda(op, data, eps) if eps > 0 else cfg.lam
-            stage = "Tikhonov solve"
-            return reconstruct_tikhonov(op, data, lam)
-    except ArithmeticError as exc:
-        raise ArithmeticError(f"{stage} out of range ({exc}): its scale is set by "
-                              f"{_KEY['c1']} = {cfg.c1:g} and {_KEY['c2']} = {cfg.c2:g}") from None
+    block of data sets, a column per set, solved at once.  Each stage
+    runs ``_in_range``."""
+    if cfg.method == "tsvd":
+        with _in_range(cfg, "TSVD solve"):
+            return reconstruct_tsvd(op, data, min(cfg.tsvd_k, *op.matrix.shape))
+    lam = cfg.lam
+    if eps > 0:
+        with _in_range(cfg, "Morozov solve"):
+            lam = morozov_lambda(op, data, eps)
+    with _in_range(cfg, "Tikhonov solve"):
+        return reconstruct_tikhonov(op, data, lam)
 
 
 def _reconstruct(cfg, data, medium):
@@ -516,18 +525,19 @@ def _sweep_source(cfg, n, trial):
 def run_sweep(cfg):
     """All sweep records in deterministic cell order (K, eps, n, trial).
 
-    Each K assembles its operator once, and each (n, trial) source is
-    solved forward once per K; every eps cell reuses that clean data
-    (``add_noise`` returns new arrays).  The cells of one (K, eps) are
-    solved as one block, a column per cell (see ``_sweep_band``).  When
-    eps > 0, a Tikhonov cell's lambda comes from the discrepancy rule,
-    which scans the ladder in SVD coordinates for every column at once
-    (see ``morozov_lambda``); a TSVD block runs no scan.  A cell's
-    ``runtime_ms`` is its block's time over the block's cell count: the
-    noise, the choice of lambda, the solve and the errors; the shared
-    forward solves are not counted.  A source whose forward solve raised
-    records that error in each of its cells.  Within each K the sources'
-    forward solves run beside the operator's SVD.
+    Each K builds its operator once, and each (n, trial) source is solved
+    forward once per K; every eps cell reuses that clean data
+    (``add_noise`` returns new arrays).  Each K factors its operator once,
+    without U, projects the noisy data of all its cells at once, and then
+    solves the cells of each (K, eps) as one block, a column per cell
+    (see ``_sweep_band``).  When eps > 0, a Tikhonov cell's lambda comes
+    from the discrepancy rule, which scans the ladder in SVD coordinates
+    for every column at once (see ``morozov_lambda``); a TSVD block runs
+    no scan.  A cell's ``runtime_ms`` is its block's time over the
+    block's cell count: the noise, the choice of lambda, the solve and
+    the errors.  The shared forward solves, factorization and projection
+    are not counted.  A source whose forward solve raised records that
+    error in each of its cells.
     """
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
@@ -540,29 +550,35 @@ def run_sweep(cfg):
 
 
 def _sweep_band(cfg, medium, support, iK, K):
-    """The records of one band limit K.  Its operator, SVD and clean data
-    live only for this call, so one K's worth is held at a time.
+    """The records of one band limit K.  Its operator, factorization and
+    data live only for this call, so one K's worth is held at a time.
 
     The operator comes from the hats' exact endpoint transforms
     (``inverse._exact_operator``), not from the cell quadrature of
-    ``reconstruct``'s ``assemble_operator``.  Once it is built, the
-    sources' clean data, their values on the estimates' grid and their
-    norms are computed on a thread made for them while the calling
-    thread factors the operator (``forward._together``; one after the
-    other on one CPU or off the main thread).  A source's data come from
-    the endpoint representation (``fourier.endpoint_data``), not from a
-    Green's-kernel quadrature.  The thread is joined before the blocks
-    run in order on the calling thread.  The SVD stays on the calling
-    thread: run on the helper instead, it raised a sweep's peak memory
-    by 4%.
+    ``reconstruct``'s ``assemble_operator``.  Once it is built, two
+    things run together (``forward._together``; one after the other on
+    one CPU or off the main thread).  The calling thread factors the
+    operator without U (``ForwardOperator.svd(u=False)``: the QR that
+    gesdd would begin with, and an SVD of its R factor), which needs no
+    data.  A thread made for them computes the sources: every source's
+    clean data, from the endpoint representation
+    (``fourier.endpoint_data``), its values on the estimates' grid and
+    its norm, and then each eps block's noisy data, each cell's drawn
+    from its own seed, as the columns of one ``BoundaryData``.  Once
+    both are done, the data of every block are projected at once
+    (``ForwardOperator.project``: the QR's reflectors applied to them),
+    and each block runs ``_solve`` on its share, in order on the calling
+    thread.  The factorization stays on the calling thread: an SVD run
+    on the helper instead raised a sweep's peak memory by 4%.
 
-    Each eps is one block: its cells' noisy data, each drawn from the
-    cell's own seed, are the columns of one ``BoundaryData``, which
-    ``_solve`` projects, scans and solves at once.  A cell whose source
-    or noise raised records that error, and its column stays in the
-    block as zeros: a column's doubles depend on the block's width, so
-    no cell moves another.  A solve that raises fails every cell of its
-    block.  Each cell's ``runtime_ms`` is the block's time over its cell
+    A cell whose source or noise raised, or whose noisy data are not
+    finite, records that error, and its column stays in its block as
+    zeros, so that the projection, run ``_in_range``, meets finite data
+    only.  A column's doubles depend on how many columns there are, not
+    on the other columns' values, so no cell moves another.  A
+    factorization or projection that raises fails every cell of the
+    band, and a solve that raises every cell of its block.  Each cell's
+    ``runtime_ms`` is its block's noise and solve time over its cell
     count.
     """
     op = _exact_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
@@ -571,11 +587,12 @@ def _sweep_band(cfg, medium, support, iK, K):
 
     def factor():
         try:
-            op.svd()
-        except np.linalg.LinAlgError:
-            pass  # each block factors again and records the error
+            with _in_range(cfg, "Factorization"):
+                op.svd(u=False)
+        except Exception as exc:  # recorded in each cell of the band below
+            return exc
 
-    def sources():
+    def noisy_blocks():
         clean = {}
         for n, trial in cells:
             try:
@@ -583,38 +600,53 @@ def _sweep_band(cfg, medium, support, iK, K):
                 clean[n, trial] = (endpoint_data(f, medium, op.grid), f(x), _l2_norm(f))
             except Exception as exc:  # recorded in each of its cells below
                 clean[n, trial] = exc
-        return clean
+        zeros = np.zeros(len(op.grid), dtype=complex)
+        failed = (BoundaryData(op.grid, zeros, zeros), np.zeros(len(x)), 1.0)
+        blocks = []
+        for ieps, eps in enumerate(cfg.sweep_eps_list):
+            t0 = time.perf_counter()
+            seeds, errors, columns = [], [], []
+            for n, trial in cells:
+                cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
+                seeds.append(int(cell_seq.generate_state(1)[0]))
+                try:
+                    if isinstance(clean[n, trial], Exception):
+                        raise clean[n, trial]
+                    data, truth, norm = clean[n, trial]
+                    noisy = add_noise(data, eps, seeds[-1])
+                    if not _all_finite(noisy.u_minus, noisy.u_plus):
+                        raise ValueError("non-finite endpoint data")
+                    columns.append((noisy, truth, norm))
+                    errors.append("")
+                except Exception as exc:  # record, keep sweeping
+                    columns.append(failed)
+                    errors.append(str(exc))
+            noisy, truth, norms = zip(*columns)
+            block = BoundaryData(op.grid, np.stack([d.u_minus for d in noisy], axis=1),
+                                 np.stack([d.u_plus for d in noisy], axis=1))
+            blocks.append((eps, block, truth, norms, seeds, errors, time.perf_counter() - t0))
+        return blocks
 
-    _, clean = _together(factor, sources)
-    zeros = np.zeros(len(op.grid), dtype=complex)
-    failed = (BoundaryData(op.grid, zeros, zeros), np.zeros(len(x)), 1.0)
-    records = []
-    for ieps, eps in enumerate(cfg.sweep_eps_list):
-        t0 = time.perf_counter()
-        seeds, errors, columns = [], [], []
-        for n, trial in cells:
-            cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
-            seeds.append(int(cell_seq.generate_state(1)[0]))
-            try:
-                if isinstance(clean[n, trial], Exception):
-                    raise clean[n, trial]
-                data, truth, norm = clean[n, trial]
-                columns.append((add_noise(data, eps, seeds[-1]), truth, norm))
-                errors.append("")
-            except Exception as exc:  # record, keep sweeping
-                columns.append(failed)
-                errors.append(str(exc))
-        noisy, truth, norms = zip(*columns)
-        block = BoundaryData(op.grid, np.stack([d.u_minus for d in noisy], axis=1),
-                             np.stack([d.u_plus for d in noisy], axis=1))
+    failure, blocks = _together(factor, noisy_blocks)
+    if failure is None:
         try:
+            with _in_range(cfg, "Projection"):
+                op.project(*[b[1] for b in blocks])
+        except Exception as exc:  # recorded in each cell of the band below
+            failure = exc
+    records = []
+    for eps, block, truth, norms, seeds, errors, noise_s in blocks:
+        t0 = time.perf_counter()
+        try:
+            if failure is not None:
+                raise failure
             # out of range, a solve raises: every cell records the error
             result = _solve(cfg, op, block, eps)
             reg = np.broadcast_to(result.reg_param, len(cells))
             err = _grid_l2(x, result.f_est.samples.T - np.array(truth)) / np.array(norms)
         except Exception as exc:  # record, keep sweeping
             errors = [e or str(exc) for e in errors]
-        ms = 1e3 * (time.perf_counter() - t0) / len(cells)
+        ms = 1e3 * (noise_s + time.perf_counter() - t0) / len(cells)
         for j, (n, _) in enumerate(cells):
             if errors[j]:
                 records.append(ExperimentRecord(K, eps, n, cfg.method, float("nan"),

@@ -37,11 +37,12 @@ first function on the calling thread and each other one on a thread
 made for it, and joins them all before it returns.  The endpoint map
 runs its block loop there once per worker, and a stability-sweep band
 computes its sources' data (``fourier.endpoint_data``, no endpoint map)
-beside the factoring of its operator.  Helpers are made from the main
-thread only, and only with more than one CPU; elsewhere the work runs
-in order on the calling thread.  Importing the module starts no thread,
-no thread outlives the call that made it, and a forked child starts
-clean.
+and its cells' noise beside the factoring of its operator, which needs
+no data (``inverse.ForwardOperator.svd(u=False)``).  Helpers are made
+from the main thread only, and only with more than one CPU; elsewhere
+the work runs in order on the calling thread.  Importing the module
+starts no thread, no thread outlives the call that made it, and a
+forked child starts clean.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ Regularized inverses: Tikhonov on a lambda ladder (optionally picked by
 the discrepancy rule), truncated SVD, and the exact direct Fourier
 inversion available when the medium is homogeneous.  The SVD solves take
 one data set, or a block of them with a column per set (the stability
-sweep's cells of one band and noise level), in the same routines.
+sweep's cells of one band and noise level), in the same routines; a
+sweep band factors its operator once, without U, and projects the data
+of all its blocks at once (``ForwardOperator.svd`` and ``project``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ class ForwardOperator:
     is scaled by omega_r * sqrt(trapezoid weight) so that
     ||matrix @ c - weighted data||_2 is the discrete data norm of the
     residual.
+
+    Every solve reads the operator in SVD coordinates: S, V and, for its
+    data d, beta = U^H d and perp = ||d - U beta|| (``project``).
+    ``svd()`` factors the operator by LAPACK's gesdd, U included, and data
+    are projected through U (``reconstruct``).  ``svd(u=False)`` forms no
+    U where gesdd would begin with a QR, and data are projected through
+    that QR's reflectors: the stability sweep factors each band's
+    operator before its data exist and projects all of them at once.
+    Either way S and V are gesdd's doubles.
     """
 
     grid: FrequencyGrid
@@ -70,18 +81,32 @@ class ForwardOperator:
     row_weights: np.ndarray
 
     def __post_init__(self):
-        self._svd = None
+        self._svd = self._qr = None
         self._projection = None
 
     @property
     def n_basis(self):
         return len(self.basis_x)
 
-    def svd(self):
-        """(U, S, Vh), factored once; V = Vh^H, the transposed view of
-        conj(Vh) that every solve reads, is formed beside it."""
+    def svd(self, u=True):
+        """(U, S, Vh), factored once, by the first call; V = Vh^H, the
+        transposed view of conj(Vh) that every solve reads, is formed
+        beside it.
+
+        With ``u`` false, U is not formed where LAPACK's gesdd would
+        begin with the Householder QR A = Q R, for an operator with at
+        least 17/9 as many rows as columns.  That QR is taken alone
+        (``np.linalg.qr``'s raw mode) and R = U_R diag(S) Vh, so S and Vh
+        are gesdd's own doubles; U = Q U_R is None, and the reflectors
+        and U_R are kept to project data (``project``)."""
         if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix, full_matrices=False)
+            m, n = self.matrix.shape
+            if not u and m >= int(n * 17.0 / 9.0):
+                h, tau = np.linalg.qr(self.matrix, mode="raw")
+                U_R, S, Vh = np.linalg.svd(np.triu(h.T[:n]), full_matrices=False)
+                self._svd, self._qr = (None, S, Vh), (h, tau, U_R)
+            else:
+                self._svd = np.linalg.svd(self.matrix, full_matrices=False)
             self._v = self._svd[2].conj().T
         return self._svd
 
@@ -99,18 +124,43 @@ class ForwardOperator:
         d = np.concatenate([data.u_minus, data.u_plus])
         return d * self.row_weights.reshape((-1,) + (1,) * (d.ndim - 1))
 
+    def project(self, *blocks):
+        """Project blocks of data sets (``BoundaryData``, a column per set
+        or one set) and keep each block's weighted data d, SVD coordinates
+        beta = U^H d and the norm perp = ||d - U beta|| of what U leaves
+        out (a column and a norm per set) for its solves.  Through U, each
+        block is one product.  Without U (``svd(u=False)``), all blocks'
+        data D are reflected at once (``_reflect``): with n columns,
+        beta = U_R^H (Q^H D)[:n] and perp = ||(Q^H D)[n:]||.  Either way
+        each column comes from its own data alone."""
+        U = self.svd()[0]
+        ds = [self.weighted_data(b) for b in blocks]
+        self._projection = []
+        if U is not None:
+            for b, d in zip(blocks, ds):
+                beta = _project(U, d)
+                self._projection.append((b, d, beta, _scaled_norm(_norms, d - U @ beta)))
+        else:
+            h, tau, U_R = self._qr
+            m, n = self.matrix.shape
+            QD = _reflect(h, tau, np.hstack([d.reshape(m, -1) for d in ds]))
+            ends = np.cumsum([0] + [d.size // m for d in ds])
+            self._projection = [
+                (b, d, _project(U_R, QD[:n, lo:hi]).reshape(n, *d.shape[1:]),
+                 _scaled_norm(_norms, QD[n:, lo:hi].reshape(m - n, *d.shape[1:])))
+                for b, d, lo, hi in zip(blocks, ds, ends, ends[1:])]
+
     def _projected(self, data):
-        """Weighted data d and its SVD coordinates U^H d, kept for the
-        last ``data`` seen (``BoundaryData`` is frozen, its arrays
-        read-only), so that a discrepancy scan and the solve after it
-        project the data once.  A block of data sets (``BoundaryData``
-        fields with a column per set) is projected in one product."""
-        last = self._projection
-        if last is None or last[0] is not data:
-            U = self.svd()[0]
-            d = self.weighted_data(data)
-            last = self._projection = (data, d, _project(U, d))
-        return last[1], last[2]
+        """(d, beta, perp) of ``project`` for ``data``: as kept for the
+        blocks projected last, or else projected now and kept as the last
+        data seen (``BoundaryData`` is frozen, its arrays read-only), so
+        that a discrepancy scan and the solve after it project the data
+        once."""
+        for entry in self._projection or ():
+            if entry[0] is data:
+                return entry[1:]
+        self.project(data)
+        return self._projection[0][1:]
 
     def boundary_data(self, coeffs):
         """Unweighted endpoint data predicted for a coefficient vector."""
@@ -297,6 +347,33 @@ def _project(U, d):
     return (U.T @ d.conj()).conj()
 
 
+# reflectors a block in ``_reflect``, LAPACK's block size for zgeqrf
+_WY_BLOCK = 32
+
+
+def _reflect(h, tau, D):
+    """Q^H D for the Householder QR A = Q R of an operator with at least
+    as many rows as columns, given as ``np.linalg.qr(A, mode="raw")``
+    gives it, (h, tau), with Q never formed.  Each block of _WY_BLOCK
+    reflectors I - tau_i y_i y_i^H multiplies to I - Y T Y^H (T by
+    LAPACK's zlarft recurrence) and is applied to D as three matrix
+    products, so each column of the result comes from its own column of
+    D alone."""
+    Y = np.tril(h.T, -1)
+    k = len(tau)
+    Y[range(k), range(k)] = 1.0
+    D = D.copy()
+    for lo in range(0, k, _WY_BLOCK):
+        Yb, tb = Y[lo:, lo:lo + _WY_BLOCK], tau[lo:lo + _WY_BLOCK]
+        Yb_h = Yb.conj().T
+        G = Yb_h @ Yb
+        T = np.diag(tb)
+        for i in range(1, len(tb)):
+            T[:i, i] = -tb[i] * (T[:i, :i] @ G[:i, i])
+        D[lo:] -= Yb @ (T.conj().T @ (Yb_h @ D[lo:]))
+    return D
+
+
 def _norms(r):
     """||r||_2, or the norm of each column of a block r."""
     return np.linalg.norm(r, axis=0 if r.ndim == 2 else None)
@@ -312,7 +389,7 @@ def _filtered_solve(op, data, filt):
     columns share its filter.  The misfit is finite wherever its entries
     are (``model._scaled_norm``)."""
     op.svd()
-    d, beta = op._projected(data)
+    d, beta, _ = op._projected(data)
     if beta.ndim == 1:
         coeffs = (op._v * filt) @ beta
     else:
@@ -342,7 +419,7 @@ def reconstruct_tikhonov(op, data, lam):
 
 def reconstruct_tsvd(op, data, k):
     """Invert on the span of the top-k singular triples."""
-    U, S, Vh = op.svd()
+    _, S, _ = op.svd()
     if not 1 <= k <= len(S):
         raise ValueError(f"rank k must be in [1, {len(S)}], got {k}")
     if not S[k - 1] > 0:
@@ -360,23 +437,22 @@ def _tikhonov_residuals(op, data, ladder):
     """Tikhonov residual ||A c_lam - d|| at every lam of ``ladder``; for
     a block of data sets, one row of them per set.
 
-    With A = U diag(S) V^H, beta = U^H d and perp = ||d - U beta||^2,
-    ||A c_lam - d||^2 = sum_i |lam^2 / (S_i^2 + lam^2) beta_i|^2 + perp,
+    With A = U diag(S) V^H, beta = U^H d and perp = ||d - U beta||,
+    ||A c_lam - d||^2 = sum_i |lam^2 / (S_i^2 + lam^2) beta_i|^2 + perp^2,
     so one projection of the data serves the whole ladder.  Data whose
     squares overflow, though the residuals are finite, are summed again
     rescaled (``model._scaled_norm``).
     """
-    U, S, _ = op.svd()
-    d, beta = op._projected(data)
+    _, S, _ = op.svd()
+    _, beta, perp = op._projected(data)
     lam2 = np.asarray(ladder, dtype=float)[:, None] ** 2
     filt = lam2 / (S ** 2 + lam2)
 
-    def norm(r, b):
-        perp = _norms(r) ** 2
+    def norm(p, b):
         terms = np.abs(filt * b.T[..., None, :]) ** 2  # [set,] ladder step, S_i
-        return np.sqrt(np.sum(terms, axis=-1) + perp[..., None])
+        return np.sqrt(np.sum(terms, axis=-1) + np.asarray(p)[..., None] ** 2)
 
-    return _scaled_norm(norm, d - U @ beta, beta)
+    return _scaled_norm(norm, perp, beta)
 
 
 def morozov_lambda(op, data, eps_target, ladder=None):

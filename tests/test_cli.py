@@ -380,7 +380,7 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
     assert all("injected failure" in r.error for r in bad)
     assert all(np.isnan(r.l2_error) for r in bad)
 
-    # an SVD that fails fails each cell, which factors again, not the sweep
+    # a factorization that fails fails each cell of its band, not the sweep
     def no_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -422,6 +422,40 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
             assert np.isnan(r.l2_error) and np.isnan(r.reg_param)
         else:
             assert r.error == ""
+            assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
+
+
+def test_sweep_non_finite_data_fail_only_their_cells(monkeypatch):
+    # one source's data hold an inf in one band: its cells fail, and their
+    # columns are zeroed before the band's QR, so that every other cell,
+    # in that band too, keeps the bits of the clean run
+    cfg = parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
+        "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
+    )
+    clean = run_sweep(cfg)
+    real, bad = cli.endpoint_data, cli._sweep_source(cfg, 2, 1)
+
+    def poisoned(f, medium, grid, **kw):
+        data = real(f, medium, grid, **kw)
+        if grid.K == 8.0 and (f.a, f.b) == (bad.a, bad.b):
+            u_minus = data.u_minus.copy()
+            u_minus[3] = np.inf
+            return BoundaryData(grid, u_minus, data.u_plus)
+        return data
+
+    monkeypatch.setattr(cli, "endpoint_data", poisoned)
+    records = run_sweep(cfg)
+    assert len(records) == len(clean) == 2 * 2 * 3 * 2
+    failed = [i for i, r in enumerate(records) if r.error]
+    # the (n = 2, trial = 1) cell of each eps block of K = 8
+    assert failed == [12 + 3, 18 + 3]
+    for i, (r, c) in enumerate(zip(records, clean)):
+        assert (r.K, r.eps, r.n, r.seed) == (c.K, c.eps, c.n, c.seed)
+        if i in failed:
+            assert r.error == "non-finite endpoint data"
+            assert np.isnan(r.l2_error) and np.isnan(r.reg_param)
+        else:
             assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
 
 

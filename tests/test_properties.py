@@ -1,9 +1,9 @@
 """Property tests of the layered amplitudes, the half-line transforms,
 the batched field and amplitude-bound routes, the noise model, the
-discrepancy rule, the sweep's block solves against per-cell solves, the
-B-spline source and the config and data-file
-round trips, over media, frequencies, sources, noise levels and seeds
-drawn by hypothesis."""
+discrepancy rule, the operator factored without U against gesdd,
+the sweep's block solves against per-cell solves, the B-spline source
+and the config and data-file round trips, over media, frequencies,
+sources, noise levels and seeds drawn by hypothesis."""
 
 import contextlib
 import dataclasses
@@ -31,11 +31,12 @@ from helmlayer.fourier import (_endpoint_amplitudes, data_energy, endpoint_ampli
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
-from helmlayer.inverse import (ConditioningWarning, _exact_operator, _tikhonov_residuals,
-                               add_noise, assemble_operator, morozov_lambda,
-                               reconstruct_tikhonov, recon_error)
+from helmlayer.inverse import (ConditioningWarning, ForwardOperator, _exact_operator,
+                               _filtered_solve, _tikhonov_residuals, add_noise,
+                               assemble_operator, morozov_lambda, reconstruct_tikhonov,
+                               recon_error)
 from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis, _l2_norm,
-                             l2_norm_sq, split_source)
+                             _weighted_values, l2_norm_sq, split_source)
 from helmlayer.quadrature import composite_rule
 
 speeds = st.floats(0.5, 2.0)
@@ -312,20 +313,30 @@ def test_real_frequency_partner_is_the_conjugate(medium, f, lo, hi, q, rows):
 @settings(max_examples=150, deadline=None)
 @given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
        placed_sources(max_order=8), st.floats(0.5, 80.0), st.integers(8, 64))
+# a source from the interface, whose data cancel to 2e-5 - 1e-3 of the terms
+@example(Medium(3.0, 1.0), SourceSpec.bspline(0.0, 0.875, 3), 52.0, 8)
 def test_endpoint_data_matches_boundary_sweep(medium, f, K, n_omega):
     # the endpoint representation i F_e / omega against the Green's-kernel
-    # quadrature over the whole source.  At least 8 frequencies put the
-    # lowest at K/8 or below, where the data are on the scale of the
-    # terms that both routes sum.  A band of high frequencies only, where
-    # a smooth source's data cancel to 1e-5 of that scale, would measure
-    # both routes' rounding of those terms against the cancelled size.
+    # quadrature over the whole source.  Both routes sum the terms of
+    # e's rows, coeff e^{i phase omega} int e^{i rate omega y} f_side(y) dy
+    # over omega, so the bound is stated at each frequency against their
+    # size, sum over the rows of |coeff| ||f_side||_L1 / omega (the scale
+    # of verify's amplitude-bound line), not against max|u|, which can
+    # cancel far below it
     grid = FrequencyGrid.uniform(K, n_omega)
     ref = boundary_sweep(f, medium, grid)
     got = endpoint_data(f, medium, grid)
     assert got.grid is grid
-    want = np.array([ref.u_minus, ref.u_plus])
-    diff = np.array([got.u_minus, got.u_plus]) - want
-    assert np.max(np.abs(diff)) <= 1e-13 * np.max(np.abs(want))
+    pair = split_source(f)
+    l1 = {}
+    for half in (pair.f1, pair.f2):
+        w, v = _weighted_values(half)
+        l1[half.side] = np.sum(w * np.abs(v))
+    scale = {"minus": 0.0, "plus": 0.0}
+    for e, coeff, side, _, _ in _endpoint_rows(medium):
+        scale[e] += abs(coeff) * l1[side]
+    for e, u, want in (("minus", got.u_minus, ref.u_minus), ("plus", got.u_plus, ref.u_plus)):
+        assert np.all(np.abs(u - want) <= 1e-13 * scale[e] / grid.omegas)
 
 
 @settings(max_examples=30, deadline=None)
@@ -524,6 +535,78 @@ def test_sweep_blocks_match_the_per_cell_solves(method, k, K_list, noisy, n_list
     assert [r.reg_param for r in got] == [r.reg_param for r in want]
     for r, w in zip(got, want):
         assert abs(r.l2_error - w.l2_error) <= 1e-9 * w.l2_error, (r, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 201), st.integers(4, 250), st.lists(st.integers(1, 20), min_size=1,
+                                                          max_size=4), seeds)
+def test_svd_without_u_matches_gesdd(n_basis, n_omega, widths, seed):
+    # the operator factored without U (a QR of the operator, where gesdd
+    # would begin with one) and its data reflected, against gesdd and the
+    # projection through U, on random operators and data: beyond the QR
+    # route's singular values and vectors, only quantities that no
+    # singular-vector phase moves.  All blocks but the last are projected
+    # at once, the last alone when its solves first read it
+    assume(sum(widths) <= 40)
+    rng = np.random.default_rng(seed)
+    grid = FrequencyGrid.uniform(10.0, n_omega)
+    m = 2 * n_omega
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    matrix, weights = gaussian(m, n_basis), rng.uniform(0.5, 2.0, m)
+    blocks = [BoundaryData(grid, *np.split(gaussian(m, w) if w > 1 else gaussian(m), 2))
+              for w in widths]
+    qr, ref = (ForwardOperator(grid, np.linspace(-0.9, 0.9, n_basis), (-0.95, 0.95),
+                               matrix.copy(), weights) for _ in range(2))
+    got, (U, S_ref, Vh_ref) = qr.svd(u=False), ref.svd()
+    S = got[1]
+    assert np.max(np.abs(S - S_ref)) <= 1e-13 * S_ref[0]
+    if m >= 17 * n_basis / 9:
+        # gesdd's own QR and SVD of R: its singular values and vectors
+        # to the bit, with no U formed
+        assert got[0] is None
+        assert np.array_equal(S, S_ref) and np.array_equal(got[2], Vh_ref)
+    else:
+        assert got[0] is not None
+    if len(blocks) > 1:
+        qr.project(*blocks[:-1])
+    ladder = S_ref[0] * np.logspace(-8.0, 0.0, 25)
+    lam = S_ref[0] * 10.0 ** rng.uniform(-3.0, 0.0)
+    filt = S_ref / (S_ref ** 2 + lam ** 2)
+    for block in blocks:
+        d, _, perp = qr._projected(block)
+        _, _, perp_ref = ref._projected(block)
+        norm_d = np.linalg.norm(d, axis=0)
+        assert np.all(np.abs(perp - perp_ref) <= 1e-12 * norm_d)
+        # where the operator's range holds every datum (2 n_omega <=
+        # n_basis), the residuals at small lambdas are rounding of ||d||
+        res, res_ref = (_tikhonov_residuals(op, block, ladder) for op in (qr, ref))
+        floor = 1e-14 * norm_d if m <= n_basis else 0.0
+        assert np.all(np.abs(res - res_ref) <= 1e-12 * res_ref + np.asarray(floor)[..., None])
+        coeffs, coeffs_ref = (_filtered_solve(op, block, filt)[0] for op in (qr, ref))
+        assert np.all(np.linalg.norm(coeffs - coeffs_ref, axis=0)
+                      <= 1e-12 * np.linalg.norm(coeffs_ref, axis=0))
+
+
+def test_sweep_factors_no_operator_by_svd(monkeypatch):
+    # every band factors its operator by a QR and an SVD of its R factor:
+    # the only SVDs the sweep takes are of square R factors, never of the
+    # 2 n_omega x n_basis operator
+    cfg = parse_config_text("frequency.n_omega = 40\nsweep.K_list = 4,8\n"
+                            "sweep.eps_list = 0,1e-2\nsweep.n_list = 1,2\nsweep.trials = 2\n"
+                            "inverse.n_basis = 31\n")
+    real, shapes = np.linalg.svd, []
+
+    def recorded(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    records = cli.run_sweep(cfg)
+    assert all(r.error == "" for r in records)
+    assert shapes == [(31, 31)] * 2
 
 
 def _bits(v):
