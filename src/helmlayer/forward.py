@@ -57,7 +57,7 @@ import numpy as np
 from .model import FrequencyGrid, wavenumbers
 from .greens import (_check_omega, _check_wavenumbers, _green, _green_runs, green_eval,
                      green_dx)
-from .quadrature import composite_rule
+from .quadrature import _flat_end_breaks, composite_rule
 
 __all__ = [
     "BoundaryData",
@@ -105,7 +105,8 @@ def source_rule(f, rate, extra_breaks=(), nodes=16):
 
     Splits at the interface, at the source's own breakpoints, and at any
     extra points (e.g. the kink of |x - y|), and narrows the panels at
-    the source's flat ends (the edges of a bump).  Grid sources integrate
+    the source's flat ends (the edges of a bump), also where a split
+    falls within a flat end's width of it (``_flat_end_breaks``).  Grid sources integrate
     cell by cell (one panel per cell, ``base_panels=1``); other sources
     start from 8 panels per interval.
     """
@@ -114,7 +115,7 @@ def source_rule(f, rate, extra_breaks=(), nodes=16):
         return np.empty(0), np.empty(0)
     lo, hi = sup
     # composite_rule drops the points that do not lie inside (lo, hi)
-    breaks = {*f.breakpoints, *extra_breaks, 0.0}
+    breaks = _flat_end_breaks(lo, hi, {*f.breakpoints, *extra_breaks, 0.0}, f.flat_ends)
     return composite_rule(lo, hi, breaks, osc_rate=rate,
                           base_panels=1 if _is_grid(f) else 8,
                           nodes=_panel_nodes(f, nodes), flat_ends=f.flat_ends)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import composite_rule
+from .quadrature import _flat_end_breaks, composite_rule
 
 __all__ = [
     "Medium",
@@ -295,7 +295,10 @@ class HalfSource:
         sup = self.support
         if sup is None:
             return ()
-        return tuple((end, width) for end, width in self.parent.flat_ends if end in sup)
+        lo, hi = sup
+        # the parent's end beyond the interface counts where it reaches in
+        return tuple((end, width) for end, width in self.parent.flat_ends
+                     if lo <= end <= hi or end - width < hi < end or end < lo < end + width)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -339,7 +342,8 @@ def _weighted_values(source):
     sup = source.support
     if sup is None:
         return np.empty(0), np.empty(0, dtype=complex)
-    y, w = composite_rule(*sup, source.breakpoints, 0.0, 8, 16, source.flat_ends)
+    breaks = _flat_end_breaks(*sup, source.breakpoints, source.flat_ends)
+    y, w = composite_rule(*sup, breaks, 0.0, 8, 16, source.flat_ends)
     return w, source(y)
 
 

@@ -19,6 +19,7 @@ a + (k / p) delta where the step underflows to 0, so each node and
 weight is the one a segment-by-segment build makes
 (``test_grouped_rule_matches_the_per_segment_rule_bits``).  Flat ends
 act at ``lo`` and ``hi`` only: they cut the first and the last panel.
+A cut nearer a flat end than its width is met by ``_flat_end_breaks``.
 """
 
 from __future__ import annotations
@@ -97,3 +98,25 @@ def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     return (mids[:, None] + halfs[:, None] * gx).ravel(), (halfs[:, None] * gw).ravel()
+
+
+def _flat_end_breaks(lo, hi, breakpoints, flat_ends):
+    """The breakpoints of a rule on [lo, hi], with the point ``width`` in
+    from each flat end that a cut of the rule falls short of.
+
+    A flat end at ``lo`` or ``hi`` is met by ``composite_rule``'s narrow
+    panel.  Where a breakpoint lies nearer the end than ``width`` (the
+    interface just inside a bump's edge), or the end lies just beyond
+    [lo, hi] (a half of such a bump), the panel beside that cut reaches
+    the edge's essential singularity with no narrow panel of its own:
+    the point end +- width joins the breakpoints, so no panel within
+    ``width`` of the end is wider than the panel the end may touch.
+    Elsewhere the breakpoints come back as they were.
+    """
+    breaks = set(float(t) for t in breakpoints)
+    for end, width in flat_ends:
+        reach = end + width if end <= lo else end - width
+        near, far = min(end, reach), max(end, reach)
+        if lo < reach < hi and any(near < t < far for t in (lo, hi, *breaks)):
+            breaks.add(reach)
+    return breaks

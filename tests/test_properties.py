@@ -771,6 +771,10 @@ battery_draws = st.lists(st.tuples(sources(), media, st.floats(0.2, 20.0)),
           (SourceSpec.bspline(0.15, 0.6, 3, -0.7j), Medium(1.7, 0.5), 4.5),
           (SourceSpec.modulated_bump(-0.35, 0.4, 9.0, -2.0), Medium(1.1, 1.4), 19.0),
           (SourceSpec.bspline(-0.5, 0.1, 1, -1.0), Medium(2.0, 2.0), 0.3)])
+# a bump whose right edge lies just past the interface, nearer it than
+# the edge's flat-end width
+@example([(SourceSpec.bump(-0.498046875, 0.001953125), Medium(1.0, 2.0), 17.0),
+          (SourceSpec.bump(-0.4921875, 0.0078125), Medium(2.0, 1.0), 19.0)])
 def test_batched_battery_matches_per_draw_routes(draws):
     # every draw of a batch against routes that see that draw alone: the
     # fields bit for bit against forward_field / forward_field_dx (same

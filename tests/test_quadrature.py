@@ -6,7 +6,7 @@ from helmlayer import inverse
 from helmlayer.forward import _CHUNK, boundary_sweep, source_rule
 from helmlayer.greens import _green
 from helmlayer.model import FrequencyGrid, Medium, SourceSpec, split_source
-from helmlayer.quadrature import composite_rule, gauss_rule
+from helmlayer.quadrature import _flat_end_breaks, composite_rule, gauss_rule
 
 
 def test_gauss_rule_basics():
@@ -66,8 +66,28 @@ def test_flat_ends_narrow_the_edge_panels_of_a_bump():
     right = split_source(bump).f1
     assert right.flat_ends == ((0.8, 0.05),)
     assert len(composite_rule(0.0, 0.8, (), 0.0, 4, 2, right.flat_ends)[0]) == 10
+    # a split clear of the edges adds no breakpoint
+    assert _flat_end_breaks(-0.8, 0.8, (0.0,), bump.flat_ends) == {0.0}
+    assert _flat_end_breaks(0.0, 0.8, (), right.flat_ends) == set()
     # a panel already narrower than the width is kept as it is
     assert len(composite_rule(-0.8, 0.8, (), 0.0, 40, 2, bump.flat_ends)[0]) == 80
+
+
+@pytest.mark.parametrize("a, b", [(-0.498046875, 0.001953125), (-0.001, 0.6), (-0.3, 1e-6)])
+def test_a_split_near_a_flat_end_keeps_the_rule_resolved(a, b):
+    # the interface nearer a bump's edge than its flat-end width: the
+    # whole bump's rule, split there, and each half's rule against a
+    # 4096-panel reference, to rounding of the whole bump's L1 norm
+    bump = SourceSpec.bump(a, b)
+    y, w = composite_rule(a, b, (), 0.0, base_panels=4096, nodes=16)
+    l1 = np.sum(w * np.abs(bump(y)))
+    pair = split_source(bump)
+    for src in (bump, pair.f1, pair.f2):
+        y, w = composite_rule(*src.support, (0.0,), 0.0, base_panels=4096, nodes=16)
+        exact = np.sum(w * np.abs(src(y)))
+        for rate in (0.0, 34.0):
+            y, w = source_rule(src, rate)
+            assert abs(np.sum(w * np.abs(src(y))) - exact) <= 1e-15 * l1
 
 
 def test_cell_rule_integrates_piecewise_linear_exactly():
