@@ -510,7 +510,9 @@ class ExperimentRecord:
 
 
 def _sweep_source(cfg, n, trial):
-    """Order-n spline family member, unit L2 norm, deterministic per (n, trial)."""
+    """Order-n spline family member, unit L2 norm, deterministic per (n,
+    trial), and the norm its amplitude gives it, |amp| ||f|| (1 up to
+    rounding), so the errors divide by it with no second quadrature."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, n, trial)))
     lo, hi = cfg.sweep_support_a, cfg.sweep_support_b
     span = hi - lo
@@ -518,8 +520,9 @@ def _sweep_source(cfg, n, trial):
     center = rng.uniform(lo + width / 2 + 0.01 * span, hi - width / 2 - 0.01 * span)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     f = SourceSpec.bspline(center - width / 2, center + width / 2, n)
-    amp = phase / _l2_norm(f)
-    return SourceSpec.bspline(f.a, f.b, n, amp)
+    norm = _l2_norm(f)
+    amp = phase / norm
+    return SourceSpec.bspline(f.a, f.b, n, amp), abs(amp) * norm
 
 
 def run_sweep(cfg):
@@ -596,8 +599,8 @@ def _sweep_band(cfg, medium, support, iK, K):
         clean = {}
         for n, trial in cells:
             try:
-                f = _sweep_source(cfg, n, trial)
-                clean[n, trial] = (endpoint_data(f, medium, op.grid), f(x), _l2_norm(f))
+                f, norm = _sweep_source(cfg, n, trial)
+                clean[n, trial] = (endpoint_data(f, medium, op.grid), f(x), norm)
             except Exception as exc:  # recorded in each of its cells below
                 clean[n, trial] = exc
         zeros = np.zeros(len(op.grid), dtype=complex)

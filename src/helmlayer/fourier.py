@@ -43,6 +43,20 @@ endpoint amplitude (``greens._endpoint_rows``).  It gives what the
 Green's-kernel quadrature of ``forward.boundary_sweep`` gives, which
 stays as the independent route.
 
+The band energy and the tail integrate F_e G_e (|F_e|^2 at real
+omega) on a Gauss rule in frequency resolved at the rate its phase
+advances.  F_e sums terms coeff e^{i theta omega} with theta = phase +
+rate y, over e's endpoint rows and the points y of the source's
+support, so F_e G_e oscillates no faster than the spread of theta
+(``_phase_spread``): at most 2 c_max for a source in (-1, 1), and
+0.5-1.7 for the bumps of the benchmark's spectral draws.
+``data_energy`` and ``tail_decay_fit`` take that spread as the rule's
+rate, which keeps ``composite_rule``'s 2 radians a panel of the
+integrand's own phase with about a fifth of the nodes that 4 c_max,
+twice the widest spread, gave.  The Green's-kernel route
+``data_energy_from_sweep`` keeps 4 c_max on purpose: as the independent
+check of the band energy, it shares no rate with it.
+
 The amplitude bound, ``endpoint_amplitude_bound_many``, checks many
 single draws (f, medium, omega), each on its own rule and at its own
 arguments, so no table is shared: its transforms are the dense sums of
@@ -238,6 +252,29 @@ class DataEnergy:
         return self.I1 + self.I2
 
 
+def _phase_spread(pair, medium):
+    """The phase spread of a split source's endpoint amplitudes, and the
+    window of phases at each endpoint.
+
+    F_e(omega) is a sum of terms coeff e^{i theta omega} with theta =
+    phase + rate y, over the rows of ``greens._endpoint_rows`` for e and
+    the points y of each half's support, so theta spans the window
+    (lo, hi) of that endpoint, and F_e G_e (|F_e|^2 at real omega)
+    oscillates no faster than hi - lo in omega.  Returns (spread, windows): the larger
+    of the two widths and {endpoint: (lo, hi)} for the endpoints that
+    any term reaches.  A zero source reaches none, and its spread is 0.
+    The widest window of a source in (-1, 1) is 2 c_max.
+    """
+    thetas = {}
+    if pair.f1.parent.amplitude:
+        for e, _, side, rate, phase in _endpoint_rows(medium):
+            sup = _side_source(pair, side).support
+            if sup is not None:
+                thetas.setdefault(e, []).extend(phase + rate * y for y in sup)
+    windows = {e: (min(t), max(t)) for e, t in thetas.items()}
+    return max((hi - lo for lo, hi in windows.values()), default=0.0), windows
+
+
 def data_energy(f, medium, s, n_quad=16):
     """Band energy int_0^s omega^2 |u(-+1, omega)|^2 d omega from the
     explicit endpoint representations, continued analytically to
@@ -246,13 +283,19 @@ def data_energy(f, medium, s, n_quad=16):
     Substituting omega = s t maps the band to t in (0, 1); |F|^2 is
     continued as the product F(st) G(st) with G the kernel-conjugate
     amplitude.  At real omega G is conj F, so for real s the energies
-    are real and their real parts are returned.
+    are real and their real parts are returned.  The rule in t is
+    resolved at the source's phase spread times |s| (``_phase_spread``):
+    each term of F(st) G(st) is e^{i (theta - theta') s t} with theta
+    and theta' in one endpoint's window, so that is the fastest its
+    phase advances in t, for complex s as well.  A zero source has no
+    spread, and its rule keeps ``composite_rule``'s 8 base panels.
     """
     s = complex(s)
     if not (np.isfinite(s) and s.real > 0):
         raise ValueError(f"band limit s must be finite with Re(s) > 0, got {s}")
     pair = split_source(f)
-    t, w = composite_rule(0.0, 1.0, osc_rate=4.0 * medium.c_max * abs(s), nodes=n_quad)
+    spread, _ = _phase_spread(pair, medium)
+    t, w = composite_rule(0.0, 1.0, osc_rate=spread * abs(s), nodes=n_quad)
     amps = _endpoint_amplitudes(pair, medium, (s * t).reshape(-1, n_quad), nodes=n_quad)
     vals = [s * np.sum(w * (amps[e, False] * amps[e, True]).ravel()) for e in ("minus", "plus")]
     if not s.imag:
@@ -271,7 +314,14 @@ def _positive(value, name):
 
 def data_energy_from_sweep(f, medium, s):
     """Band energy through the forward solver: Gauss-Legendre nodes in
-    omega, endpoint values from boundary_sweep, integrand omega^2 |u|^2."""
+    omega, endpoint values from boundary_sweep, integrand omega^2 |u|^2.
+
+    The rule in omega is resolved at 4 c_max, twice the widest phase
+    spread any source in (-1, 1) can have, whatever the source.  It keeps
+    that worst case on purpose: as the independent route that checks
+    ``data_energy`` (``verify``'s band-energy line), it must not share
+    the spread rule it checks.
+    """
     s = _positive(s, "band limit s")
     om, w = composite_rule(0.0, s, osc_rate=4.0 * medium.c_max)
     data = boundary_sweep(f, medium, FrequencyGrid(om, s))
@@ -331,7 +381,9 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
     For a spline source of order n the exponent approaches -(2n - 1).
     One Gauss rule over [s_1, cap], split at every s_k, integrates the
     endpoint amplitude representation; T(s_k) is the sum of the
-    segments from s_k on.  Returns (slope, r2) of log T against log s.
+    segments from s_k on.  The rule is resolved at the source's phase
+    spread (``_phase_spread``), the fastest |F_e|^2 oscillates in omega.
+    Returns (slope, r2) of log T against log s.
     """
     s_list = np.asarray(s_list, dtype=float)
     if (len(s_list) < 3 or not np.all(np.isfinite(s_list)) or not np.all(s_list[1:] > s_list[:-1])
@@ -343,7 +395,8 @@ def tail_decay_fit(f, medium, n, s_list, omega_cap, csv_path=None):
     if f.kind == "bspline" and f.order != n:
         raise ValueError(f"source has spline order {f.order}, expected {n}")
     pair = split_source(f)
-    om, w = composite_rule(s_list[0], omega_cap, s_list[1:], 4.0 * medium.c_max, nodes=8)
+    spread, _ = _phase_spread(pair, medium)
+    om, w = composite_rule(s_list[0], omega_cap, s_list[1:], spread, nodes=8)
     amps = _endpoint_amplitudes(pair, medium, om.reshape(-1, 8), nodes=8)
     integrand = np.abs(amps["minus", False]) ** 2 + np.abs(amps["plus", False]) ** 2
     segments = np.add.reduceat(w * integrand.ravel(), np.searchsorted(om, s_list))

@@ -434,7 +434,7 @@ def test_sweep_non_finite_data_fail_only_their_cells(monkeypatch):
         "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
     clean = run_sweep(cfg)
-    real, bad = cli.endpoint_data, cli._sweep_source(cfg, 2, 1)
+    real, (bad, _) = cli.endpoint_data, cli._sweep_source(cfg, 2, 1)
 
     def poisoned(f, medium, grid, **kw):
         data = real(f, medium, grid, **kw)

@@ -25,7 +25,7 @@ from helmlayer.forward import (CSV_HEADER, BoundaryData, _endpoint_map, _read_cs
                                boundary_sweep, check_radiation_many, forward_field,
                                forward_field_dx, interface_traces_many, read_boundary_csv,
                                source_rule, write_boundary_csv)
-from helmlayer.fourier import (_endpoint_amplitudes, data_energy, endpoint_amplitude_bound_many,
+from helmlayer.fourier import (_endpoint_amplitudes, _phase_spread, data_energy, endpoint_amplitude_bound_many,
                                endpoint_data, epsilon_norm, halfline_ft_many,
                                trapezoid_weights, write_ratio_csv, write_tail_csv)
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
@@ -310,6 +310,75 @@ def test_real_frequency_partner_is_the_conjugate(medium, f, lo, hi, q, rows):
     assert energy.I1.real >= 0.0 and energy.I2.real >= 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)), placed_sources(max_order=4))
+@example(Medium(1.0, 1.5), SourceSpec.bump(-0.5, 0.5, amplitude=0.0))
+def test_phase_window_holds_every_phase(medium, f):
+    # every term coeff e^{i theta omega} of F_e, theta = phase + rate y
+    # over e's rows and the nodes y of each half's rule, has its theta in
+    # e's window, and the spread is the widest window, at most 2 c_max
+    pair = split_source(f)
+    spread, windows = _phase_spread(pair, medium)
+    assert spread == max((hi - lo for lo, hi in windows.values()), default=0.0)
+    assert 0.0 <= spread <= 2.0 * medium.c_max * (1.0 + 1e-15)
+    if f.amplitude == 0:
+        assert windows == {}
+        return
+    for e, _, side, rate, phase in _endpoint_rows(medium):
+        half = pair.f1 if side == "right" else pair.f2
+        y, _ = source_rule(half, abs(rate) * 10.0)
+        if len(y):
+            lo, hi = windows[e]
+            theta = phase + rate * y
+            assert lo <= theta.min() and theta.max() <= hi
+
+
+def _energy_on_rule(f, medium, s, n_quad, osc_rate):
+    """``data_energy``'s sum I on the rule in t resolved at ``osc_rate``."""
+    t, w = composite_rule(0.0, 1.0, osc_rate=osc_rate, nodes=n_quad)
+    amps = _endpoint_amplitudes(split_source(f), medium, (s * t).reshape(-1, n_quad),
+                                nodes=n_quad)
+    return sum(s * np.sum(w * (amps[e, False] * amps[e, True]).ravel())
+               for e in ("minus", "plus"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)), placed_sources(max_order=4),
+       # complex s up to |s| = 20, where the transforms' terms stay far from overflow
+       st.one_of(st.floats(0.5, 150.0),
+                 st.builds(lambda r, arg: r * np.exp(1j * arg), st.floats(0.5, 20.0),
+                           st.floats(-0.78, 0.78))),
+       st.sampled_from([8, 16]))
+# a source on one side only, one that touches the interface, a zero source
+@example(Medium(0.6, 1.9), SourceSpec.bump(0.2, 0.8, 1.2), 60.0, 8)
+@example(Medium(3.0, 1.0), SourceSpec.bspline(0.0, 0.875, 3), 15.0 + 8.0j, 16)
+@example(Medium(1.0, 1.5), SourceSpec.bump(-0.5, 0.5, amplitude=0.0), 20.0 + 6.0j, 8)
+def test_spread_rule_matches_the_worst_case_rule(medium, f, s, n_quad):
+    # the band energy on its rule resolved at the source's phase spread
+    # against the same sum on a rule resolved at 4 c_max |s|, twice the
+    # widest spread, for real s and complex s in |arg s| < pi/4.  At real
+    # s every term F G = |F|^2 is positive, and the bound is relative to
+    # I.  At complex s the transforms' terms grow like e^{|rate y Im s|}
+    # where F and G may not, so both sums round at the size of their
+    # terms: |s| e^{spread |Im s|} times, at each endpoint, the square of
+    # the sum over its rows of |coeff| ||f_side||_L1
+    s, r = complex(s), abs(s)
+    got = data_energy(f, medium, s, n_quad=n_quad).I
+    want = _energy_on_rule(f, medium, s, n_quad, 4.0 * medium.c_max * r)
+    if not s.imag:
+        assert abs(got - want) <= 1e-13 * abs(want)
+        return
+    pair = split_source(f)
+    l1 = {half.side: np.sum(w * np.abs(v))
+          for half in (pair.f1, pair.f2) for w, v in [_weighted_values(half)]}
+    size = {"minus": 0.0, "plus": 0.0}
+    for e, coeff, side, _, _ in _endpoint_rows(medium):
+        size[e] += abs(coeff) * l1[side]
+    spread, _ = _phase_spread(pair, medium)
+    scale = r * np.exp(spread * abs(s.imag)) * (size["minus"] ** 2 + size["plus"] ** 2)
+    assert abs(got - want) <= 1e-13 * scale
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.builds(Medium, st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
        placed_sources(max_order=8), st.floats(0.5, 80.0), st.integers(8, 64))
@@ -495,7 +564,7 @@ def _per_cell_sweep(cfg):
         clean = {}
         for n in cfg.sweep_n_list:
             for trial in range(cfg.sweep_trials):
-                f = cli._sweep_source(cfg, n, trial)
+                f, _ = cli._sweep_source(cfg, n, trial)
                 clean[n, trial] = (f, endpoint_data(f, medium, op.grid), _l2_norm(f))
         for ieps, eps in enumerate(cfg.sweep_eps_list):
             for n in cfg.sweep_n_list:
