@@ -526,22 +526,8 @@ def _sweep_source(cfg, n, trial):
 
 
 def run_sweep(cfg):
-    """All sweep records in deterministic cell order (K, eps, n, trial).
-
-    Each K builds its operator once, and each (n, trial) source is solved
-    forward once per K; every eps cell reuses that clean data
-    (``add_noise`` returns new arrays).  Each K factors its operator once,
-    without U, projects the noisy data of all its cells at once, and then
-    solves the cells of each (K, eps) as one block, a column per cell
-    (see ``_sweep_band``).  When eps > 0, a Tikhonov cell's lambda comes
-    from the discrepancy rule, which scans the ladder in SVD coordinates
-    for every column at once (see ``morozov_lambda``); a TSVD block runs
-    no scan.  A cell's ``runtime_ms`` is its block's time over the
-    block's cell count: the noise, the choice of lambda, the solve and
-    the errors.  The shared forward solves, factorization and projection
-    are not counted.  A source whose forward solve raised records that
-    error in each of its cells.
-    """
+    """All sweep records in deterministic cell order (K, eps, n, trial),
+    one band limit K at a time (``_sweep_band``)."""
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
     support = (max(-0.99, cfg.sweep_support_a - pad),
@@ -556,33 +542,25 @@ def _sweep_band(cfg, medium, support, iK, K):
     """The records of one band limit K.  Its operator, factorization and
     data live only for this call, so one K's worth is held at a time.
 
-    The operator comes from the hats' exact endpoint transforms
-    (``inverse._exact_operator``), not from the cell quadrature of
-    ``reconstruct``'s ``assemble_operator``.  Once it is built, two
-    things run together (``forward._together``; one after the other on
-    one CPU or off the main thread).  The calling thread factors the
-    operator without U (``ForwardOperator.svd(u=False)``: the QR that
-    gesdd would begin with, and an SVD of its R factor), which needs no
-    data.  A thread made for them computes the sources: every source's
-    clean data, from the endpoint representation
-    (``fourier.endpoint_data``), its values on the estimates' grid and
-    its norm, and then each eps block's noisy data, each cell's drawn
-    from its own seed, as the columns of one ``BoundaryData``.  Once
-    both are done, the data of every block are projected at once
-    (``ForwardOperator.project``: the QR's reflectors applied to them),
-    and each block runs ``_solve`` on its share, in order on the calling
-    thread.  The factorization stays on the calling thread: an SVD run
-    on the helper instead raised a sweep's peak memory by 4%.
+    The operator comes from the hats' exact transforms
+    (``inverse._exact_operator``).  The calling thread factors it without
+    U (``ForwardOperator.svd(u=False)``), which needs no data, while a
+    thread made for them (``forward._together``) computes the sources
+    once and each eps block's noisy data, a column per cell drawn from
+    its own seed.  The factorization stays on the calling thread: an SVD
+    run on the helper instead raised a sweep's peak memory by 4%.  The
+    data of every block are then projected at once
+    (``ForwardOperator.project``), and each block runs ``_solve``.
 
     A cell whose source or noise raised, or whose noisy data are not
-    finite, records that error, and its column stays in its block as
-    zeros, so that the projection, run ``_in_range``, meets finite data
-    only.  A column's doubles depend on how many columns there are, not
-    on the other columns' values, so no cell moves another.  A
-    factorization or projection that raises fails every cell of the
-    band, and a solve that raises every cell of its block.  Each cell's
-    ``runtime_ms`` is its block's noise and solve time over its cell
-    count.
+    finite, records that error, and its column stays zero, so that the
+    projection, run ``_in_range``, meets finite data only.  A column's
+    doubles depend on how many columns there are, not on the other
+    columns' values, so no cell moves another.  A factorization or
+    projection that raises fails every cell of the band, and a solve
+    every cell of its block.  A cell's ``runtime_ms`` is its block's
+    noise and solve time over its cell count; the shared forward
+    solves, factorization and projection are not counted.
     """
     op = _exact_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
     x = op.x_grid
@@ -596,41 +574,38 @@ def _sweep_band(cfg, medium, support, iK, K):
             return exc
 
     def noisy_blocks():
-        clean = {}
-        for n, trial in cells:
+        # the band's sources, once: truth 0 and norm 1 where one failed
+        clean, failed = [None] * len(cells), [""] * len(cells)
+        truth = np.zeros((len(cells), len(x)), dtype=complex)
+        norms = np.ones(len(cells))
+        for j, (n, trial) in enumerate(cells):
             try:
                 f, norm = _sweep_source(cfg, n, trial)
-                clean[n, trial] = (endpoint_data(f, medium, op.grid), f(x), norm)
+                clean[j], truth[j], norms[j] = endpoint_data(f, medium, op.grid), f(x), norm
             except Exception as exc:  # recorded in each of its cells below
-                clean[n, trial] = exc
-        zeros = np.zeros(len(op.grid), dtype=complex)
-        failed = (BoundaryData(op.grid, zeros, zeros), np.zeros(len(x)), 1.0)
+                failed[j] = str(exc)
         blocks = []
         for ieps, eps in enumerate(cfg.sweep_eps_list):
             t0 = time.perf_counter()
-            seeds, errors, columns = [], [], []
-            for n, trial in cells:
+            seeds, errors = [], list(failed)
+            u = np.zeros((2, len(op.grid), len(cells)), dtype=complex)
+            for j, (n, trial) in enumerate(cells):
                 cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
                 seeds.append(int(cell_seq.generate_state(1)[0]))
+                if clean[j] is None:
+                    continue
                 try:
-                    if isinstance(clean[n, trial], Exception):
-                        raise clean[n, trial]
-                    data, truth, norm = clean[n, trial]
-                    noisy = add_noise(data, eps, seeds[-1])
+                    noisy = add_noise(clean[j], eps, seeds[-1])
                     if not _all_finite(noisy.u_minus, noisy.u_plus):
                         raise ValueError("non-finite endpoint data")
-                    columns.append((noisy, truth, norm))
-                    errors.append("")
+                    u[:, :, j] = noisy.u_minus, noisy.u_plus
                 except Exception as exc:  # record, keep sweeping
-                    columns.append(failed)
-                    errors.append(str(exc))
-            noisy, truth, norms = zip(*columns)
-            block = BoundaryData(op.grid, np.stack([d.u_minus for d in noisy], axis=1),
-                                 np.stack([d.u_plus for d in noisy], axis=1))
-            blocks.append((eps, block, truth, norms, seeds, errors, time.perf_counter() - t0))
-        return blocks
+                    errors[j] = str(exc)
+            blocks.append((eps, BoundaryData(op.grid, *u), seeds, errors,
+                           time.perf_counter() - t0))
+        return truth, norms, blocks
 
-    failure, blocks = _together(factor, noisy_blocks)
+    failure, (truth, norms, blocks) = _together(factor, noisy_blocks)
     if failure is None:
         try:
             with _in_range(cfg, "Projection"):
@@ -638,7 +613,7 @@ def _sweep_band(cfg, medium, support, iK, K):
         except Exception as exc:  # recorded in each cell of the band below
             failure = exc
     records = []
-    for eps, block, truth, norms, seeds, errors, noise_s in blocks:
+    for eps, block, seeds, errors, noise_s in blocks:
         t0 = time.perf_counter()
         try:
             if failure is not None:
@@ -646,7 +621,7 @@ def _sweep_band(cfg, medium, support, iK, K):
             # out of range, a solve raises: every cell records the error
             result = _solve(cfg, op, block, eps)
             reg = np.broadcast_to(result.reg_param, len(cells))
-            err = _grid_l2(x, result.f_est.samples.T - np.array(truth)) / np.array(norms)
+            err = _grid_l2(x, result.f_est.samples.T - truth) / norms
         except Exception as exc:  # record, keep sweeping
             errors = [e or str(exc) for e in errors]
         ms = 1e3 * (noise_s + time.perf_counter() - t0) / len(cells)

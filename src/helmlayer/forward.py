@@ -57,7 +57,7 @@ import numpy as np
 from .model import FrequencyGrid, wavenumbers
 from .greens import (_check_omega, _check_wavenumbers, _green, _green_runs, green_eval,
                      green_dx)
-from .quadrature import _flat_end_breaks, composite_rule
+from .quadrature import composite_rule
 
 __all__ = [
     "BoundaryData",
@@ -104,19 +104,18 @@ def source_rule(f, rate, extra_breaks=(), nodes=16):
     it) resolving kernels that oscillate at most like exp(i rate y).
 
     Splits at the interface, at the source's own breakpoints, and at any
-    extra points (e.g. the kink of |x - y|), and narrows the panels at
-    the source's flat ends (the edges of a bump), also where a split
-    falls within a flat end's width of it (``_flat_end_breaks``).  Grid sources integrate
-    cell by cell (one panel per cell, ``base_panels=1``); other sources
-    start from 8 panels per interval.
+    extra points (e.g. the kink of |x - y|); ``composite_rule`` makes
+    every cut at the source's flat ends (the edges of a bump), the
+    reach points by a split near an edge included.  Grid sources
+    integrate cell by cell (one panel per cell, ``base_panels=1``);
+    other sources start from 8 panels per interval.
     """
     sup = f.support
     if sup is None:
         return np.empty(0), np.empty(0)
     lo, hi = sup
     # composite_rule drops the points that do not lie inside (lo, hi)
-    breaks = _flat_end_breaks(lo, hi, {*f.breakpoints, *extra_breaks, 0.0}, f.flat_ends)
-    return composite_rule(lo, hi, breaks, osc_rate=rate,
+    return composite_rule(lo, hi, {*f.breakpoints, *extra_breaks, 0.0}, osc_rate=rate,
                           base_panels=1 if _is_grid(f) else 8,
                           nodes=_panel_nodes(f, nodes), flat_ends=f.flat_ends)
 

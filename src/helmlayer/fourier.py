@@ -52,8 +52,7 @@ support, so F_e G_e oscillates no faster than the spread of theta
 0.5-1.7 for the bumps of the benchmark's spectral draws.
 ``data_energy`` and ``tail_decay_fit`` take that spread as the rule's
 rate, which keeps ``composite_rule``'s 2 radians a panel of the
-integrand's own phase with about a fifth of the nodes that 4 c_max,
-twice the widest spread, gave.  The Green's-kernel route
+integrand's own phase.  The Green's-kernel route
 ``data_energy_from_sweep`` keeps 4 c_max on purpose: as the independent
 check of the band energy, it shares no rate with it.
 
@@ -288,7 +287,9 @@ def data_energy(f, medium, s, n_quad=16):
     each term of F(st) G(st) is e^{i (theta - theta') s t} with theta
     and theta' in one endpoint's window, so that is the fastest its
     phase advances in t, for complex s as well.  A zero source has no
-    spread, and its rule keeps ``composite_rule``'s 8 base panels.
+    spread, and its rule keeps ``composite_rule``'s 8 base panels.  An
+    energy that leaves the double range, as at large |s| far into the
+    complex sector, raises a ``ValueError`` that names s.
     """
     s = complex(s)
     if not (np.isfinite(s) and s.real > 0):
@@ -296,8 +297,15 @@ def data_energy(f, medium, s, n_quad=16):
     pair = split_source(f)
     spread, _ = _phase_spread(pair, medium)
     t, w = composite_rule(0.0, 1.0, osc_rate=spread * abs(s), nodes=n_quad)
-    amps = _endpoint_amplitudes(pair, medium, (s * t).reshape(-1, n_quad), nodes=n_quad)
-    vals = [s * np.sum(w * (amps[e, False] * amps[e, True]).ravel()) for e in ("minus", "plus")]
+    # far into the complex sector F and G grow like e^{|theta Im omega|}
+    # and leave the double range: named below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = _endpoint_amplitudes(pair, medium, (s * t).reshape(-1, n_quad), nodes=n_quad)
+        vals = [s * np.sum(w * (amps[e, False] * amps[e, True]).ravel())
+                for e in ("minus", "plus")]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"band energy at s = {s} is not finite: the endpoint "
+                         f"amplitudes leave the double range")
     if not s.imag:
         vals = [v.real for v in vals]
     return DataEnergy(s, complex(vals[0]), complex(vals[1]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _flat_end_breaks, composite_rule
+from .quadrature import composite_rule
 
 __all__ = [
     "Medium",
@@ -292,13 +292,11 @@ class HalfSource:
 
     @property
     def flat_ends(self):
-        sup = self.support
-        if sup is None:
-            return ()
-        lo, hi = sup
-        # the parent's end beyond the interface counts where it reaches in
-        return tuple((end, width) for end, width in self.parent.flat_ends
-                     if lo <= end <= hi or end - width < hi < end or end < lo < end + width)
+        """The parent's flat ends, or none where the half has no support:
+        ``composite_rule`` makes every cut they call for on the half's
+        rule, the reach point of an edge just past the interface
+        included, and passes over the rest."""
+        return () if self.support is None else self.parent.flat_ends
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -342,8 +340,7 @@ def _weighted_values(source):
     sup = source.support
     if sup is None:
         return np.empty(0), np.empty(0, dtype=complex)
-    breaks = _flat_end_breaks(*sup, source.breakpoints, source.flat_ends)
-    y, w = composite_rule(*sup, breaks, 0.0, 8, 16, source.flat_ends)
+    y, w = composite_rule(*sup, source.breakpoints, 0.0, 8, 16, source.flat_ends)
     return w, source(y)
 
 

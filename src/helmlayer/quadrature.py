@@ -17,9 +17,11 @@ The rule is built in one pass over every segment at once.  A segment's
 panel edges are the doubles ``np.linspace`` gives it, a + k step, or
 a + (k / p) delta where the step underflows to 0, so each node and
 weight is the one a segment-by-segment build makes
-(``test_grouped_rule_matches_the_per_segment_rule_bits``).  Flat ends
-act at ``lo`` and ``hi`` only: they cut the first and the last panel.
-A cut nearer a flat end than its width is met by ``_flat_end_breaks``.
+(``test_grouped_rule_matches_the_per_segment_rule_bits``).
+
+``composite_rule`` owns every flat-end cut, the narrow panel at ``lo``
+or ``hi`` and the reach points of ``_flat_end_breaks``: a caller passes
+a source's breakpoints and flat ends as they are.
 """
 
 from __future__ import annotations
@@ -63,14 +65,20 @@ def composite_rule(lo, hi, breakpoints=(), osc_rate=0.0, base_panels=8, nodes=16
     essential singularity), the panel touching it is cut to at most
     ``width``.  Gauss-Legendre converges slowly on a panel that reaches
     such an edge, so the one narrow panel there buys the accuracy that
-    refining every panel would.
+    refining every panel would.  A flat end nearer a cut of the rule
+    than ``width`` (the interface just inside a bump's edge, or ``lo`` of
+    a half of such a bump) also adds the point ``width`` in from it as a
+    breakpoint (``_flat_end_breaks``), and an end whose point lies
+    outside (lo, hi) adds nothing, so a caller passes a source's flat
+    ends as they are.
     """
     if not hi > lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if base_panels < 1 or nodes < 1:
         raise ValueError("panel and node counts must be positive")
     gx, gw = gauss_rule(nodes)
-    cuts = [lo] + [t for t in sorted(set(float(t) for t in breakpoints)) if lo < t < hi] + [hi]
+    breaks = _flat_end_breaks(lo, hi, breakpoints, flat_ends)
+    cuts = [lo] + [t for t in sorted(breaks) if lo < t < hi] + [hi]
     need = abs(float(osc_rate)) * (hi - lo) / 2.0 * nodes
     if not need <= _MAX_NODES:  # an infinite rate too
         raise RuleSizeError(f"resolving oscillation rate {osc_rate:.6g} on [{lo:g}, {hi:g}] "

@@ -139,6 +139,14 @@ def test_data_energy_continuation_conjugates():
             data_energy(f, med, s)
 
 
+def test_data_energy_out_of_range_names_s():
+    # far into the sector F and G each overflow, though Re s > 0: a named
+    # error, not nan with a RuntimeWarning
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=r"s = \(229\.4"):
+        warnings.simplefilter("error", RuntimeWarning)
+        data_energy(SourceSpec.bump(-0.9, 0.6), Medium(1.0, 3.0), 300 * np.exp(0.7j))
+
+
 _BAD = [0.0, -2.0, np.inf, -np.inf, np.nan]
 
 

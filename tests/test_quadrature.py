@@ -64,7 +64,7 @@ def test_flat_ends_narrow_the_edge_panels_of_a_bump():
     assert 0.75 < y[-2] < y[-1] < 0.8 and y[-3] < 0.75
     # a half keeps the flat end it shares with the bump, not the interface
     right = split_source(bump).f1
-    assert right.flat_ends == ((0.8, 0.05),)
+    assert right.flat_ends == bump.flat_ends
     assert len(composite_rule(0.0, 0.8, (), 0.0, 4, 2, right.flat_ends)[0]) == 10
     # a split clear of the edges adds no breakpoint
     assert _flat_end_breaks(-0.8, 0.8, (0.0,), bump.flat_ends) == {0.0}
@@ -88,6 +88,20 @@ def test_a_split_near_a_flat_end_keeps_the_rule_resolved(a, b):
         for rate in (0.0, 34.0):
             y, w = source_rule(src, rate)
             assert abs(np.sum(w * np.abs(src(y))) - exact) <= 1e-15 * l1
+
+
+@pytest.mark.parametrize("a", [-0.01, -0.02, -0.03])
+def test_composite_rule_meets_a_bumps_flat_ends_by_itself(a):
+    # the right half of a bump whose left edge lies within one flat-end
+    # width left of 0, on the bump's own flat ends: composite_rule adds
+    # the reach point that resolves the edge, with no caller's help
+    bump = SourceSpec.bump(a, a + 0.9)
+    b = bump.b
+    for k in (0.0, 10.0, 40.0):
+        y, w = composite_rule(0.0, b, (), 0.0, base_panels=512, nodes=16)
+        exact = np.sum(w * bump(y) * np.exp(1j * k * y))
+        y, w = composite_rule(0.0, b, (), k, 8, 16, bump.flat_ends)
+        assert abs(np.sum(w * bump(y) * np.exp(1j * k * y)) - exact) <= 1e-12 * abs(exact)
 
 
 def test_cell_rule_integrates_piecewise_linear_exactly():
@@ -179,7 +193,8 @@ def _per_segment_rule(lo, hi, breakpoints, osc_rate, base_panels, nodes, flat_en
     """``composite_rule`` as a loop over its segments, one ``_segment_rule``
     call each."""
     gx, gw = gauss_rule(nodes)
-    cuts = [lo] + [t for t in sorted(set(float(t) for t in breakpoints)) if lo < t < hi] + [hi]
+    breaks = _flat_end_breaks(lo, hi, breakpoints, flat_ends)
+    cuts = [lo] + [t for t in sorted(breaks) if lo < t < hi] + [hi]
     xs, ws = [], []
     for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
         panels = max(base_panels, int(np.ceil(abs(osc_rate) * (seg_hi - seg_lo) / 2.0)))

@@ -1,14 +1,21 @@
-"""The summary of ``tools/pairs.py`` on canned benchmark results."""
+"""The summary of ``tools/pairs.py`` on canned benchmark results, and
+the line count of ``tools/loc.py`` on a synthetic module."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "pairs", Path(__file__).resolve().parent.parent / "tools" / "pairs.py")
-pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(pairs)
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pairs, loc = _tool("pairs"), _tool("loc")
 
 END_TO_END = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
               {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.05}]
@@ -70,3 +77,48 @@ def test_summary_needs_matched_pairs():
     with pytest.raises(ValueError, match="one run of each side"):
         pairs.summarize(_runs([1.0], [1.0]), [], END_TO_END)
     assert pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+_MODULE = '''"""A module docstring
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment-only line
+X = """a string, not a docstring,
+
+over three lines"""
+
+
+class A:
+    """One-line class docstring."""
+
+    def f(self):
+        \'\'\'A method docstring,
+
+        with a blank line inside.
+        \'\'\'
+        return os.sep
+
+
+async def g():
+    r"""Raw."""
+    return 1
+
+
+def h():
+    return """not a docstring"""
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path, capsys):
+    # 29 lines: 10 blank (one inside a string), 1 comment-only, 8 in
+    # docstrings (a blank one among them) and 10 of code
+    assert loc.count(_MODULE) == (29, 10)
+    pkg = tmp_path / "src" / "helmlayer"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(_MODULE)
+    (pkg / "b.py").write_text("x = 1\n\n")
+    loc.main([str(tmp_path)])
+    assert capsys.readouterr().out.splitlines() == [
+        "    29     10  a.py", "     2      1  b.py", "    31     11  total"]
