@@ -23,13 +23,13 @@ from .model import FrequencyGrid, Medium, SourceSpec, _l2_norm
 from .quadrature import RuleSizeError
 from .greens import (WavenumberRangeError, _green_runs, eval_from_coeffs, green_coeffs_closed,
                      green_coeffs_via_linear_system, interface_residuals)
-from .forward import (BoundaryData, _exact, _read_csv, _together, _write_csv, boundary_sweep,
+from .forward import (BoundaryData, _exact, _read_csv, _write_csv, boundary_sweep,
                       check_radiation_many, fd_oracle, forward_field,
                       interface_traces_many, read_boundary_csv, write_boundary_csv)
 from .fourier import (data_energy, data_energy_from_sweep, endpoint_amplitude_bound_many,
-                      endpoint_data, epsilon_norm)
-from .inverse import (_exact_operator, _grid_l2, add_noise, assemble_operator, morozov_lambda,
-                      recon_error, reconstruct_homogeneous,
+                      epsilon_norm)
+from .inverse import (_exact_operator, _grid_l2, _spline_columns, add_noise, assemble_operator,
+                      morozov_lambda, recon_error, reconstruct_homogeneous,
                       reconstruct_tikhonov, reconstruct_tsvd)
 
 __all__ = [
@@ -511,8 +511,7 @@ class ExperimentRecord:
 
 def _sweep_source(cfg, n, trial):
     """Order-n spline family member, unit L2 norm, deterministic per (n,
-    trial), and the norm its amplitude gives it, |amp| ||f|| (1 up to
-    rounding), so the errors divide by it with no second quadrature."""
+    trial)."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, n, trial)))
     lo, hi = cfg.sweep_support_a, cfg.sweep_support_b
     span = hi - lo
@@ -520,9 +519,7 @@ def _sweep_source(cfg, n, trial):
     center = rng.uniform(lo + width / 2 + 0.01 * span, hi - width / 2 - 0.01 * span)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
     f = SourceSpec.bspline(center - width / 2, center + width / 2, n)
-    norm = _l2_norm(f)
-    amp = phase / norm
-    return SourceSpec.bspline(f.a, f.b, n, amp), abs(amp) * norm
+    return SourceSpec.bspline(f.a, f.b, n, phase / _l2_norm(f))
 
 
 def run_sweep(cfg):
@@ -538,19 +535,24 @@ def run_sweep(cfg):
     return records
 
 
+def _message(exc):
+    """An exception's message, or its type's name where the message is
+    empty, so that a failed cell never reads as solved."""
+    return str(exc) or type(exc).__name__
+
+
 def _sweep_band(cfg, medium, support, iK, K):
     """The records of one band limit K.  Its operator, factorization and
     data live only for this call, so one K's worth is held at a time.
 
-    The operator comes from the hats' exact transforms
-    (``inverse._exact_operator``).  The calling thread factors it without
-    U (``ForwardOperator.svd(u=False)``), which needs no data, while a
-    thread made for them (``forward._together``) computes the sources
-    once and each eps block's noisy data, a column per cell drawn from
-    its own seed.  The factorization stays on the calling thread: an SVD
-    run on the helper instead raised a sweep's peak memory by 4%.  The
-    data of every block are then projected at once
-    (``ForwardOperator.project``), and each block runs ``_solve``.
+    One pass on the calling thread.  The operator comes from the hats'
+    exact transforms (``inverse._exact_operator``) and each source's data
+    from its own (``inverse._spline_columns``), computed once; each eps
+    block's noisy data hold a column per cell drawn from its own seed.
+    The operator is then factored without U
+    (``ForwardOperator.svd(u=False)``), the data of every block are
+    projected at once (``ForwardOperator.project``), and each block runs
+    ``_solve``.
 
     A cell whose source or noise raised, or whose noisy data are not
     finite, records that error, and its column stays zero, so that the
@@ -558,60 +560,51 @@ def _sweep_band(cfg, medium, support, iK, K):
     doubles depend on how many columns there are, not on the other
     columns' values, so no cell moves another.  A factorization or
     projection that raises fails every cell of the band, and a solve
-    every cell of its block.  A cell's ``runtime_ms`` is its block's
-    noise and solve time over its cell count; the shared forward
-    solves, factorization and projection are not counted.
+    every cell of its block.  An error is recorded by its message, or by
+    its type where the message is empty.  A cell's ``runtime_ms`` is its
+    block's noise and solve time over its cell count; the shared source
+    transforms, factorization and projection are not counted.
     """
     op = _exact_operator(medium, build_grid(cfg, K=K), cfg.n_basis, support)
-    x = op.x_grid
+    x, om = op.x_grid, op.grid.omegas
     cells = [(n, trial) for n in cfg.sweep_n_list for trial in range(cfg.sweep_trials)]
-
-    def factor():
+    # the band's sources, once: truth 0 where one failed
+    clean, failed = [None] * len(cells), [""] * len(cells)
+    truth = np.zeros((len(cells), len(x)), dtype=complex)
+    for j, (n, trial) in enumerate(cells):
         try:
-            with _in_range(cfg, "Factorization"):
-                op.svd(u=False)
-        except Exception as exc:  # recorded in each cell of the band below
-            return exc
-
-    def noisy_blocks():
-        # the band's sources, once: truth 0 and norm 1 where one failed
-        clean, failed = [None] * len(cells), [""] * len(cells)
-        truth = np.zeros((len(cells), len(x)), dtype=complex)
-        norms = np.ones(len(cells))
+            f = _sweep_source(cfg, n, trial)
+            d = _spline_columns(medium, om, [(f.a + f.b) / 2], (f.b - f.a) / n, n)[:, 0]
+            clean[j] = BoundaryData(op.grid, *np.split(d * (f.amplitude / f._peak), 2))
+            truth[j] = f(x)
+        except Exception as exc:  # recorded in each of its cells below
+            failed[j] = _message(exc)
+    blocks = []
+    for ieps, eps in enumerate(cfg.sweep_eps_list):
+        t0 = time.perf_counter()
+        seeds, errors = [], list(failed)
+        u = np.zeros((2, len(om), len(cells)), dtype=complex)
         for j, (n, trial) in enumerate(cells):
+            cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
+            seeds.append(int(cell_seq.generate_state(1)[0]))
+            if clean[j] is None:
+                continue
             try:
-                f, norm = _sweep_source(cfg, n, trial)
-                clean[j], truth[j], norms[j] = endpoint_data(f, medium, op.grid), f(x), norm
-            except Exception as exc:  # recorded in each of its cells below
-                failed[j] = str(exc)
-        blocks = []
-        for ieps, eps in enumerate(cfg.sweep_eps_list):
-            t0 = time.perf_counter()
-            seeds, errors = [], list(failed)
-            u = np.zeros((2, len(op.grid), len(cells)), dtype=complex)
-            for j, (n, trial) in enumerate(cells):
-                cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
-                seeds.append(int(cell_seq.generate_state(1)[0]))
-                if clean[j] is None:
-                    continue
-                try:
-                    noisy = add_noise(clean[j], eps, seeds[-1])
-                    if not _all_finite(noisy.u_minus, noisy.u_plus):
-                        raise ValueError("non-finite endpoint data")
-                    u[:, :, j] = noisy.u_minus, noisy.u_plus
-                except Exception as exc:  # record, keep sweeping
-                    errors[j] = str(exc)
-            blocks.append((eps, BoundaryData(op.grid, *u), seeds, errors,
-                           time.perf_counter() - t0))
-        return truth, norms, blocks
-
-    failure, (truth, norms, blocks) = _together(factor, noisy_blocks)
-    if failure is None:
-        try:
-            with _in_range(cfg, "Projection"):
-                op.project(*[b[1] for b in blocks])
-        except Exception as exc:  # recorded in each cell of the band below
-            failure = exc
+                noisy = add_noise(clean[j], eps, seeds[-1])
+                if not _all_finite(noisy.u_minus, noisy.u_plus):
+                    raise ValueError("non-finite endpoint data")
+                u[:, :, j] = noisy.u_minus, noisy.u_plus
+            except Exception as exc:  # record, keep sweeping
+                errors[j] = _message(exc)
+        blocks.append((eps, BoundaryData(op.grid, *u), seeds, errors, time.perf_counter() - t0))
+    failure = None
+    try:
+        with _in_range(cfg, "Factorization"):
+            op.svd(u=False)
+        with _in_range(cfg, "Projection"):
+            op.project(*[b[1] for b in blocks])
+    except Exception as exc:  # recorded in each cell of the band below
+        failure = exc
     records = []
     for eps, block, seeds, errors, noise_s in blocks:
         t0 = time.perf_counter()
@@ -621,9 +614,9 @@ def _sweep_band(cfg, medium, support, iK, K):
             # out of range, a solve raises: every cell records the error
             result = _solve(cfg, op, block, eps)
             reg = np.broadcast_to(result.reg_param, len(cells))
-            err = _grid_l2(x, result.f_est.samples.T - truth) / norms
+            err = _grid_l2(x, result.f_est.samples.T - truth)
         except Exception as exc:  # record, keep sweeping
-            errors = [e or str(exc) for e in errors]
+            errors = [e or _message(exc) for e in errors]
         ms = 1e3 * (noise_s + time.perf_counter() - t0) / len(cells)
         for j, (n, _) in enumerate(cells):
             if errors[j]:

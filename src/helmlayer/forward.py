@@ -20,29 +20,22 @@ sum.
 
 Endpoint data over many frequencies (``boundary_sweep``, and the
 operator columns of ``inverse.assemble_operator``, ``reconstruct``'s
-operator) come from one map, ``_endpoint_map``; a stability-sweep
-band's operator does not, since it is built from the hats' exact
-transforms (``inverse._exact_operator``).  The map fills one array in
+operator) come from one map, ``_endpoint_map``; a stability-sweep band
+does not use it, since its operator and its sources' data are exact
+transforms (``inverse._spline_columns``).  The map fills one array in
 the operator's row order, the u(-1) rows and then the u(+1) rows, each
 block's product written in place: the operator scales that array's
-rows where it lies, and ``boundary_sweep``'s two endpoints are views of
+rows where they lie, and ``boundary_sweep``'s two endpoints are views of
 its halves, so neither stacks nor copies it.  It splits the frequencies
 into blocks; the calling thread and one helper thread per further CPU
-the process may run on each take the next block until none is left.  The split does not
-depend on the number of workers and every entry is the same arithmetic
-whichever thread computes it, so the worker count never moves a bit.
-
-Every helper thread comes from one primitive, ``_together``: it runs its
-first function on the calling thread and each other one on a thread
-made for it, and joins them all before it returns.  The endpoint map
-runs its block loop there once per worker, and a stability-sweep band
-computes its sources' data (``fourier.endpoint_data``, no endpoint map)
-and its cells' noise beside the factoring of its operator, which needs
-no data (``inverse.ForwardOperator.svd(u=False)``).  Helpers are made
-from the main thread only, and only with more than one CPU; elsewhere
-the work runs in order on the calling thread.  Importing the module
-starts no thread, no thread outlives the call that made it, and a
-forked child starts clean.
+the process may run on each take the next block until none is left.
+The split does not depend on the number of workers and every entry is
+the same arithmetic whichever thread computes it, so the worker count
+never moves a bit.  The map is helmlayer's one user of threads.  It
+makes helpers from the main thread only, and only with more than one
+CPU; elsewhere its one loop runs on the calling thread.  Importing the
+module starts no thread, no thread outlives the call that made it, and
+a forked child starts clean.
 """
 
 from __future__ import annotations
@@ -237,25 +230,6 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _together(*fns):
-    """Call ``fns[0]`` on the calling thread and every other fn on a
-    thread made for it, join them all, and return their results in
-    order; the first exception in that order is raised once all are
-    joined.  With one CPU, one fn, or a caller off the main thread, the
-    fns run in order on the calling thread, so helmlayer never runs more
-    threads of its own than CPUs.  concurrent.futures is imported here
-    only, so that importing helmlayer starts no thread and loads no
-    executor."""
-    if len(fns) == 1 or _cores() == 1 or threading.current_thread() is not threading.main_thread():
-        return [fn() for fn in fns]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(len(fns) - 1, thread_name_prefix="helmlayer") as helpers:
-        futures = [helpers.submit(fn) for fn in fns[1:]]
-        first = fns[0]()
-    return [first] + [fut.result() for fut in futures]
-
-
 def _endpoint_map(omegas, y, weights, medium):
     """Endpoint fields of the point sources weights_j at y_j (weights may
     carry trailing columns, one field per column), stacked in one array
@@ -270,13 +244,17 @@ def _endpoint_map(omegas, y, weights, medium):
     table and multiplies them by the weights, cast to complex once,
     straight into its own rows of the result (``np.matmul``'s ``out``);
     a product that leaves the double range is inf or nan there, without
-    a warning, for the caller to refuse.  One block loop per worker, at
-    most one per CPU and one per block, runs through ``_together``: the
-    calling thread and the helpers each take the next block until none
-    is left, so a thread slowed by other load does not hold the rest
-    back.  One block or one CPU makes one loop; off the main thread the
-    loops run in turn on the calling thread, and the first takes every
-    block.
+    a warning, for the caller to refuse.  One block loop runs per worker,
+    at most one per CPU and one per block: the calling thread runs one
+    and a thread made for each other worker another, and each takes the
+    next block until none is left, so a thread slowed by other load does
+    not hold the rest back.  All are joined before the map returns, and
+    then the first exception, the calling thread's before the helpers',
+    is raised.  One block or one CPU makes one loop, on the calling
+    thread, and so does a call off the main thread, so helmlayer never
+    runs more threads of its own than CPUs.  concurrent.futures is
+    imported here only, so that importing helmlayer starts no thread and
+    loads no executor.
     Wavenumbers whose layer amplitudes leave the double range raise
     ``greens.WavenumberRangeError`` before any block runs.
 
@@ -313,7 +291,17 @@ def _endpoint_map(omegas, y, weights, medium):
             product(-1.0, omegas[lo:hi], slice(lo, hi))
             product(1.0, omegas[lo:hi], slice(n + lo, n + hi))
 
-    _together(*[run] * min(_cores(), n_blocks))
+    workers = min(_cores(), n_blocks)
+    if workers == 1 or threading.current_thread() is not threading.main_thread():
+        run()
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="helmlayer") as helpers:
+        futures = [helpers.submit(run) for _ in range(workers - 1)]
+        run()
+    for fut in futures:
+        fut.result()  # a helper's exception, once all are joined
     return out
 
 

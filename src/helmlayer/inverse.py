@@ -8,8 +8,10 @@ basis, the range checks, the row weights and the operator's
 construction.  ``reconstruct``'s, ``assemble_operator``, integrates
 each hat by Gauss cells through the Green's kernel
 (``forward._endpoint_map``).  The stability sweep's, ``_exact_operator``,
-sums the hats' exact transforms over the endpoint rows
-(``greens._endpoint_rows``), with no rule and no kernel table.
+takes the hats' exact transforms, with no rule and no kernel table,
+from ``_spline_columns``: the one exact-transform routine for uniform
+B-splines of any order, which gives the sweep's sources their data too.
+The hats are its order-2 splines.
 Regularized inverses: Tikhonov on a lambda ladder (optionally picked by
 the discrepancy rule), truncated SVD, and the exact direct Fourier
 inversion available when the medium is homogeneous.  The SVD solves take
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FrequencyGrid, SourceSpec, _scaled_norm
+from .model import FrequencyGrid, SourceSpec, _bspline_basis, _scaled_norm
 from .forward import BoundaryData, _endpoint_map
 from .greens import _check_wavenumbers, _endpoint_rows
 from .fourier import endpoint_data, epsilon_norm, trapezoid_weights
@@ -227,84 +229,103 @@ def assemble_operator(medium, grid, n_basis, support):
     return _weighted_operator(grid, nodes_x, (a, b), matrix)
 
 
-# below this |t|, phi2(t) is summed as its series: the first term left
-# out, t^10 / 12!, is then under 3e-19
-_PHI2_SERIES = 0.1
-_PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(10)]
-
-
-def _phi2(t):
-    """phi2(t) = (e^t - 1 - t) / t^2 = sum_k t^k / (k + 2)!."""
+def _phi(k, t):
+    """phi_k(t) = (e^t - sum_{m<k} t^m / m!) / t^k = sum_m t^m / (m + k)!,
+    the integral of e^{(1 - s) t} s^{k-1} / (k - 1)! over s in (0, 1).
+    Below |t| = k it is summed as its series, to 2k + 20 terms, the first
+    left out then at most 1.1e-17 of the first; from there on by its first
+    form, whose terms are then at most about sqrt(2 pi k) times its size."""
     t = np.asarray(t, dtype=complex)
     out = np.empty_like(t)
-    small = np.abs(t) < _PHI2_SERIES
+    small = np.abs(t) < k
     ts, tb = t[small], t[~small]
-    out[small] = np.polynomial.polynomial.polyval(ts, _PHI2_COEFFS)
-    out[~small] = (np.expm1(tb) - tb) / tb ** 2
+    inv = np.cumprod(1.0 / np.arange(1.0, 3 * k + 20))  # 1 / m! for m >= 1
+    polyval = np.polynomial.polynomial.polyval
+    out[small] = polyval(ts, inv[k - 1:])
+    out[~small] = (np.expm1(tb) - polyval(tb, np.r_[0.0, inv[:k - 1]])) / tb ** k
     return out
 
 
-def _piece_transform(s, u, v, alpha, beta):
-    """int_u^v e^{s y} l(y) dy for the linear l with l(u) = alpha and
-    l(v) = beta: with L = v - u and t = s L,
+def _piece_transform(s, u, v, values):
+    """int_u^v e^{s y} p(y) dy for the polynomial p of degree d =
+    len(values) - 1 whose values at the d + 1 equispaced points from u to
+    v (u alone for d = 0) are ``values``: with L = v - u, t = s L and
+    p(u + L tau) = sum_m a_m tau^m,
 
-        L e^{s u} (alpha phi2(t) + beta e^t phi2(-t)),
+        L e^{s v} sum_m a_m m! phi_{m+1}(-t),
 
-    exact for every s, an array of them."""
+    since int_0^1 e^{t tau} tau^m d tau = m! e^t phi_{m+1}(-t); exact for
+    every s, an array of them.  A linear piece's values are its ends'."""
     L = v - u
-    t = s * L
-    return L * np.exp(s * u) * (alpha * _phi2(t) + beta * np.exp(t) * _phi2(-t))
+    a = np.linalg.solve(np.vander(np.linspace(0.0, 1.0, len(values)), increasing=True), values)
+    return L * np.exp(s * v) * sum(a_m * math.factorial(m) * _phi(m + 1, -s * L)
+                                   for m, a_m in enumerate(a))
 
 
-def _exact_operator(medium, grid, n_basis, support):
-    """The operator of ``assemble_operator`` from the hats' exact
-    endpoint transforms: no quadrature rule and no kernel table.
+def _spline_columns(medium, om, centers, h, order):
+    """The endpoint data u(-1, omega), then u(+1, omega), at the
+    frequencies ``om``, a column per uniform B-spline of order ``order``
+    with knot spacing h centred at ``centers``, each of integral h: the
+    exact transforms, with no quadrature rule and no kernel table.  The
+    order-2 splines are the hats of peak 1; a B-spline source on [a, b]
+    is the spline of h = (b - a) / order centred at (a + b) / 2, times
+    its amplitude over its peak.
 
     By the endpoint representation (``greens._endpoint_rows``), omega
     u(e, omega) = i sum over the rows of e of coeff e^{i phase omega}
-    int e^{i rate omega y} f_side(y) dy.  A hat wholly on one side
-    transforms to h e^{i r x_j} sinc^2(r h / 2), r = rate omega.  The
-    rows of a side share |rate| = c_side, so one table cos, sin(c_side
-    omega x_j) per side serves them all: the rows of rate +c_side sum to
-    p, those of -c_side to q, and the block is (p + q) cos + i (p - q)
-    sin.  Where the reflected and direct rows' amplitudes are exact
-    negatives (c_side far below the other speed), p + q is exactly 0,
-    where the kernel's sum leaves rounding residue.  A hat that crosses
-    x = 0 is cut there into linear pieces (``_piece_transform``).
+    int e^{i rate omega y} f_side(y) dy.  A spline wholly on one side
+    transforms to h e^{i r c} sinc^order(r h / 2), r = rate omega, c its
+    centre.  The rows of a side share |rate| = c_side, so one table cos,
+    sin(c_side omega c) per side serves them all: the rows of rate
+    +c_side sum to p, those of -c_side to q, and the block is (p + q) cos
+    + i (p - q) sin.  Where the reflected and direct rows' amplitudes are
+    exact negatives (c_side far below the other speed), p + q is exactly
+    0, where the kernel's sum leaves rounding residue.  A spline that
+    crosses x = 0 is cut at its knots and there into polynomial pieces,
+    each given by its values (``model._bspline_basis``) at ``order``
+    points and transformed at both rates of its side
+    (``_piece_transform``).
     """
-    support, x, h = _basis(n_basis, support)
-    om = grid.omegas
+    x = np.asarray(centers, dtype=float)
     _check_wavenumbers(medium, np.append(om, 1.0))  # the grid's amplitudes and the unit table
     n = len(om)
-    matrix = np.zeros((2 * n, n_basis), dtype=complex)
-    block = {"minus": matrix[:n], "plus": matrix[n:]}
-    # hats wholly left of 0, across it, wholly right of it
-    lo, hi = np.searchsorted(x + h, 0.0, side="right"), np.searchsorted(x - h, 0.0)
-    sides = {"right": (medium.c1, slice(hi, n_basis), 0.0, 1.0),
-             "left": (medium.c2, slice(0, lo), -1.0, 0.0)}
+    u = np.zeros((2 * n, len(x)), dtype=complex)
+    block = {"minus": u[:n], "plus": u[n:]}
+    reach = order * h / 2.0
+    sides = {"right": (medium.c1, x - reach >= 0.0), "left": (medium.c2, x + reach <= 0.0)}
+    pieces = {"right": [], "left": []}  # (column, transforms at rate +c_side, -c_side)
+    for j in np.flatnonzero(~(sides["right"][1] | sides["left"][1])):
+        spline = SourceSpec.bspline(x[j] - reach, x[j] + reach, order)
+        knots = spline._knots[order - 1:2 * order]
+        for a, b in zip(knots[:-1], knots[1:]):
+            for side, lo, hi in (("left", a, min(b, 0.0)), ("right", max(a, 0.0), b)):
+                if lo < hi:
+                    s = 1j * np.multiply.outer([sides[side][0], -sides[side][0]], om)
+                    values = _bspline_basis(spline._knots, order - 1, np.linspace(lo, hi, order))
+                    pieces[side].append((j, _piece_transform(s, lo, hi, values)))
     amps = {}
     for e, coeff, side, rate, phase in _endpoint_rows(medium):
         amp = 1j * coeff * np.exp(1j * phase * om) / om
         amps[e, side, rate > 0] = amps.get((e, side, rate > 0), 0.0) + amp
-        _, _, y0, y1 = sides[side]
-        for j in range(lo, hi):
-            # the hat's two linear pieces, each cut to this side
-            for u, v in ((x[j] - h, x[j]), (x[j], x[j] + h)):
-                u, v = max(u, y0), min(v, y1)
-                if u < v:
-                    ends = np.clip(1.0 - np.abs(np.array([u, v]) - x[j]) / h, 0.0, None)
-                    block[e][:, j] += amp * _piece_transform(1j * rate * om, u, v, *ends)
-    for side, (c, cols, _, _) in sides.items():
-        if cols.start >= cols.stop:
-            continue
+        for j, transforms in pieces[side]:
+            block[e][:, j] += amp * transforms[int(rate < 0)]
+    for side, (c, cols) in sides.items():
         r = c * om
         phase = np.multiply.outer(r, x[cols])
         cos, sin = np.cos(phase), np.sin(phase)
-        env = h * np.sinc(r * h / (2.0 * np.pi)) ** 2
+        env = h * np.sinc(r * h / (2.0 * np.pi)) ** order
         for e in ("minus", "plus"):
             p, q = (amps.get((e, side, sign), 0.0) * env for sign in (True, False))
             block[e][:, cols] = (p + q)[:, None] * cos + (1j * (p - q))[:, None] * sin
-    return _weighted_operator(grid, x, support, matrix)
+    return u
+
+
+def _exact_operator(medium, grid, n_basis, support):
+    """The operator of ``assemble_operator`` from the hats' exact
+    endpoint transforms (``_spline_columns`` of order 2): no quadrature
+    rule and no kernel table."""
+    support, x, h = _basis(n_basis, support)
+    return _weighted_operator(grid, x, support, _spline_columns(medium, grid.omegas, x, h, 2))
 
 
 def add_noise(data, eps_target, seed):

@@ -356,20 +356,20 @@ def test_sweep_complete_and_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
-    # with two CPUs the sources' data are computed on a helper thread
+    # one CPU or two, a band runs on the calling thread alone
     monkeypatch.setattr(forward, "_cores", lambda: cores)
     cfg = parse_config_text(
         "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
         "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
-    real = cli.endpoint_data
+    real = cli._spline_columns
 
-    def flaky(f, medium, grid, **kw):
-        if grid.K == 8.0:
+    def flaky(medium, omegas, centers, h, order):
+        if omegas[-1] == 8.0:
             raise RuntimeError("injected failure")
-        return real(f, medium, grid, **kw)
+        return real(medium, omegas, centers, h, order)
 
-    monkeypatch.setattr(cli, "endpoint_data", flaky)
+    monkeypatch.setattr(cli, "_spline_columns", flaky)
     path = tmp_path / "s.csv"
     assert cmd_sweep(cfg, path) == 0
     records = read_sweep_csv(path)
@@ -384,7 +384,7 @@ def test_sweep_records_cell_failures(tmp_path, monkeypatch, capsys, cores):
     def no_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(cli, "endpoint_data", real)
+    monkeypatch.setattr(cli, "_spline_columns", real)
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert cmd_sweep(cfg, path) == 0
     assert [r.error for r in read_sweep_csv(path)] == ["SVD did not converge"] * 4
@@ -398,23 +398,23 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
         "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
     clean = run_sweep(cfg)
-    real = cli.endpoint_data
+    real = cli._spline_columns
     calls, on_caller = [], set()
 
-    def flaky(f, medium, grid, **kw):
-        calls.append(grid.K)
+    def flaky(medium, omegas, centers, h, order):
+        calls.append(omegas[-1])
         on_caller.add(threading.current_thread() is threading.main_thread())
-        if f.order == 2:
+        if order == 2:
             raise RuntimeError("injected failure")
-        return real(f, medium, grid, **kw)
+        return real(medium, omegas, centers, h, order)
 
-    monkeypatch.setattr(cli, "endpoint_data", flaky)
+    monkeypatch.setattr(cli, "_spline_columns", flaky)
     records = run_sweep(cfg)
     assert len(records) == len(clean) == 2 * 2 * 3 * 2
-    # one forward solve per (n, trial) for each K, shared by every eps
+    # one source transform per (n, trial) for each K, shared by every eps
     assert calls == [4.0] * 6 + [8.0] * 6
-    # on one CPU the sources run on the calling thread, on two on a helper
-    assert on_caller == {cores == 1}
+    # on one CPU or two, the sources run on the calling thread
+    assert on_caller == {True}
     for r, c in zip(records, clean):
         assert (r.K, r.eps, r.n, r.seed) == (c.K, c.eps, c.n, c.seed)
         if r.n == 2:
@@ -422,6 +422,36 @@ def test_sweep_failed_source_fails_only_its_cells(monkeypatch, cores):
             assert np.isnan(r.l2_error) and np.isnan(r.reg_param)
         else:
             assert r.error == ""
+            assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
+
+
+def test_sweep_cell_whose_error_has_no_message_is_not_solved(monkeypatch):
+    # an exception with an empty message names its type: the (n = 2,
+    # trial = 1) source raises ValueError() and its cells read ValueError,
+    # not an empty error beside a zero l2_error
+    cfg = parse_config_text(
+        "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0,1e-2\n"
+        "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
+    )
+    clean = run_sweep(cfg)
+    real = cli._sweep_source
+
+    def flaky(cfg, n, trial):
+        if (n, trial) == (2, 1):
+            raise ValueError()
+        return real(cfg, n, trial)
+
+    monkeypatch.setattr(cli, "_sweep_source", flaky)
+    records = run_sweep(cfg)
+    assert len(records) == len(clean) == 2 * 2 * 3 * 2
+    failed = [i for i, r in enumerate(records) if r.error]
+    assert failed == [6 * b + 3 for b in range(4)]  # (n = 2, trial = 1) of each block
+    for i, (r, c) in enumerate(zip(records, clean)):
+        assert (r.K, r.eps, r.n, r.seed) == (c.K, c.eps, c.n, c.seed)
+        if i in failed:
+            assert r.error == "ValueError"
+            assert np.isnan(r.l2_error) and np.isnan(r.reg_param)
+        else:
             assert (r.reg_param, r.l2_error) == (c.reg_param, c.l2_error)
 
 
@@ -434,17 +464,15 @@ def test_sweep_non_finite_data_fail_only_their_cells(monkeypatch):
         "sweep.n_list = 1,2,3\nsweep.trials = 2\ninverse.n_basis = 31\n"
     )
     clean = run_sweep(cfg)
-    real, (bad, _) = cli.endpoint_data, cli._sweep_source(cfg, 2, 1)
+    real, bad = cli._spline_columns, cli._sweep_source(cfg, 2, 1)
 
-    def poisoned(f, medium, grid, **kw):
-        data = real(f, medium, grid, **kw)
-        if grid.K == 8.0 and (f.a, f.b) == (bad.a, bad.b):
-            u_minus = data.u_minus.copy()
-            u_minus[3] = np.inf
-            return BoundaryData(grid, u_minus, data.u_plus)
-        return data
+    def poisoned(medium, omegas, centers, h, order):
+        u = real(medium, omegas, centers, h, order)
+        if omegas[-1] == 8.0 and list(centers) == [(bad.a + bad.b) / 2]:
+            u[3] = np.inf
+        return u
 
-    monkeypatch.setattr(cli, "endpoint_data", poisoned)
+    monkeypatch.setattr(cli, "_spline_columns", poisoned)
     records = run_sweep(cfg)
     assert len(records) == len(clean) == 2 * 2 * 3 * 2
     failed = [i for i, r in enumerate(records) if r.error]
@@ -901,9 +929,9 @@ print(threading.active_count())
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs sched_setaffinity and two CPUs")
 def test_sweep_on_one_cpu_matches_all_cpus(tmp_path):
-    # one CPU means no helper thread for a band's sources, which then run
-    # after its SVD; the BLAS thread count is held at 1 on both sides, so
-    # only the thread count differs
+    # a sweep makes no thread of its own, so one CPU and all give the
+    # same records; the BLAS thread count is held at 1 on both sides, so
+    # only the CPU count differs
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sweep.K_list = 5,40\nsweep.eps_list = 0,1e-2\nsweep.n_list = 1,3\n"
                    "sweep.trials = 2\n")

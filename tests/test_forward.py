@@ -340,31 +340,37 @@ def test_no_thread_outlives_its_work(monkeypatch):
 
 
 def test_sweep_off_the_main_thread_starts_no_thread(monkeypatch):
-    # only the main thread makes helpers: a sweep called from any other
-    # thread, with two CPUs, computes every source's data on that thread
+    # a sweep makes no thread of its own: with two CPUs, called from the
+    # main thread or from any other, it computes every source's data on
+    # the calling thread and starts no thread
     monkeypatch.setattr(forward, "_cores", lambda: 2)
     cfg = cli.parse_config_text(
         "frequency.n_omega = 40\nsweep.K_list = 4,8\nsweep.eps_list = 0\n"
         "sweep.n_list = 1\nsweep.trials = 2\ninverse.n_basis = 31\n")
-    real, ran_on, seen = cli.endpoint_data, [], {}
+    real, ran_on, started, seen = cli._spline_columns, [], [], {}
+    real_start = threading.Thread.start
 
-    def traced(*args, **kw):
+    def traced(*args):
         ran_on.append(threading.current_thread())
-        return real(*args, **kw)
+        return real(*args)
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
 
     def caller():
-        seen["before"] = threading.active_count()
         seen["records"] = cli.run_sweep(cfg)
-        seen["after"] = threading.active_count()
 
-    monkeypatch.setattr(cli, "endpoint_data", traced)
+    monkeypatch.setattr(cli, "_spline_columns", traced)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    caller()
+    assert ran_on == [threading.main_thread()] * 4 and started == []
     other = threading.Thread(target=caller)
     other.start()
     other.join(timeout=120)
     assert not other.is_alive()
     assert len(seen["records"]) == 4 and all(r.error == "" for r in seen["records"])
-    assert ran_on == [other] * 4
-    assert seen["after"] == seen["before"]
+    assert ran_on[4:] == [other] * 4 and started == [other]
 
 
 def test_endpoint_map_blocks_give_the_single_product():

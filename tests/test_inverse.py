@@ -3,13 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import warnings
+
 import numpy as np
 import pytest
 
 from helmlayer.cli import RunConfig, build_grid
 from helmlayer.forward import BoundaryData, boundary_sweep
 from helmlayer.fourier import epsilon_norm
-from helmlayer.inverse import (ForwardOperator, _filtered_solve, _project,
+from helmlayer.inverse import (ConditioningWarning, ForwardOperator, _filtered_solve, _project,
                                _tikhonov_residuals, add_noise, assemble_operator, morozov_lambda,
                                recon_error, reconstruct_homogeneous,
                                reconstruct_tikhonov, reconstruct_tsvd)
@@ -117,6 +119,42 @@ def test_tikhonov_warns_on_ill_conditioning():
         reconstruct_tikhonov(op, zero, 1e-12)
     with pytest.warns(RuntimeWarning, match="rank deficiency"):
         reconstruct_tsvd(op, zero, op.n_basis)
+
+
+def _diagonal_operator(singular_values):
+    # the singular values on the diagonal of a 16 x 8 operator, zero data
+    grid = FrequencyGrid.uniform(4.0, 8)
+    matrix = np.zeros((16, 8), dtype=complex)
+    matrix[range(8), range(8)] = singular_values
+    op = ForwardOperator(grid, np.linspace(-0.5, 0.5, 8), (-0.9, 0.9), matrix, np.ones(16))
+    zero = BoundaryData(grid, np.zeros(8, complex), np.zeros(8, complex))
+    return op, zero
+
+
+def _warns(solve, op, data, param):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(op, data, param)
+    return any(issubclass(w.category, ConditioningWarning) for w in caught)
+
+
+@pytest.mark.parametrize("factor, warns", [(0.99, True), (1.01, False)])
+def test_tsvd_warns_below_1e_14_of_the_top_singular_value(factor, warns):
+    # rank 8 whose last singular value lies just below or just above
+    # 1e-14 S_1: only the first is at numerical rank deficiency
+    op, zero = _diagonal_operator([2.0, 1.0, 0.5, 0.1, 1e-3, 1e-6, 1e-10, factor * 2e-14])
+    assert op.svd()[1][-1] / op.svd()[1][0] == pytest.approx(factor * 1e-14, rel=1e-12)
+    assert _warns(reconstruct_tsvd, op, zero, 8) is warns
+    assert not _warns(reconstruct_tsvd, op, zero, 7)
+
+
+@pytest.mark.parametrize("factor, warns", [(0.999, True), (1.001, False)])
+def test_tikhonov_warns_above_a_condition_estimate_of_1e12(factor, warns):
+    # (S_1^2 + lam^2) / (S_n^2 + lam^2) is 1e12 / factor^2 to 2e-6
+    # relative at lam = 1e-9, S_1 = 1 and S_n = 1e-6 factor
+    op, zero = _diagonal_operator([1.0, 0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, factor * 1e-6])
+    assert _warns(reconstruct_tikhonov, op, zero, 1e-9) is warns
+    assert not _warns(reconstruct_tikhonov, op, zero, 1e-3)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

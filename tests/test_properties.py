@@ -1,13 +1,15 @@
 """Property tests of the layered amplitudes, the half-line transforms,
 the batched field and amplitude-bound routes, the noise model, the
 discrepancy rule, the operator factored without U against gesdd,
-the sweep's block solves against per-cell solves, the B-spline source
-and the config and data-file round trips, over media, frequencies,
+the sweep's block solves against per-cell solves, the B-spline source,
+the B-splines' exact transforms against the quadrature route, and the
+config and data-file round trips, over media, frequencies,
 sources, noise levels and seeds drawn by hypothesis."""
 
 import contextlib
 import dataclasses
 import io
+import math
 import os
 import re
 import tempfile
@@ -31,11 +33,11 @@ from helmlayer.fourier import (_endpoint_amplitudes, _phase_spread, data_energy,
 from helmlayer.greens import (_endpoint_rows, eval_from_coeffs,
                               green_coeffs_via_linear_system, green_dx,
                               green_eval, interface_residuals)
-from helmlayer.inverse import (ConditioningWarning, ForwardOperator, _exact_operator,
-                               _filtered_solve, _tikhonov_residuals, add_noise,
+from helmlayer.inverse import (ConditioningWarning, ForwardOperator, _exact_operator, _phi,
+                               _filtered_solve, _spline_columns, _tikhonov_residuals, add_noise,
                                assemble_operator, morozov_lambda, reconstruct_tikhonov,
                                recon_error)
-from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis, _l2_norm,
+from helmlayer.model import (FrequencyGrid, Medium, SourceSpec, _bspline_basis,
                              _weighted_values, l2_norm_sq, split_source)
 from helmlayer.quadrature import composite_rule
 
@@ -506,6 +508,55 @@ def test_exact_operator_matches_a_fine_rule(medium, K, n_omega, basis):
     assert exact.support == quad.support
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_phi_matches_its_integral_on_a_gauss_rule(k):
+    # phi_k(t) = int_0^1 e^{(1 - s) t} s^{k-1} / (k - 1)! ds on a 64-node
+    # Gauss rule, at |t| from 1e-3 to 3k on both sides of the series cut
+    # |t| = k, imaginary and of other arguments.  The rule's own rounding
+    # reaches 2e-14 relative at k = 8; phi_k's is under 1e-15
+    s, w = np.polynomial.legendre.leggauss(64)
+    s, w = (s + 1.0) / 2.0, w / 2.0
+    size = np.concatenate([np.geomspace(1e-3, 0.999 * k, 9), np.geomspace(k, 3.0 * k, 9)])
+    angle = np.concatenate([[np.pi / 2, -np.pi / 2],
+                            np.random.default_rng(k).uniform(-np.pi, np.pi, 6)])
+    t = np.multiply.outer(size, np.exp(1j * angle)).ravel()
+    want = (np.exp(np.multiply.outer(t, 1.0 - s)) * s ** (k - 1)) @ w / math.factorial(k - 1)
+    got = _phi(k, t)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@st.composite
+def spline_sources(draw):
+    """An order 1-6 B-spline source wholly left of the interface, wholly
+    right of it, across it, or with an end exactly at 0."""
+    order = draw(st.integers(1, 6))
+    width = draw(st.floats(0.02, 0.9))
+    place = draw(st.sampled_from(["left", "right", "across", "end at 0"]))
+    if place == "across":
+        a = -width * draw(st.floats(0.01, 0.99))
+    elif place == "end at 0":
+        a = draw(st.sampled_from([0.0, -width]))
+    else:
+        a = draw(st.floats(1e-3, 0.95 - width))
+        a = a if place == "right" else -a - width
+    return SourceSpec.bspline(a, a + width, order, draw(amplitudes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spline_sources(), st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.booleans(),
+       st.floats(0.5, 80.0), st.integers(2, 120))
+def test_spline_columns_match_endpoint_data(f, c, d, swap, K, n_omega):
+    # a B-spline source's exact transform (the spline of h = (b - a) / n
+    # centred at (a + b) / 2, times amplitude / peak) against the
+    # quadrature route, either speed the larger
+    medium = Medium(*sorted((c, d), reverse=swap))
+    grid = FrequencyGrid.uniform(K, n_omega)
+    u = _spline_columns(medium, grid.omegas, [(f.a + f.b) / 2], (f.b - f.a) / f.order, f.order)
+    want = endpoint_data(f, medium, grid)
+    want = np.concatenate([want.u_minus, want.u_plus])
+    assert np.max(np.abs(u[:, 0] * (f.amplitude / f._peak) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(1e-8, 1.0), st.floats(0.0, 10.0), seeds)
 def test_noise_is_calibrated_to_eps(eps, size, seed):
@@ -553,8 +604,9 @@ def test_morozov_scan_matches_explicit_scan(medium, K, n_omega, n_basis, eps, se
 def _per_cell_sweep(cfg):
     """The sweep's records solved one cell at a time, as ``run_sweep``
     solved them before its cells became blocks: per K the same operator
-    and clean data, and per cell its own noise, ``_solve`` on that one
-    data set and ``recon_error`` against the source."""
+    and clean data, the sources' exact transforms, and per cell its own
+    noise, ``_solve`` on that one data set and ``recon_error`` against
+    the unit-norm source."""
     medium = Medium(cfg.c1, cfg.c2)
     pad = 0.02 * (cfg.sweep_support_b - cfg.sweep_support_a)
     support = (max(-0.99, cfg.sweep_support_a - pad), min(0.99, cfg.sweep_support_b + pad))
@@ -564,17 +616,19 @@ def _per_cell_sweep(cfg):
         clean = {}
         for n in cfg.sweep_n_list:
             for trial in range(cfg.sweep_trials):
-                f, _ = cli._sweep_source(cfg, n, trial)
-                clean[n, trial] = (f, endpoint_data(f, medium, op.grid), _l2_norm(f))
+                f = cli._sweep_source(cfg, n, trial)
+                u = _spline_columns(medium, op.grid.omegas, [(f.a + f.b) / 2], (f.b - f.a) / n, n)
+                u = u[:, 0] * (f.amplitude / f._peak)
+                clean[n, trial] = f, BoundaryData(op.grid, *np.split(u, 2))
         for ieps, eps in enumerate(cfg.sweep_eps_list):
             for n in cfg.sweep_n_list:
                 for trial in range(cfg.sweep_trials):
                     cell_seq = np.random.SeedSequence((cfg.seed, iK, ieps, n, trial))
                     cell_seed = int(cell_seq.generate_state(1)[0])
-                    f, data, norm = clean[n, trial]
+                    f, data = clean[n, trial]
                     noisy = add_noise(data, eps, cell_seed)
                     result = cli._solve(cfg, op, noisy, eps)
-                    err = recon_error(result, f) / norm
+                    err = recon_error(result, f)
                     records.append(ExperimentRecord(K, eps, n, result.method,
                                                     result.reg_param, err, 0.0, cell_seed))
     return records

@@ -1,5 +1,6 @@
 """The summary of ``tools/pairs.py`` on canned benchmark results, and
-the line count of ``tools/loc.py`` on a synthetic module."""
+the line count of ``tools/loc.py`` on a synthetic module and its deltas
+between two synthetic trees."""
 
 import importlib.util
 from pathlib import Path
@@ -122,3 +123,20 @@ def test_loc_counts_code_lines_only(tmp_path, capsys):
     loc.main([str(tmp_path)])
     assert capsys.readouterr().out.splitlines() == [
         "    29     10  a.py", "     2      1  b.py", "    31     11  total"]
+
+
+def test_loc_against_another_tree_prints_each_modules_deltas(tmp_path, capsys):
+    # a module changed, one only in the tree counted and one only in the
+    # other: each line is the tree's counts, then its counts less the other's
+    for tree, modules in (("new", {"a.py": _MODULE, "b.py": "x = 1\n\n"}),
+                          ("old", {"a.py": "y = 2\n# gone\nz = 3\n", "c.py": '"""Doc."""\n'})):
+        pkg = tmp_path / tree / "src" / "helmlayer"
+        pkg.mkdir(parents=True)
+        for name, text in modules.items():
+            (pkg / name).write_text(text)
+    loc.main([str(tmp_path / "new"), "--against", str(tmp_path / "old")])
+    assert capsys.readouterr().out.splitlines() == [
+        "    29     10    +26     +8  a.py",
+        "     2      1     +2     +1  b.py",
+        "     0      0     -1     +0  c.py",
+        "    31     11    +27     +9  total"]

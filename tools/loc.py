@@ -1,12 +1,15 @@
 """Count the lines of each module of ``src/helmlayer``: all of them, and
-the code lines.
+the code lines; or how those counts moved against another checkout.
 
-    python3 tools/loc.py [TREE]
+    python3 tools/loc.py [TREE] [--against OTHER]
 
 TREE is a checkout (by default the one holding this script).  A line is
 code unless it is blank, holds only a comment, or lies inside the
 docstring of a module, class or function (found with ``ast``).  It
 prints one line per module, lines then code lines, and the totals.
+With ``--against OTHER`` each line also gives TREE's counts less
+OTHER's, lines then code lines, over the modules of either tree (0 for
+a module that a tree lacks).
 """
 
 import argparse
@@ -28,18 +31,28 @@ def count(source):
     return len(lines), code
 
 
+def counts(tree):
+    """{module file name: (lines, code lines)} of the checkout ``tree``,
+    and their sums under "total"."""
+    found = {path.name: count(path.read_text())
+             for path in (tree / "src" / "helmlayer").glob("*.py")}
+    found["total"] = tuple(sum(c[i] for c in found.values()) for i in (0, 1))
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree", nargs="?", type=Path,
                         default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--against", type=Path, default=None,
+                        help="another checkout: print each count's change against it")
     args = parser.parse_args(argv)
-    total = [0, 0]
-    for path in sorted((args.tree / "src" / "helmlayer").glob("*.py")):
-        lines, code = count(path.read_text())
-        total[0] += lines
-        total[1] += code
-        print(f"{lines:6,d} {code:6,d}  {path.name}")
-    print(f"{total[0]:6,d} {total[1]:6,d}  total")
+    ours = counts(args.tree)
+    theirs = ours if args.against is None else counts(args.against)
+    for name in sorted((ours.keys() | theirs.keys()) - {"total"}) + ["total"]:
+        (lines, code), (old_lines, old_code) = ours.get(name, (0, 0)), theirs.get(name, (0, 0))
+        delta = "" if args.against is None else f" {lines - old_lines:+6,d} {code - old_code:+6,d}"
+        print(f"{lines:6,d} {code:6,d}{delta}  {name}")
 
 
 if __name__ == "__main__":
